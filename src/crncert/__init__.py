@@ -6,7 +6,6 @@ from .network import (
     Reaction,
     ReactionNetwork,
     Species,
-    distinct_complexes,
     parse_network,
     parse_network_file,
     reaction_vector,
@@ -26,7 +25,6 @@ from .siphons import (
     SiphonCatalog,
     SiphonEntry,
     all_semi_locking_sets,
-    catalog_with_count,
     is_locking,
     is_semi_locking,
     minimal_semi_locking_sets,

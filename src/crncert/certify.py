@@ -25,13 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import ratlin
 from .network import ReactionNetwork
-from .siphons import (
-    EnumerationCapError,
-    SiphonCatalog,
-    SpeciesSet,
-    is_semi_locking,
-    minimal_semi_locking_sets,
-)
+from .siphons import SiphonCatalog, SpeciesSet, is_semi_locking, minimal_semi_locking_sets
 from .structure import RationalBasis, StructureReport, stoichiometric_basis, structure_report
 
 
@@ -82,8 +76,10 @@ class FaceVerdict:
 
 @dataclass(frozen=True)
 class Certificate:
+    """``catalog`` is None when the hypotheses failed before enumeration."""
+
     structure: StructureReport
-    catalog: SiphonCatalog
+    catalog: Optional[SiphonCatalog]
     verdicts: tuple[FaceVerdict, ...]
     overall: OverallStatus
     reasons: tuple[str, ...]
@@ -97,13 +93,15 @@ class Certificate:
 
     def to_json_dict(self) -> dict:
         names = self.structure.species_names
-        return {
-            "structure": self.structure.to_json_dict(),
-            "siphons": self.catalog.to_json_list(names),
-            "verdicts": [v.to_json_dict(names) for v in self.verdicts],
-            "overall": self.overall.value,
-            "reasons": list(self.reasons),
-        }
+        doc: dict = {"structure": self.structure.to_json_dict()}
+        # No "siphons" key when none were enumerated: an empty list would
+        # claim the network has no semi-locking sets.
+        if self.catalog is not None:
+            doc["siphons"] = self.catalog.to_json_list(names)
+        doc["verdicts"] = [v.to_json_dict(names) for v in self.verdicts]
+        doc["overall"] = self.overall.value
+        doc["reasons"] = list(self.reasons)
+        return doc
 
 
 def face_kernel_basis(s_basis: RationalBasis, members: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -176,25 +174,6 @@ def check_empty_all_classes(
     return True, witness
 
 
-def _union_closure(sets: Sequence[SpeciesSet], limit: int) -> list[SpeciesSet]:
-    closed: set[SpeciesSet] = set(sets)
-    frontier = list(closed)
-    while frontier:
-        nxt: list[SpeciesSet] = []
-        for a in frontier:
-            for b in sets:
-                u = a | b
-                if u not in closed:
-                    closed.add(u)
-                    nxt.append(u)
-        if len(closed) > limit:
-            raise EnumerationCapError(
-                f"union closure of the minimal semi-locking sets exceeds {limit} faces"
-            )
-        frontier = nxt
-    return sorted(closed, key=lambda w: (len(w), tuple(sorted(w))))
-
-
 def _face_verdict(s_basis: RationalBasis, w: SpeciesSet) -> FaceVerdict:
     discrete, kernel_witness = check_discrete(s_basis, w)
     if discrete:
@@ -212,19 +191,17 @@ def _face_verdict(s_basis: RationalBasis, w: SpeciesSet) -> FaceVerdict:
     )
 
 
-def certify(net: ReactionNetwork, cap: int = 20, max_faces: int = 4096) -> Certificate:
+def certify(net: ReactionNetwork) -> Certificate:
     """Assemble the global-stability certificate for a network.
 
-    Requires weak reversibility and deficiency zero; each semi-locking set
-    in the union closure of the minimal ones then receives a face verdict.
-    A face verdict transfers to supersets (both checks only gain
-    constraints), so covering every minimal set covers every semi-locking
-    set; the closure is evaluated explicitly anyway so the certificate
-    lists each derived face with its own witness.  Many pairwise-disjoint
-    minimal sets make the closure exponential, hence the ``max_faces`` cap.
+    Weak reversibility and deficiency zero are checked first; when either
+    fails, no siphon is enumerated and the certificate has no catalog.
+    Otherwise each minimal semi-locking set receives one face verdict, in
+    catalog order.  Both face checks only gain constraints as W grows and
+    every semi-locking set contains a minimal one, so the minimal faces
+    decide every semi-locking face.
     """
     report = structure_report(net)
-    catalog = minimal_semi_locking_sets(net, cap=cap)
     reasons: list[str] = []
     if not report.weakly_reversible:
         reasons.append(
@@ -238,16 +215,14 @@ def certify(net: ReactionNetwork, cap: int = 20, max_faces: int = 4096) -> Certi
     if reasons:
         return Certificate(
             structure=report,
-            catalog=catalog,
+            catalog=None,
             verdicts=(),
             overall=OverallStatus.NOT_CERTIFIED,
             reasons=tuple(reasons),
         )
 
-    verdicts = tuple(
-        _face_verdict(report.s_basis, w)
-        for w in _union_closure(catalog.minimal_sets, max_faces)
-    )
+    catalog = minimal_semi_locking_sets(net)
+    verdicts = tuple(_face_verdict(report.s_basis, w) for w in catalog.minimal_sets)
     inconclusive = [v for v in verdicts if v.status is FaceStatus.INCONCLUSIVE]
     if inconclusive:
         names = report.species_names
@@ -292,7 +267,6 @@ def is_extreme_point(net: ReactionNetwork, y: Sequence[float]) -> bool:
 class BoundaryClassification:
     face: SpeciesSet
     face_is_semi_locking: bool
-    is_equilibrium_candidate: bool
 
 
 def classify_boundary_point(net: ReactionNetwork, y: Sequence[float]) -> BoundaryClassification:
@@ -309,7 +283,4 @@ def classify_boundary_point(net: ReactionNetwork, y: Sequence[float]) -> Boundar
     w = frozenset(i for i, v in enumerate(y) if v == 0)
     if not w:
         raise ValueError("point is strictly positive, not a boundary point")
-    semi = is_semi_locking(net, w)
-    return BoundaryClassification(
-        face=w, face_is_semi_locking=semi, is_equilibrium_candidate=semi
-    )
+    return BoundaryClassification(face=w, face_is_semi_locking=is_semi_locking(net, w))

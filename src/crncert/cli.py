@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (certified where applicable), 2 valid input whose
 network fails the certification or equilibrium hypotheses, 1 any error.
-JSON documents carry ``"schema": "crn-cert/1"``.
+JSON documents carry ``"schema": "crn-cert/2"``.  A ``certify`` document
+holds one verdict per minimal semi-locking set, and has no ``"siphons"``
+key when a hypothesis fails, since siphons are then not enumerated.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .network import ParseError, parse_network_file
 from .siphons import EnumerationCapError, minimal_semi_locking_sets
 from .structure import structure_report
 
-SCHEMA = "crn-cert/1"
+SCHEMA = "crn-cert/2"
 
 EXIT_OK = 0
 EXIT_ERROR = 1

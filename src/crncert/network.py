@@ -139,6 +139,7 @@ class ReactionNetwork:
 
     @cached_property
     def complexes(self) -> tuple[Complex, ...]:
+        """All source and product complexes, deduplicated, in first-appearance order."""
         out: list[Complex] = []
         seen: set[Complex] = set()
         for r in self.reactions:
@@ -151,11 +152,6 @@ class ReactionNetwork:
     @cached_property
     def complex_index(self) -> dict[Complex, int]:
         return {c: i for i, c in enumerate(self.complexes)}
-
-
-def distinct_complexes(net: ReactionNetwork) -> tuple[Complex, ...]:
-    """All source and product complexes, deduplicated, in first-appearance order."""
-    return net.complexes
 
 
 def reaction_vector(reaction: Reaction, num_species: int) -> tuple[int, ...]:

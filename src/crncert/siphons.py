@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .network import ReactionNetwork
 
 SpeciesSet = frozenset[int]
 
 BRUTE_FORCE_LIMIT = 12
+ENUMERATION_LIMIT = 20
 
 
 class EnumerationCapError(RuntimeError):
@@ -70,7 +71,6 @@ class SiphonCatalog:
     """Inclusion-minimal semi-locking sets, each flagged if also locking."""
 
     entries: tuple[SiphonEntry, ...]
-    all_semi_locking_count: Optional[int] = None
 
     @property
     def minimal_sets(self) -> tuple[SpeciesSet, ...]:
@@ -83,17 +83,17 @@ class SiphonCatalog:
         ]
 
 
-def minimal_semi_locking_sets(net: ReactionNetwork, cap: int = 20) -> SiphonCatalog:
+def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
     """Enumerate all inclusion-minimal semi-locking sets.
 
     Sweeps subsets by ascending size (lexicographic within a size), skipping
     supersets of sets already found, so the output order is deterministic.
-    Raises :class:`EnumerationCapError` beyond ``cap`` species.
+    Raises :class:`EnumerationCapError` beyond ``ENUMERATION_LIMIT`` species.
     """
     m = net.num_species
-    if m > cap:
+    if m > ENUMERATION_LIMIT:
         raise EnumerationCapError(
-            f"{m} species is too large for exhaustive enumeration (cap {cap})"
+            f"{m} species is too large for exhaustive enumeration (cap {ENUMERATION_LIMIT})"
         )
     rmasks = _reaction_masks(net)
     found: list[int] = []
@@ -130,9 +130,3 @@ def all_semi_locking_sets(net: ReactionNetwork) -> tuple[SpeciesSet, ...]:
     out.sort(key=lambda w: (bin(w).count("1"), tuple(i for i in range(m) if w >> i & 1)))
     return tuple(frozenset(i for i in range(m) if w >> i & 1) for w in out)
 
-
-def catalog_with_count(net: ReactionNetwork, cap: int = 20) -> SiphonCatalog:
-    """Minimal catalog plus the count of all semi-locking sets (on demand)."""
-    catalog = minimal_semi_locking_sets(net, cap=cap)
-    count = len(all_semi_locking_sets(net))
-    return SiphonCatalog(entries=catalog.entries, all_semi_locking_count=count)

@@ -8,7 +8,7 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ratlin
 from .network import ReactionNetwork, reaction_vector
@@ -44,7 +44,6 @@ class StructureReport:
     species_names: tuple[str, ...]
     s_basis: RationalBasis
     conservation_basis: RationalBasis
-    deficiency_nonnegative: bool = field(default=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,7 +69,7 @@ def _complex_graph(net: ReactionNetwork) -> tuple[int, list[tuple[int, int]]]:
 def linkage_classes(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
     """Connected components of the undirected complex graph.
 
-    Returns blocks of indices into ``distinct_complexes(net)``, each block
+    Returns blocks of indices into ``net.complexes``, each block
     sorted, blocks ordered by their smallest member.
     """
     n, edges = _complex_graph(net)
@@ -183,5 +182,4 @@ def structure_report(net: ReactionNetwork) -> StructureReport:
         species_names=names,
         s_basis=s_basis,
         conservation_basis=cons,
-        deficiency_nonnegative=deficiency >= 0,
     )

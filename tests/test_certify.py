@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from crncert import (
     Complex,
+    EnumerationCapError,
     FaceStatus,
     OverallStatus,
     ReactionNetwork,
@@ -25,6 +27,7 @@ from crncert import (
     stoichiometric_basis,
 )
 from crncert.certify import _face_verdict
+from crncert.cli import main
 from crncert.randomnet import random_network
 from crncert.ratlin import canonical_basis, dot
 
@@ -119,20 +122,35 @@ def test_inconclusive_face_reports_both_witnesses():
     assert {"kernel", "feasible"} <= set(inconclusive[0]["witness"])
 
 
-def test_closure_cap_guards_disjoint_siphon_blowup():
-    # independent autocatalytic loops give pairwise-disjoint one-species
-    # siphons, so the union closure is exponential in their number
-    from crncert import EnumerationCapError
-
+def test_disjoint_siphons_get_one_verdict_each():
+    # independent autocatalytic loops give 14 pairwise-disjoint one-species
+    # siphons; their 2^14 - 1 unions need no verdict of their own
     lines = [f"C{i} <-> 2C{i} ; kf=1, kr=1" for i in range(14)]
     net = parse_network("\n".join(lines))
-    with pytest.raises(EnumerationCapError, match="union closure"):
-        certify(net)
-
-    small = parse_network("\n".join(lines[:8]))
-    cert = certify(small)
-    assert len(cert.verdicts) == 2**8 - 1
+    cert = certify(net)
+    assert [v.species for v in cert.verdicts] == list(cert.catalog.minimal_sets)
+    assert len(cert.verdicts) == 14
+    assert all(v.status is FaceStatus.INCONCLUSIVE for v in cert.verdicts)
     assert cert.overall is OverallStatus.NOT_CERTIFIED
+
+
+def test_hypotheses_checked_before_enumeration(tmp_path, capsys):
+    # 22 species exceed the enumeration limit, but the chain is not weakly
+    # reversible, so the verdict needs no siphon at all
+    lines = [f"X{i} -> X{i + 1} ; k=1" for i in range(21)]
+    net = parse_network("\n".join(lines))
+    with pytest.raises(EnumerationCapError):
+        minimal_semi_locking_sets(net)
+    cert = certify(net)
+    assert cert.overall is OverallStatus.NOT_CERTIFIED
+    assert cert.catalog is None and cert.verdicts == ()
+    assert "siphons" not in cert.to_json_dict()
+
+    path = tmp_path / "chain.crn"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["certify", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall"] == "NOT_CERTIFIED" and "siphons" not in doc
 
 
 def test_network_without_siphons_certifies_vacuously():
@@ -148,7 +166,7 @@ def test_not_certified_without_weak_reversibility():
     cert = certify(parse_network("A -> B ; k=1"))
     assert cert.overall is OverallStatus.NOT_CERTIFIED
     assert any("weakly reversible" in r for r in cert.reasons)
-    assert cert.verdicts == ()
+    assert cert.catalog is None and cert.verdicts == ()
 
 
 def test_not_certified_with_positive_deficiency():
@@ -190,18 +208,17 @@ def test_extreme_points(ex1, ex2):
 def test_classify_boundary_point(ex1, ex2):
     out = classify_boundary_point(ex2, vec_by_name(ex2, {"C": 1.0}))
     assert names_of(ex2, out.face) == frozenset("AB")
-    assert out.face_is_semi_locking and out.is_equilibrium_candidate
+    assert out.face_is_semi_locking
 
     y = vec_by_name(ex1, {"B": 1.0, "C": 1.0})
     out = classify_boundary_point(ex1, y)
     assert names_of(ex1, out.face) == frozenset("ADE")
     # {A,D,E}: reaction B+C -> E produces E without consuming A, D or E
     assert not out.face_is_semi_locking
-    assert not out.is_equilibrium_candidate
 
     two = parse_network("A <-> B ; kf=1, kr=2")
     out = classify_boundary_point(two, (1.0, 0.0))
-    assert not out.is_equilibrium_candidate
+    assert not out.face_is_semi_locking
 
     with pytest.raises(ValueError):
         classify_boundary_point(ex2, (1.0, 1.0, 1.0))
@@ -318,18 +335,31 @@ def test_check_empty_matches_linprog_oracle(seed):
 def test_face_verdicts_transfer_to_supersets(seed):
     """A face verdict for W implies at least as strong a verdict for supersets.
 
-    This is why covering the union closure of the minimal sets certifies
-    every semi-locking set.
+    This is why verdicts on the minimal sets alone decide every
+    semi-locking set: certify's overall verdict matches the one obtained
+    from a verdict on every semi-locking face.
     """
     net = random_network(np.random.default_rng(seed))
     basis = stoichiometric_basis(net)
     minimal = minimal_semi_locking_sets(net).minimal_sets
+    every_face_passes = True
     for w in all_semi_locking_sets(net):
+        status = _face_verdict(basis, w).status
+        every_face_passes &= status is not FaceStatus.INCONCLUSIVE
         sub_statuses = {
             _face_verdict(basis, s).status for s in minimal if s <= w
         }
         if sub_statuses and FaceStatus.INCONCLUSIVE not in sub_statuses:
-            assert _face_verdict(basis, w).status is not FaceStatus.INCONCLUSIVE
+            assert status is not FaceStatus.INCONCLUSIVE
+
+    cert = certify(net)
+    report = cert.structure
+    expected = (
+        OverallStatus.GLOBALLY_STABLE
+        if report.weakly_reversible and report.deficiency == 0 and every_face_passes
+        else OverallStatus.NOT_CERTIFIED
+    )
+    assert cert.overall is expected
 
 
 @given(st.integers(0, 10_000))

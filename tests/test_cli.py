@@ -23,7 +23,7 @@ def test_analyze_ex1(capsys):
     code, out, _ = run(capsys, "analyze", EX1)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == "crn-cert/1"
+    assert doc["schema"] == "crn-cert/2"
     st = doc["structure"]
     assert (st["n"], st["l"], st["s"], st["deficiency"]) == (4, 1, 3, 0)
     assert len(doc["siphons"]) == 3
@@ -105,7 +105,7 @@ def test_simulate_json_summary(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(stdout)
-    assert doc["schema"] == "crn-cert/1"
+    assert doc["schema"] == "crn-cert/2"
     assert doc["persistence_margin"] > 0
     assert out.read_text().startswith("t,A,B,C,V,conservation_residual")
 
@@ -176,7 +176,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", EX1, "--out", str(target))
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["schema"] == "crn-cert/1"
+    assert json.loads(target.read_text())["schema"] == "crn-cert/2"
 
 
 def test_module_entry_point():

@@ -8,7 +8,6 @@ from crncert import (
     Reaction,
     ReactionNetwork,
     Species,
-    distinct_complexes,
     parse_network,
     reaction_vector,
     serialize_network,
@@ -36,15 +35,15 @@ def test_reversible_expands_to_two_reactions():
 def test_three_complex_chain():
     net = parse_network("2A <-> A+B ; kf=1, kr=2\nA+B <-> B+C ; kf=3, kr=4")
     assert net.num_species == 3
-    assert len(distinct_complexes(net)) == 3
+    assert len(net.complexes) == 3
     assert len(net.reactions) == 4
     assert [r.rate for r in net.reactions] == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_distinct_complex_counts(ex1, ex3):
-    assert len(distinct_complexes(ex1)) == 4
-    assert len(distinct_complexes(ex3)) == 4
-    assert len(distinct_complexes(parse_network("A -> B ; k=1"))) == 2
+    assert len(ex1.complexes) == 4
+    assert len(ex3.complexes) == 4
+    assert len(parse_network("A -> B ; k=1").complexes) == 2
 
 
 def test_empty_complex():
@@ -224,4 +223,4 @@ def test_distinct_complexes_stable_under_reordering(text, rnd):
     shuffled = list(net.reactions)
     rnd.shuffle(shuffled)
     permuted = ReactionNetwork(net.species, tuple(shuffled))
-    assert set(distinct_complexes(permuted)) == set(distinct_complexes(net))
+    assert set(permuted.complexes) == set(net.complexes)

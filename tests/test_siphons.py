@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from crncert import (
     EnumerationCapError,
     all_semi_locking_sets,
-    catalog_with_count,
     is_locking,
     is_semi_locking,
     minimal_semi_locking_sets,
@@ -75,11 +74,10 @@ def test_cap_exceeded():
         all_semi_locking_sets(net)
 
 
-def test_catalog_with_count(ex2):
-    cat = catalog_with_count(ex2)
+def test_semi_locking_count(ex2):
     # {A,B}, {A,C}, {A,B,C} are all the semi-locking sets of the chain
-    assert cat.all_semi_locking_count == 3
-    assert len(cat.entries) == 2
+    assert len(all_semi_locking_sets(ex2)) == 3
+    assert len(minimal_semi_locking_sets(ex2).entries) == 2
 
 
 def test_catalog_json(ex3):
