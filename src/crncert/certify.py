@@ -169,8 +169,12 @@ def check_empty_all_classes(
         y[i] = farkas[row_idx]
     witness = ratlin.integerize(y, keep_sign=True)
     # The dual must verify exactly: nonnegative, nonzero, orthogonal to S.
-    assert any(witness) and all(v >= 0 for v in witness)
-    assert all(ratlin.dot(witness, basis_vec) == 0 for basis_vec in vectors)
+    if not (
+        any(witness)
+        and all(v >= 0 for v in witness)
+        and all(ratlin.dot(witness, basis_vec) == 0 for basis_vec in vectors)
+    ):
+        raise ArithmeticError(f"separating witness {witness} failed exact verification")
     return True, witness
 
 

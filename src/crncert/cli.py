@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -58,6 +59,8 @@ def _parse_vector(text: str, m: int, flag: str) -> np.ndarray:
         raise ValueError(f"{flag} must be a comma-separated list of numbers") from None
     if values.shape != (m,):
         raise ValueError(f"{flag} has {values.size} entries, network has {m} species")
+    if not (values.min() > 0 and values.max() < math.inf):
+        raise ValueError(f"{flag} must be entrywise positive and finite")
     return values
 
 
@@ -85,18 +88,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     net = parse_network_file(args.file)
     m = net.num_species
+    if not 0 < args.t_end < math.inf:
+        raise ValueError("--t-end must be positive and finite")
     if args.x0:
         x0 = _parse_vector(args.x0, m, "--x0")
-        if np.any(x0 <= 0):
-            raise ValueError("--x0 must be entrywise positive")
     else:
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(0.5, 1.5, size=m)
 
-    report = structure_report(net)
-    x_ref = None
-    if report.weakly_reversible and report.deficiency == 0:
+    try:
         x_ref = find_equilibrium(net, x0).x_bar
+    except HypothesesError:
+        x_ref = None  # V is only defined against a complex-balanced reference
     traj = simulate(net, MASS_ACTION, x0, args.t_end, rtol=args.rtol, atol=args.atol, x_ref=x_ref)
 
     final_v = float(traj.lyapunov[-1]) if traj.lyapunov is not None else float("nan")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .network import ReactionNetwork, reaction_vector
+from .network import ReactionNetwork
 from .siphons import is_semi_locking
 from .structure import conservation_basis, stoichiometric_basis, structure_report
 
@@ -76,20 +75,6 @@ def generalized_kinetics(
     return KineticsSpec(GENERALIZED_KIND, thetas)
 
 
-@lru_cache(maxsize=None)
-def _mass_action_arrays(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = net.num_species
-    src = np.zeros((len(net.reactions), m))
-    netv = np.zeros((len(net.reactions), m))
-    rates = np.zeros(len(net.reactions))
-    for r_idx, r in enumerate(net.reactions):
-        for i, k in r.source.terms:
-            src[r_idx, i] = k
-        netv[r_idx] = reaction_vector(r, m)
-        rates[r_idx] = r.rate
-    return src, netv, rates
-
-
 def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
     if kinetics.is_mass_action:
         return x
@@ -99,9 +84,9 @@ def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
 
 def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Per-reaction fluxes at state x (monomials in the transformed state)."""
-    src, _, k = _mass_action_arrays(net)
+    form = net.numeric
     u = _transformed(np.asarray(x, dtype=float), kinetics)
-    return k * np.prod(u**src, axis=1)
+    return form.rates * np.prod(u**form.exponents, axis=1)
 
 
 def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
@@ -113,10 +98,9 @@ def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.
     arr = np.asarray(x, dtype=float)
     if arr.shape != (net.num_species,):
         raise ValueError("state dimension differs from species count")
-    if np.any(arr < 0):
-        raise ValueError("state must be entrywise nonnegative")
-    _, netv, _ = _mass_action_arrays(net)
-    return reaction_rates(net, kinetics, arr) @ netv
+    if not (arr.min() >= 0 and arr.max() < math.inf):
+        raise ValueError("state must be entrywise nonnegative and finite")
+    return reaction_rates(net, kinetics, arr) @ net.numeric.stoichiometry
 
 
 def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
@@ -130,21 +114,18 @@ def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -
     m = net.num_species
     if arr.shape != (m,):
         raise ValueError("state dimension differs from species count")
-    if np.any(arr < 0):
-        raise ValueError("state must be entrywise nonnegative")
+    if not (arr.min() >= 0 and arr.max() < math.inf):
+        raise ValueError("state must be entrywise nonnegative and finite")
     if not kinetics.is_mass_action:
         return _jacobian_fd(net, kinetics, arr)
-    src, netv, k = _mass_action_arrays(net)
-    jac = np.zeros((m, m))
-    for r_idx in range(src.shape[0]):
-        exps = src[r_idx]
-        for j in np.nonzero(exps)[0]:
-            factors = arr**exps
-            xj = arr[j]
-            factors[j] = exps[j] * xj ** (exps[j] - 1.0) if exps[j] != 1.0 else exps[j]
-            grad_j = k[r_idx] * np.prod(factors)
-            jac[:, j] += grad_j * netv[r_idx]
-    return jac
+    form = net.numeric
+    e = form.exponents
+    # factors[r, j] is the monomial of reaction r with x_j**e replaced by
+    # e * x_j**(e - 1); clipping e - 1 at 0 keeps x_j = 0 exact (0**0 == 1).
+    factors = np.repeat((arr**e)[:, None, :], m, axis=1)
+    factors[:, range(m), range(m)] = e * arr ** np.maximum(e - 1.0, 0.0)
+    grad = np.where(e != 0.0, form.rates[:, None] * np.prod(factors, axis=2), 0.0)
+    return np.sum(grad[:, None, :] * form.stoichiometry[:, :, None], axis=0, initial=0.0)
 
 
 def _jacobian_fd(net: ReactionNetwork, kinetics: KineticsSpec, x: np.ndarray) -> np.ndarray:
@@ -273,10 +254,10 @@ def simulate(
     x = np.asarray(x0, dtype=float)
     if x.shape != (net.num_species,):
         raise ValueError("initial state dimension differs from species count")
-    if np.any(x <= 0):
-        raise ValueError("initial state must be entrywise positive")
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not (x.min() > 0 and x.max() < math.inf):
+        raise ValueError("initial state x0 must be entrywise positive and finite")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     ref = None if x_ref is None else np.asarray(x_ref, dtype=float)
 
     cons = conservation_basis(net)
@@ -360,15 +341,6 @@ def write_trajectory_csv(traj: Trajectory, names: Sequence[str], fh) -> None:
         fh.write(",".join(row) + "\n")
 
 
-def _complex_matrix(net: ReactionNetwork) -> np.ndarray:
-    cxs = net.complexes
-    y = np.zeros((len(cxs), net.num_species))
-    for row, c in enumerate(cxs):
-        for i, k in c.terms:
-            y[row, i] = k
-    return y
-
-
 def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
     """One positive state at which every complex's inflow equals its outflow.
 
@@ -384,14 +356,11 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
         raise HypothesesError(
             f"complex balancing requires deficiency zero, got {report.deficiency}"
         )
+    form = net.numeric
     n = len(net.complexes)
-    idx = net.complex_index
     lap = np.zeros((n, n))
-    for r in net.reactions:
-        j = idx[r.source]
-        i = idx[r.product]
-        lap[i, j] += r.rate
-        lap[j, j] -= r.rate
+    np.add.at(lap, (form.product, form.source), form.rates)
+    np.add.at(lap, (form.source, form.source), -form.rates)
     kappa = np.zeros(n)
     for block in report.linkage_classes:
         sel = np.ix_(block, block)
@@ -403,12 +372,11 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
         if np.min(v) <= 0:
             raise ArithmeticError("Laplacian kernel vector is not strictly positive")
         kappa[list(block)] = v / np.max(v)
-    y = _complex_matrix(net)
     l = len(report.linkage_classes)
     indicator = np.zeros((n, l))
     for b_idx, block in enumerate(report.linkage_classes):
         indicator[list(block), b_idx] = 1.0
-    system = np.hstack([y, -indicator])
+    system = np.hstack([form.complex_matrix, -indicator])
     solution, *_ = np.linalg.lstsq(system, np.log(kappa), rcond=None)
     x_star = np.exp(solution[: net.num_species])
     residual = complex_balance_residual(net, x_star)
@@ -421,13 +389,10 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
 
 def complex_balance_residual(net: ReactionNetwork, x: Sequence[float]) -> float:
     """Relative worst-case gap between inflow and outflow over all complexes."""
+    form = net.numeric
     rates = reaction_rates(net, MASS_ACTION, x)
-    idx = net.complex_index
-    inflow = np.zeros(len(net.complexes))
-    outflow = np.zeros(len(net.complexes))
-    for r_idx, r in enumerate(net.reactions):
-        outflow[idx[r.source]] += rates[r_idx]
-        inflow[idx[r.product]] += rates[r_idx]
+    inflow = np.bincount(form.product, weights=rates, minlength=len(net.complexes))
+    outflow = np.bincount(form.source, weights=rates, minlength=len(net.complexes))
     scale = max(float(np.max(inflow)), float(np.max(outflow)), 1e-300)
     return float(np.max(np.abs(inflow - outflow))) / scale
 
@@ -466,8 +431,8 @@ def find_equilibrium(
     anchor = np.asarray(c, dtype=float)
     if anchor.shape != (net.num_species,):
         raise ValueError("class anchor dimension differs from species count")
-    if np.any(anchor <= 0):
-        raise HypothesesError("class anchor must be entrywise positive")
+    if not (anchor.min() > 0 and anchor.max() < math.inf):
+        raise ValueError("class anchor c must be entrywise positive and finite")
     x_star = complex_balanced_point(net)
     basis = stoichiometric_basis(net)
     b_mat = np.array(basis.vectors, dtype=float).T

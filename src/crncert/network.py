@@ -16,6 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 MAX_COEFF = 2**31 - 1
 
@@ -103,6 +106,21 @@ class Reaction:
             raise ValueError(f"rate must be a positive finite number, got {self.rate}")
 
 
+class NumericForm(NamedTuple):
+    """Float arrays of a network, shared read-only by every numeric routine.
+
+    Rows of ``complex_matrix`` follow ``ReactionNetwork.complexes``; reaction r
+    runs from complex ``source[r]`` to ``product[r]`` at ``rates[r]``.
+    """
+
+    complex_matrix: np.ndarray
+    source: np.ndarray
+    product: np.ndarray
+    rates: np.ndarray
+    exponents: np.ndarray
+    stoichiometry: np.ndarray
+
+
 @dataclass(frozen=True)
 class ReactionNetwork:
     species: tuple[Species, ...]
@@ -152,6 +170,21 @@ class ReactionNetwork:
     @cached_property
     def complex_index(self) -> dict[Complex, int]:
         return {c: i for i, c in enumerate(self.complexes)}
+
+    @cached_property
+    def numeric(self) -> NumericForm:
+        """The network as float arrays, built once per object and freed with it."""
+        y = np.zeros((len(self.complexes), self.num_species))
+        for row, c in enumerate(self.complexes):
+            for i, k in c.terms:
+                y[row, i] = k
+        source = np.array([self.complex_index[r.source] for r in self.reactions])
+        product = np.array([self.complex_index[r.product] for r in self.reactions])
+        rates = np.array([r.rate for r in self.reactions])
+        form = NumericForm(y, source, product, rates, y[source], y[product] - y[source])
+        for a in form:
+            a.setflags(write=False)
+        return form
 
 
 def reaction_vector(reaction: Reaction, num_species: int) -> tuple[int, ...]:

@@ -142,6 +142,10 @@ def _dedupe(ineqs: list[_Ineq]) -> list[_Ineq]:
     return [best[k] for k in order]
 
 
+class ExactBudgetError(ArithmeticError):
+    """An exact routine stopped at its work bound before deciding."""
+
+
 def solve_le(
     A: Sequence[Sequence[Scalar]],
     b: Sequence[Scalar],
@@ -154,6 +158,8 @@ def solve_le(
     multiplier vector y with y A = 0 and y . b < 0, an exact witness of
     infeasibility (every eliminated inequality is a nonnegative combination
     of the originals, so the multipliers come out of the elimination).
+    Raises :class:`ExactBudgetError` when an elimination stage keeps more
+    than ``max_rows`` inequalities.
     """
     nrows = len(A)
     nvars = len(A[0]) if nrows else 0
@@ -180,7 +186,9 @@ def solve_le(
                 nxt.append(p.plus(n))
         current = _dedupe(nxt)
         if len(current) > max_rows:
-            raise RuntimeError("inequality system grew too large during elimination")
+            raise ExactBudgetError(
+                f"inequality system grew past {max_rows} rows during elimination"
+            )
     for q in current:
         if q.rhs < 0:
             return None, q.mult

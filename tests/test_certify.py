@@ -26,6 +26,7 @@ from crncert import (
     parse_network,
     stoichiometric_basis,
 )
+from crncert import ratlin
 from crncert.certify import _face_verdict
 from crncert.cli import main
 from crncert.randomnet import random_network
@@ -83,6 +84,15 @@ def test_check_empty_trivial_two_species():
     empty, separating = check_empty_all_classes(basis, frozenset({0, 1}))
     assert empty
     assert separating == (1, 1)
+
+
+@pytest.mark.parametrize("farkas", [[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(0)]])
+def test_check_empty_rejects_unverified_separating_witness(monkeypatch, farkas):
+    # a negative or non-orthogonal dual from the LP is refused with a typed error
+    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1"))
+    monkeypatch.setattr(ratlin, "solve_le", lambda A, b: (None, farkas))
+    with pytest.raises(ArithmeticError, match="separating witness"):
+        check_empty_all_classes(basis, frozenset({0, 1}))
 
 
 def test_certificates_golden(ex1, ex2, ex3):

@@ -139,6 +139,31 @@ def test_simulate_rejects_zero_entry(capsys):
     assert "positive" in err
 
 
+def test_nonfinite_and_nonpositive_flags_exit_1(capsys):
+    for argv, flag in (
+        (("simulate", EX2, "--x0", "1,nan,1"), "--x0"),
+        (("simulate", EX2, "--x0", "1,1,inf"), "--x0"),
+        (("simulate", EX2, "--x0", "1,1,1", "--t-end", "inf"), "--t-end"),
+        (("simulate", EX2, "--t-end", "nan"), "--t-end"),
+        (("equilibrium", EX2, "--c", "nan,1,1"), "--c"),
+        (("equilibrium", EX2, "--c", "1,0,1"), "--c"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be"), err
+
+
+def test_simulate_without_hypotheses_has_nan_lyapunov(tmp_path, capsys):
+    path = tmp_path / "oneway.crn"
+    path.write_text("A -> B ; k=1\n")
+    code, out, err = run(capsys, "simulate", str(path), "--x0", "1,1", "--t-end", "1")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert rows and all(row.split(",")[-2] == "nan" for row in rows)
+    assert err.endswith("final_V=nan\n")
+
+
 def test_simulate_rejects_dimension_mismatch(capsys):
     code, _, err = run(capsys, "simulate", EX2, "--x0", "1,1")
     assert code == 1
@@ -180,10 +205,12 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # run from src/ so that -m finds the package without an install
     proc = subprocess.run(
         [sys.executable, "-m", "crncert.cli", "certify", EX3],
         capture_output=True,
         text=True,
+        cwd=NETWORKS.parent / "src",
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["overall"] == "GLOBALLY_STABLE"

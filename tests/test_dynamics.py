@@ -44,8 +44,10 @@ def test_rhs_locked_at_zero(ex3):
 
 
 def test_rhs_rejects_negative(ab):
-    with pytest.raises(ValueError):
-        rhs(ab, MASS_ACTION, [-0.1, 1.0])
+    for bad in ([-0.1, 1.0], [math.nan, 1.0], [1.0, math.inf]):
+        for f in (rhs, jacobian):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                f(ab, MASS_ACTION, bad)
 
 
 def test_lyapunov_examples():
@@ -131,6 +133,12 @@ def test_simulate_rejects_boundary_start(ex2):
         simulate(ex2, MASS_ACTION, [0.0, 1.0, 1.0], 1.0)
     with pytest.raises(ValueError):
         simulate(ex2, MASS_ACTION, [1.0, 1.0, 1.0], -1.0)
+    for x0 in ([1.0, math.nan, 1.0], [1.0, 1.0, math.inf]):
+        with pytest.raises(ValueError, match="x0 must be entrywise positive and finite"):
+            simulate(ex2, MASS_ACTION, x0, 1.0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            simulate(ex2, MASS_ACTION, [1.0, 1.0, 1.0], t_end)
 
 
 def test_find_equilibrium_closed_form(ab):
@@ -176,8 +184,11 @@ def test_find_equilibrium_refuses_bad_networks():
     with pytest.raises(HypothesesError, match="deficiency"):
         find_equilibrium(deficient, [1.0, 1.0])
     ok = parse_network("A <-> B ; kf=1, kr=1")
-    with pytest.raises(HypothesesError, match="positive"):
-        find_equilibrium(ok, [1.0, 0.0])
+    # a bad anchor is a bad argument, not a failed hypothesis
+    for anchor in ([1.0, 0.0], [math.nan, 1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="anchor c must be entrywise positive") as info:
+            find_equilibrium(ok, anchor)
+        assert not isinstance(info.value, HypothesesError)
 
 
 def test_find_equilibrium_inflow_network_without_conservation():

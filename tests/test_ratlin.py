@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert.ratlin import (
+    ExactBudgetError,
     canonical_basis,
     dot,
     integerize,
@@ -68,6 +70,15 @@ def test_solve_le_infeasible_simple():
     point, farkas = solve_le([(1,), (-1,)], [1, -2])
     assert point is None
     assert farkas == [Fraction(1), Fraction(1)]
+
+
+def test_solve_le_stops_at_row_budget():
+    # eliminating x1 pairs two upper with two lower bounds: four rows > 3
+    A = [(1, 1, 0), (1, 0, 1), (-1, 1, 1), (-1, -1, 2)]
+    assert solve_le(A, [1, 1, 1, 1])[0] is not None
+    with pytest.raises(ExactBudgetError, match="past 3 rows"):
+        solve_le(A, [1, 1, 1, 1], max_rows=3)
+    assert issubclass(ExactBudgetError, ArithmeticError)
 
 
 def test_solve_le_unbounded_direction():
