@@ -80,12 +80,6 @@ class Complex:
     def indices(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.terms)
 
-    def coefficient(self, index: int) -> int:
-        for i, k in self.terms:
-            if i == index:
-                return k
-        return 0
-
     def format(self, names: tuple[str, ...] | list[str]) -> str:
         if self.is_empty:
             return "0"

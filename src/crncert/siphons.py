@@ -5,15 +5,20 @@ a member of W also consumes one; it is locking when every reaction consumes
 one.  Zeroing a semi-locking set freezes the species of W at zero, which is
 why these sets are the only candidate supports for boundary attractors.
 
-Enumeration is an exhaustive size-ascending sweep over subsets with
-superset pruning; networks of interest are small, and the unpruned subset
-scan doubles as a test oracle.
+The minimal semi-locking sets are found by a branch-and-bound search over
+species (after Cordone, Ferrarini & Piroddi, IEEE TSMC-A 2005, and Nabli,
+Martinez, Fages & Soliman, Constraints 2016).  Each node holds a set I of
+species that must be in the set and a set A of species that may be; it is
+pruned with the largest semi-locking set inside A, a greatest fixpoint
+computed in polynomial time.  The search is bounded by ``FIXPOINT_BUDGET``
+fixpoint evaluations, not by the number of species.  The scan over all
+2^m subsets remains only in :func:`all_semi_locking_sets`, a test oracle
+for small networks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .network import ReactionNetwork
@@ -21,11 +26,11 @@ from .network import ReactionNetwork
 SpeciesSet = frozenset[int]
 
 BRUTE_FORCE_LIMIT = 12
-ENUMERATION_LIMIT = 20
+FIXPOINT_BUDGET = 100_000
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when a network is too large for exhaustive subset enumeration."""
+    """Raised when an enumeration would exceed its bound on work."""
 
 
 def _mask(members: Iterable[int]) -> int:
@@ -35,8 +40,30 @@ def _mask(members: Iterable[int]) -> int:
     return mask
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _reaction_masks(net: ReactionNetwork) -> list[tuple[int, int]]:
     return [(_mask(r.source.indices), _mask(r.product.indices)) for r in net.reactions]
+
+
+def _largest_siphon(allowed: int, rmasks: list[tuple[int, int]]) -> int:
+    """Mask of the largest semi-locking set inside ``allowed`` (0 if none).
+
+    Greatest fixpoint: drop every product of a reaction whose source misses
+    the set, until no reaction does.  Semi-locking sets are closed under
+    union, so what is left contains every one of them inside ``allowed``.
+    """
+    w = allowed
+    changed = True
+    while changed:
+        changed = False
+        for src, prod in rmasks:
+            if prod & w and not src & w:
+                w &= ~prod
+                changed = True
+    return w
 
 
 def _check_members(net: ReactionNetwork, members: Iterable[int]) -> SpeciesSet:
@@ -86,27 +113,60 @@ class SiphonCatalog:
 def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
     """Enumerate all inclusion-minimal semi-locking sets.
 
-    Sweeps subsets by ascending size (lexicographic within a size), skipping
-    supersets of sets already found, so the output order is deterministic.
-    Raises :class:`EnumerationCapError` beyond ``ENUMERATION_LIMIT`` species.
+    Depth-first branch and bound over pairs (I, A) of species masks, I inside
+    A, standing for the sets W with I <= W <= A.  A node first shrinks A to
+    the largest semi-locking set inside it and is pruned when that misses I.
+    Once I contains a semi-locking set, no proper superset of I is minimal,
+    so I is recorded if it is itself minimal and the node ends.  Otherwise
+    some reaction produces a member of I from a source disjoint from I; every
+    W must then contain one of that source's species c_1..c_k in A, and child
+    j takes c_j into I and drops c_1..c_{j-1} from A, so the children split
+    the node's sets disjointly.  Each minimal set is found once; the catalog
+    is sorted by size, then by sorted species indices.
+
+    Raises :class:`EnumerationCapError` once the search would evaluate more
+    than ``FIXPOINT_BUDGET`` fixpoints.  Networks with exponentially many
+    minimal sets reach it.
     """
     m = net.num_species
-    if m > ENUMERATION_LIMIT:
-        raise EnumerationCapError(
-            f"{m} species is too large for exhaustive enumeration (cap {ENUMERATION_LIMIT})"
-        )
     rmasks = _reaction_masks(net)
+    evaluations = 0
+
+    def largest(allowed: int) -> int:
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations > FIXPOINT_BUDGET:
+            raise EnumerationCapError(
+                f"minimal siphon search on {m} species exceeded its budget of "
+                f"{FIXPOINT_BUDGET} fixpoint evaluations"
+            )
+        return _largest_siphon(allowed, rmasks)
+
     found: list[int] = []
-    for size in range(1, m + 1):
-        for combo in combinations(range(m), size):
-            w = _mask(combo)
-            if any(f & w == f for f in found):
-                continue
-            if all(src & w for src, prod in rmasks if prod & w):
-                found.append(w)
+    stack = [(0, (1 << m) - 1)]
+    while stack:
+        inc, allowed = stack.pop()
+        allowed = largest(allowed)
+        if not allowed or inc & ~allowed:
+            continue
+        if not inc:
+            low = allowed & -allowed
+            stack += [(0, allowed & ~low), (low, allowed)]
+            continue
+        core = largest(inc)
+        if core:
+            if core == inc and not any(largest(inc & ~(1 << i)) for i in _members(inc)):
+                found.append(inc)
+            continue
+        src = next(src for src, prod in rmasks if prod & inc and not src & inc)
+        dropped = 0
+        for c in _members(src & allowed):
+            stack.append((inc | 1 << c, allowed & ~dropped))
+            dropped |= 1 << c
+    found.sort(key=lambda w: (w.bit_count(), _members(w)))
     entries = tuple(
         SiphonEntry(
-            species=frozenset(i for i in range(m) if w >> i & 1),
+            species=frozenset(_members(w)),
             locking=all(src & w for src, _ in rmasks),
         )
         for w in found
@@ -127,6 +187,6 @@ def all_semi_locking_sets(net: ReactionNetwork) -> tuple[SpeciesSet, ...]:
         for w in range(1, 1 << m)
         if all(src & w for src, prod in rmasks if prod & w)
     ]
-    out.sort(key=lambda w: (bin(w).count("1"), tuple(i for i in range(m) if w >> i & 1)))
-    return tuple(frozenset(i for i in range(m) if w >> i & 1) for w in out)
+    out.sort(key=lambda w: (w.bit_count(), _members(w)))
+    return tuple(frozenset(_members(w)) for w in out)
 

@@ -34,3 +34,21 @@ def vec_by_name(net, mapping):
 
 def names_of(net, members):
     return frozenset(net.species_names[i] for i in members)
+
+
+# k at which the doubling network below exceeds siphons.FIXPOINT_BUDGET:
+# 4096 minimal sets of 24 species each.
+OVER_BUDGET_K = 12
+
+
+def doubling_siphons_text(k):
+    """``Z_i -> X_i``, ``Z_i -> Y_i``, ``X_i + Y_i -> Z_{i+1 mod k}`` for i < k.
+
+    Its minimal semi-locking sets are all the Z_i plus one of X_i, Y_i for
+    every i: 2^k sets on 3k species, so enumerating them takes exponential
+    work however the search prunes.
+    """
+    return "\n".join(
+        f"Z{i} -> X{i} ; k=1\nZ{i} -> Y{i} ; k=1\nX{i} + Y{i} -> Z{(i + 1) % k} ; k=1"
+        for i in range(k)
+    )

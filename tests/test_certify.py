@@ -32,7 +32,7 @@ from crncert.cli import main
 from crncert.randomnet import random_network
 from crncert.ratlin import canonical_basis, dot
 
-from conftest import names_of, species_set, vec_by_name
+from conftest import OVER_BUDGET_K, doubling_siphons_text, names_of, species_set, vec_by_name
 
 
 def test_check_discrete_golden(ex1, ex2):
@@ -145,10 +145,10 @@ def test_disjoint_siphons_get_one_verdict_each():
 
 
 def test_hypotheses_checked_before_enumeration(tmp_path, capsys):
-    # 22 species exceed the enumeration limit, but the chain is not weakly
-    # reversible, so the verdict needs no siphon at all
-    lines = [f"X{i} -> X{i + 1} ; k=1" for i in range(21)]
-    net = parse_network("\n".join(lines))
+    # 2^k minimal siphons exceed the enumeration budget, but the network is
+    # not weakly reversible, so the verdict needs no siphon at all
+    text = doubling_siphons_text(OVER_BUDGET_K)
+    net = parse_network(text)
     with pytest.raises(EnumerationCapError):
         minimal_semi_locking_sets(net)
     cert = certify(net)
@@ -156,8 +156,8 @@ def test_hypotheses_checked_before_enumeration(tmp_path, capsys):
     assert cert.catalog is None and cert.verdicts == ()
     assert "siphons" not in cert.to_json_dict()
 
-    path = tmp_path / "chain.crn"
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "doubling.crn"
+    path.write_text(text + "\n")
     assert main(["certify", str(path)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["overall"] == "NOT_CERTIFIED" and "siphons" not in doc

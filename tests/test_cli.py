@@ -6,7 +6,7 @@ import numpy as np
 
 from crncert.cli import main
 
-from conftest import NETWORKS
+from conftest import NETWORKS, OVER_BUDGET_K, doubling_siphons_text
 
 EX1 = str(NETWORKS / "ex1.crn")
 EX2 = str(NETWORKS / "ex2.crn")
@@ -43,6 +43,17 @@ def test_analyze_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 1
     assert "line 2" in err
+
+
+def test_analyze_over_budget_exits_1(tmp_path, capsys):
+    # analyze enumerates siphons without a hypothesis check, so 2^k minimal
+    # siphons run into the search budget: a typed error, not a traceback
+    path = tmp_path / "doubling.crn"
+    path.write_text(doubling_siphons_text(OVER_BUDGET_K) + "\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert "Traceback" not in err
 
 
 def test_certify_exit_codes(tmp_path, capsys):

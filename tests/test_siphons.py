@@ -12,8 +12,15 @@ from crncert import (
     parse_network,
 )
 from crncert.randomnet import random_cycle_network, random_network
+from crncert.siphons import FIXPOINT_BUDGET
 
-from conftest import names_of, species_set
+from conftest import OVER_BUDGET_K, doubling_siphons_text, names_of, species_set
+
+
+def minimal_by_scan(net):
+    """Inclusion-minimal elements of the full 2^m scan, in the scan's order."""
+    semi = all_semi_locking_sets(net)
+    return [w for w in semi if not any(o < w for o in semi)]
 
 
 def brute_force_minimal(net):
@@ -66,12 +73,47 @@ def test_deterministic_order(ex1):
 
 
 def test_cap_exceeded():
-    lines = [f"X{i} <-> X{i+1} ; kf=1, kr=1" for i in range(21)]
-    net = parse_network("\n".join(lines))
-    with pytest.raises(EnumerationCapError, match="too large for exhaustive enumeration"):
+    small = parse_network(doubling_siphons_text(4))
+    catalog = minimal_semi_locking_sets(small)
+    assert len(catalog.entries) == 16
+    assert list(catalog.minimal_sets) == minimal_by_scan(small)
+    net = parse_network(doubling_siphons_text(OVER_BUDGET_K))
+    with pytest.raises(EnumerationCapError, match=f"budget of {FIXPOINT_BUDGET} fixpoint"):
         minimal_semi_locking_sets(net)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError, match="limited to 12 species"):
         all_semi_locking_sets(net)
+
+
+def test_minimal_sets_equal_scan_oracle():
+    # Species, order and locking flags against the 2^m scan, m <= 12.
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            net = random_network(rng, max_species=12, max_reactions=14, allow_empty_complex=seed % 2 == 0)
+        elif seed % 3 == 1:
+            net = random_network(rng)
+        else:
+            net = random_cycle_network(rng, max_species=12, max_complexes=8)
+        expected = minimal_by_scan(net)
+        entries = minimal_semi_locking_sets(net).entries
+        assert [e.species for e in entries] == expected, seed
+        assert [e.locking for e in entries] == [is_locking(net, w) for w in expected], seed
+
+
+def test_synthetic_families_at_scale():
+    pairs = parse_network("\n".join(f"A{i} <-> B{i} ; kf=1, kr=1" for i in range(30)))
+    assert [names_of(pairs, w) for w in minimal_semi_locking_sets(pairs).minimal_sets] == [
+        frozenset({f"A{i}", f"B{i}"}) for i in range(30)
+    ]
+    chain = parse_network("\n".join(f"S{i} <-> S{i + 1} ; kf=1, kr=1" for i in range(59)))
+    assert minimal_semi_locking_sets(chain).minimal_sets == (frozenset(range(60)),)
+    enzyme = parse_network(
+        "\n".join(f"E + S{i} <-> C{i} ; kf=1, kr=1\nC{i} <-> E + P{i} ; kf=1, kr=1" for i in range(20))
+    )
+    assert enzyme.num_species == 61
+    assert [names_of(enzyme, w) for w in minimal_semi_locking_sets(enzyme).minimal_sets] == [
+        frozenset({f"S{i}", f"C{i}", f"P{i}"}) for i in range(20)
+    ] + [frozenset({"E"} | {f"C{i}" for i in range(20)})]
 
 
 def test_semi_locking_count(ex2):
