@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import ratlin
@@ -104,22 +103,26 @@ class Certificate:
         return doc
 
 
+def _combine(alpha: Sequence[int], vectors: Sequence[Sequence[int]], dim: int) -> list[int]:
+    """sum_k alpha_k * vectors_k, in integers."""
+    return [sum(a * v[j] for a, v in zip(alpha, vectors)) for j in range(dim)]
+
+
+def _verified(kind: str, witness: tuple[int, ...], holds: bool) -> tuple[int, ...]:
+    if not holds:
+        raise ArithmeticError(f"{kind} witness {witness} failed exact verification")
+    return witness
+
+
 def face_kernel_basis(s_basis: RationalBasis, members: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of {z in S : z_i = 0 for all i in W}."""
     w = sorted(set(members))
     vectors = s_basis.vectors
     if not vectors:
         return ()
-    constraint = [[Fraction(v[i]) for v in vectors] for i in w]
+    constraint = [[v[i] for v in vectors] for i in w]
     alphas = ratlin.nullspace(constraint, len(vectors))
-    if not alphas:
-        return ()
-    dim = s_basis.dimension
-    zs = []
-    for alpha in alphas:
-        z = [sum(Fraction(a) * Fraction(v[j]) for a, v in zip(alpha, vectors)) for j in range(dim)]
-        zs.append(z)
-    return ratlin.canonical_basis(zs)
+    return ratlin.canonical_basis([_combine(a, vectors, s_basis.dimension) for a in alphas])
 
 
 def check_discrete(
@@ -130,10 +133,13 @@ def check_discrete(
     Returns ``(True, None)`` when the only vector of S vanishing on W is
     zero, else ``(False, witness)`` with a nonzero such vector.
     """
-    kernel = face_kernel_basis(s_basis, members)
-    if kernel:
-        return False, kernel[0]
-    return True, None
+    w = set(members)
+    kernel = face_kernel_basis(s_basis, w)
+    if not kernel:
+        return True, None
+    z = kernel[0]
+    # The direction must verify exactly: nonzero and zero on every W coordinate.
+    return False, _verified("kernel", z, any(z) and not any(z[i] for i in w))
 
 
 def check_empty_all_classes(
@@ -151,31 +157,29 @@ def check_empty_all_classes(
     if not w:
         raise ValueError("species set must be nonempty")
     vectors = s_basis.vectors
-    nvar = len(vectors)
-    A = [[Fraction(v[i]) for v in vectors] for i in w]
-    b = [Fraction(-1)] * len(w)
-    if nvar == 0:
+    if not vectors:
         return True, None
-    point, farkas = ratlin.solve_le(A, b)
+    A = [[v[i] for v in vectors] for i in w]
+    point, farkas = ratlin.solve_le(A, [-1] * len(w))
     if point is not None:
-        s = [
-            sum(Fraction(a) * Fraction(v[j]) for a, v in zip(point, vectors))
-            for j in range(s_basis.dimension)
-        ]
-        return False, ratlin.integerize(s, keep_sign=True)
+        # A positive rescaling keeps s_W < 0, so combine in integers.
+        alpha = ratlin.integerize(point, keep_sign=True)
+        s = ratlin.integerize(_combine(alpha, vectors, s_basis.dimension), keep_sign=True)
+        # The point must verify exactly: strictly negative on every W coordinate.
+        return False, _verified("feasible", s, all(s[i] < 0 for i in w))
     assert farkas is not None
-    y = [Fraction(0)] * s_basis.dimension
+    y = [0] * s_basis.dimension
     for row_idx, i in enumerate(w):
         y[i] = farkas[row_idx]
     witness = ratlin.integerize(y, keep_sign=True)
     # The dual must verify exactly: nonnegative, nonzero, orthogonal to S.
-    if not (
+    return True, _verified(
+        "separating",
+        witness,
         any(witness)
         and all(v >= 0 for v in witness)
-        and all(ratlin.dot(witness, basis_vec) == 0 for basis_vec in vectors)
-    ):
-        raise ArithmeticError(f"separating witness {witness} failed exact verification")
-    return True, witness
+        and all(ratlin.dot(witness, basis_vec) == 0 for basis_vec in vectors),
+    )
 
 
 def _face_verdict(s_basis: RationalBasis, w: SpeciesSet) -> FaceVerdict:

@@ -1,48 +1,90 @@
 """Exact linear algebra over the rationals.
 
 Everything that feeds a certificate must be tolerance-free, so ranks, row
-spaces, kernels and linear feasibility are decided here in ``Fraction``
-arithmetic.  Vectors are tuples, matrices are sequences of row vectors.
+spaces, kernels and linear feasibility are decided here exactly.  Vectors
+are tuples, matrices are sequences of row vectors; entries may be ``int``
+or ``Fraction``.
 
 Canonical form used throughout the package: a subspace is represented by
 the reduced row echelon form of a spanning set, with every row scaled to
 integer entries of gcd 1 and positive leading entry.  Two spanning sets
 describe the same subspace iff their canonical bases are equal.
+
+That form is computed by Gauss-Jordan elimination over the integers: each
+row is scaled to integers once on entry and divided by the gcd of its
+entries after every update, so no rational is ever formed and entries stay
+within the Hadamard bound of the input.  Only ``solve_le`` (Fourier-Motzkin
+elimination) works in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Scalar = Fraction | int
 IntVec = tuple[int, ...]
 
 
-def _frac_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    m = _frac_rows(rows)
+def integerize(vec: Sequence[Scalar], keep_sign: bool = False) -> IntVec:
+    """Scale a rational vector to integer entries with gcd 1.
+
+    The scale factor is always positive when ``keep_sign`` is set; otherwise
+    the sign is chosen so the first nonzero entry is positive.
+    """
+    fracs = [Fraction(v) for v in vec]
+    den_lcm = lcm(*(f.denominator for f in fracs))
+    ints = _primitive([int(f * den_lcm) for f in fracs])
+    if not keep_sign:
+        lead = next((v for v in ints if v != 0), 0)
+        if lead < 0:
+            ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def _int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Each row times a nonzero factor that makes it integer; rejects ragged rows."""
+    out = []
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row of length {len(row)} in a matrix of {len(rows[0])} columns")
+        out.append(list(row) if all(type(v) is int for v in row) else list(integerize(row)))
+    return out
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[IntVec], list[int]]:
+    """Canonical reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Each returned row is the reduced row echelon row scaled to integer
+    entries of gcd 1 with a positive pivot.  Rows of unequal length raise
+    ``ValueError``.
+    """
+    m = [row for row in _int_rows(rows) if any(row)]
     if not m:
         return [], []
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
+        top = _primitive(m[r] if m[r][c] > 0 else [-v for v in m[r]])
+        m[r] = top
+        p = top[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], top)])
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -54,54 +96,41 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(rref(rows)[1])
 
 
-def integerize(vec: Sequence[Scalar], keep_sign: bool = False) -> IntVec:
-    """Scale a rational vector to integer entries with gcd 1.
-
-    The scale factor is always positive when ``keep_sign`` is set; otherwise
-    the sign is chosen so the first nonzero entry is positive.
-    """
-    fracs = [Fraction(v) for v in vec]
-    den_lcm = 1
-    for f in fracs:
-        den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-    ints = [int(f * den_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    if not keep_sign:
-        lead = next((v for v in ints if v != 0), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-    return tuple(ints)
-
-
 def canonical_basis(rows: Sequence[Sequence[Scalar]]) -> tuple[IntVec, ...]:
     """Canonical integer basis of the row space of ``rows``."""
-    reduced, _ = rref(rows)
-    return tuple(integerize(row) for row in reduced)
+    return tuple(rref(rows)[0])
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[IntVec, ...]:
-    """Canonical integer basis of the right kernel {x : rows @ x = 0}."""
-    if not rows:
-        basis = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-        return tuple(integerize(b) for b in basis)
+    """Canonical integer basis of the right kernel {x : rows @ x = 0}.
+
+    Every row must have exactly ``ncols`` entries.
+    """
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} for a kernel in {ncols} columns")
     reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    vectors: list[list[Fraction]] = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+    pivot_set = set(pivots)
+    vectors: list[list[int]] = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        # x_fc = L and x_pc = -row[fc] * L / row[pc] solve every reduced row.
+        scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots) if row[fc]))
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in zip(reduced, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] * (scale // row[pc])
         vectors.append(v)
     return canonical_basis(vectors)
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """Exact inner product; an ``int`` when both vectors are integer."""
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
 
 
 class _Ineq:

@@ -2,8 +2,8 @@
 
 Rates never enter here: linkage classes, weak reversibility, the
 stoichiometric subspace, conservation laws and the deficiency are all
-properties of the graph and of integer reaction vectors, computed in
-exact rational arithmetic.
+properties of the graph and of integer reaction vectors, computed by
+exact integer elimination.
 """
 
 from __future__ import annotations
@@ -155,17 +155,19 @@ def stoichiometric_basis(net: ReactionNetwork) -> RationalBasis:
     return RationalBasis(m, ratlin.canonical_basis(vectors))
 
 
+def _orthogonal_complement(s_basis: RationalBasis) -> RationalBasis:
+    return RationalBasis(s_basis.dimension, ratlin.nullspace(s_basis.vectors, s_basis.dimension))
+
+
 def conservation_basis(net: ReactionNetwork) -> RationalBasis:
     """Canonical exact basis of the orthogonal complement of the reaction span."""
-    m = net.num_species
-    vectors = [reaction_vector(r, m) for r in net.reactions]
-    return RationalBasis(m, ratlin.nullspace(vectors, m))
+    return _orthogonal_complement(stoichiometric_basis(net))
 
 
 def structure_report(net: ReactionNetwork) -> StructureReport:
     classes = linkage_classes(net)
     s_basis = stoichiometric_basis(net)
-    cons = conservation_basis(net)
+    cons = _orthogonal_complement(s_basis)
     n = len(net.complexes)
     l = len(classes)
     s = len(s_basis)

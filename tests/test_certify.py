@@ -95,6 +95,24 @@ def test_check_empty_rejects_unverified_separating_witness(monkeypatch, farkas):
         check_empty_all_classes(basis, frozenset({0, 1}))
 
 
+@pytest.mark.parametrize("alphas", [((1, 0),), ((1, 1),)])
+def test_check_discrete_rejects_unverified_kernel_witness(monkeypatch, alphas):
+    # S = span{(1,-1,0,0), (0,0,1,-1)}; on W = {A, B} only alpha = (0, 1) vanishes
+    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1\nC <-> D ; kf=1, kr=1"))
+    monkeypatch.setattr(ratlin, "nullspace", lambda rows, ncols: alphas)
+    with pytest.raises(ArithmeticError, match="kernel witness"):
+        check_discrete(basis, frozenset({0, 1}))
+
+
+@pytest.mark.parametrize("point", [[Fraction(1, 2)], [Fraction(0)]])
+def test_check_empty_rejects_unverified_feasible_witness(monkeypatch, point):
+    # s = alpha * (1, -1) is strictly negative on W = {A} only for alpha < 0
+    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1"))
+    monkeypatch.setattr(ratlin, "solve_le", lambda A, b: (point, None))
+    with pytest.raises(ArithmeticError, match="feasible witness"):
+        check_empty_all_classes(basis, frozenset({0}))
+
+
 def test_certificates_golden(ex1, ex2, ex3):
     cert1 = certify(ex1)
     assert cert1.overall is OverallStatus.GLOBALLY_STABLE

@@ -1,9 +1,15 @@
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crncert import check_discrete, conservation_basis, face_kernel_basis, stoichiometric_basis
+from crncert.network import reaction_vector
+from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
     ExactBudgetError,
     canonical_basis,
@@ -21,8 +27,34 @@ def test_rref_and_rank():
     reduced, pivots = rref(rows)
     assert pivots == [0, 1]
     assert rank(rows) == 2
-    assert reduced[0] == (Fraction(1), Fraction(0), Fraction(1))
-    assert reduced[1] == (Fraction(0), Fraction(1), Fraction(1))
+    assert reduced == [(1, 0, 1), (0, 1, 1)]
+    # rows come back as primitive integer rows with positive pivots
+    assert rref([(2, 1, 0), (0, 0, 0), (-4, 0, 3)]) == ([(4, 0, -3), (0, 2, 3)], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rref([(1, 2, 3), (1, 5)]),
+        lambda: rank([(1, 2, 3), (1, 5)]),
+        lambda: canonical_basis([(1, 5), (1, 2, 3)]),
+        lambda: nullspace([(1, 1, 0)], 2),
+        lambda: nullspace([(1, 1)], 4),
+        lambda: nullspace([(0, 0), (0, 0, 0)], 2),
+        lambda: dot((1, 2), (1,)),
+    ],
+    ids=["rref", "rank", "canonical_basis", "nullspace-wide", "nullspace-narrow",
+         "nullspace-ragged-zero", "dot"],
+)
+def test_ragged_input_is_rejected(call):
+    with pytest.raises(ValueError, match="length"):
+        call()
+
+
+def test_dot_is_an_exact_int_on_integers():
+    assert type(dot((3, -2), (5, 7))) is int
+    assert dot((3, -2), (5, 7)) == 1
+    assert dot((Fraction(1, 2),), (3,)) == Fraction(3, 2)
 
 
 def test_integerize():
@@ -109,3 +141,141 @@ def test_solve_le_is_self_certifying(nvars, nrows, data):
         for j in range(nvars):
             assert sum(y * Fraction(A[i][j]) for i, y in enumerate(farkas)) == 0
         assert sum(y * Fraction(b[i]) for i, y in enumerate(farkas)) < 0
+
+
+# --- Reference: Gauss-Jordan elimination in Fraction arithmetic --------------
+
+
+def reference_rref(rows):
+    """Reduced row echelon form with unit pivots, in Fraction arithmetic."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def reference_canonical(rows):
+    # a unit-pivot row times the lcm of its denominators is integer with gcd 1
+    reduced, _ = reference_rref(rows)
+    return tuple(
+        tuple(int(v * lcm(*(f.denominator for f in row))) for v in row) for row in reduced
+    )
+
+
+def reference_nullspace(rows, ncols):
+    reduced, pivots = reference_rref(rows)
+    vectors = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        vectors.append(v)
+    return reference_canonical(vectors)
+
+
+def reference_face_kernel(basis, w):
+    vectors = basis.vectors
+    if not vectors:
+        return ()
+    constraint = [[Fraction(v[i]) for v in vectors] for i in sorted(w)]
+    zs = [
+        [sum(Fraction(a) * v[j] for a, v in zip(alpha, vectors)) for j in range(basis.dimension)]
+        for alpha in reference_nullspace(constraint, len(vectors))
+    ]
+    return reference_canonical(zs)
+
+
+_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """(ncols, rows): int and Fraction entries, some rows and columns zeroed."""
+    ncols = draw(st.integers(0, 6))
+    nrows = draw(st.integers(0, 6))
+    rows = [[draw(_scalars) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    if rows and draw(st.booleans()):
+        rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])  # a dependent row
+    return ncols, rows
+
+
+@given(_matrices())
+@example((0, []))
+@example((3, []))
+@example((2, [[0, 0], [0, 0]]))
+@example((3, [[-2, 4, 0], [0, 0, 0], [-1, 2, 5]]))
+@example((3, [[Fraction(-1, 2), 0, 3], [0, Fraction(2, 3), 0]]))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_reference_and_sympy(matrix):
+    ncols, rows = matrix
+    reduced, pivots = rref(rows)
+    ref_reduced, ref_pivots = reference_rref(rows)
+    assert pivots == ref_pivots
+    assert all(type(v) is int for row in reduced for v in row)
+    for row, pc, ref_row in zip(reduced, pivots, ref_reduced):
+        assert row[pc] > 0
+        assert tuple(Fraction(v, row[pc]) for v in row) == ref_row
+    assert len(reduced) == len(ref_reduced)
+    assert canonical_basis(rows) == tuple(reduced) == reference_canonical(rows)
+    assert rank(rows) == len(ref_pivots)
+    kernel = nullspace(rows, ncols)
+    assert kernel == reference_nullspace(rows, ncols)
+    assert all(dot(row, z) == 0 for row in rows for z in kernel)
+    if rows and ncols:
+        sym = sympy.Matrix([[sympy.Rational(v) for v in row] for row in rows])
+        sym_reduced, sym_pivots = sym.rref()
+        assert list(sym_pivots) == pivots
+        for i, (row, pc) in enumerate(zip(reduced, pivots)):
+            assert [sympy.Rational(v, row[pc]) for v in row] == list(sym_reduced.row(i))
+        sym_kernel = [[Fraction(int(x.p), int(x.q)) for x in v] for v in sym.nullspace()]
+        assert kernel == reference_canonical(sym_kernel)
+
+
+def test_face_kernels_match_fraction_reference_on_random_networks():
+    rng = np.random.default_rng(5)
+    faces = 0
+    for trial in range(300):
+        if trial % 2:
+            net = random_cycle_network(rng, max_species=7, max_complexes=6)
+        else:
+            net = random_network(rng, max_species=7, max_reactions=9, allow_empty_complex=True)
+        m = net.num_species
+        vectors = [reaction_vector(r, m) for r in net.reactions]
+        basis = stoichiometric_basis(net)
+        assert basis.vectors == reference_canonical(vectors)
+        assert conservation_basis(net).vectors == reference_nullspace(vectors, m)
+        subsets = [{i} for i in range(m)] + [
+            set(np.flatnonzero(rng.random(m) < 0.5).tolist()) or {0} for _ in range(3)
+        ]
+        for w in subsets:
+            ref = reference_face_kernel(basis, w)
+            assert face_kernel_basis(basis, w) == ref
+            assert check_discrete(basis, w) == (not ref, ref[0] if ref else None)
+            faces += 1
+    assert faces > 1500
