@@ -157,8 +157,6 @@ def check_empty_all_classes(
     if not w:
         raise ValueError("species set must be nonempty")
     vectors = s_basis.vectors
-    if not vectors:
-        return True, None
     A = [[v[i] for v in vectors] for i in w]
     point, farkas = ratlin.solve_le(A, [-1] * len(w))
     if point is not None:

@@ -90,6 +90,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     m = net.num_species
     if not 0 < args.t_end < math.inf:
         raise ValueError("--t-end must be positive and finite")
+    for flag, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"{flag} must be nonnegative and finite")
+    if args.rtol == args.atol == 0:
+        raise ValueError("--atol must be positive when --rtol is 0")
     if args.x0:
         x0 = _parse_vector(args.x0, m, "--x0")
     else:

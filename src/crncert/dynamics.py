@@ -258,6 +258,11 @@ def simulate(
         raise ValueError("initial state x0 must be entrywise positive and finite")
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite")
+    if rtol == atol == 0:
+        raise ValueError("atol must be positive when rtol is 0")
     ref = None if x_ref is None else np.asarray(x_ref, dtype=float)
 
     cons = conservation_basis(net)

@@ -13,8 +13,10 @@ describe the same subspace iff their canonical bases are equal.
 That form is computed by Gauss-Jordan elimination over the integers: each
 row is scaled to integers once on entry and divided by the gcd of its
 entries after every update, so no rational is ever formed and entries stay
-within the Hadamard bound of the input.  Only ``solve_le`` (Fourier-Motzkin
-elimination) works in ``Fraction`` arithmetic.
+within the Hadamard bound of the input.  ``solve_le`` pivots an integer
+simplex tableau with the same row update, bounded by ``PIVOT_BUDGET``
+pivots; ``Fraction`` appears only in :func:`integerize` and in the
+feasible point that ``solve_le`` returns.
 """
 
 from __future__ import annotations
@@ -26,10 +28,28 @@ from typing import Optional, Sequence
 Scalar = Fraction | int
 IntVec = tuple[int, ...]
 
+PIVOT_BUDGET = 10_000
+
 
 def _primitive(row: list[int]) -> list[int]:
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
+
+
+def _eliminate(m: list[list[int]], r: int, c: int) -> None:
+    """Clear column c from every row but r, whose entry there is positive.
+
+    Each other row is replaced by a positive multiple of its combination
+    with row r and divided by its gcd, so it stays an integer row.
+    """
+    top = m[r]
+    p = top[c]
+    for i, row in enumerate(m):
+        f = row[c]
+        if i != r and f:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            m[i] = _primitive([a * x - b * y for x, y in zip(row, top)])
 
 
 def integerize(vec: Sequence[Scalar], keep_sign: bool = False) -> IntVec:
@@ -76,15 +96,8 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[IntVec], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = _primitive(m[r] if m[r][c] > 0 else [-v for v in m[r]])
-        m[r] = top
-        p = top[c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], top)])
+        m[r] = _primitive(m[r] if m[r][c] > 0 else [-v for v in m[r]])
+        _eliminate(m, r, c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -133,112 +146,100 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v))
 
 
-class _Ineq:
-    """One inequality coeffs . x <= rhs with its multiplier provenance."""
-
-    __slots__ = ("coeffs", "rhs", "mult")
-
-    def __init__(self, coeffs: list[Fraction], rhs: Fraction, mult: list[Fraction]):
-        self.coeffs = coeffs
-        self.rhs = rhs
-        self.mult = mult
-
-    def scaled(self, f: Fraction) -> "_Ineq":
-        return _Ineq([c * f for c in self.coeffs], self.rhs * f, [m * f for m in self.mult])
-
-    def plus(self, other: "_Ineq") -> "_Ineq":
-        return _Ineq(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.rhs + other.rhs,
-            [a + b for a, b in zip(self.mult, other.mult)],
-        )
-
-
-def _dedupe(ineqs: list[_Ineq]) -> list[_Ineq]:
-    # Keep, per coefficient direction, only the tightest right-hand side.
-    best: dict[tuple[Fraction, ...], _Ineq] = {}
-    order: list[tuple[Fraction, ...]] = []
-    for q in ineqs:
-        lead = next((c for c in q.coeffs if c != 0), None)
-        scale = Fraction(1) if lead is None else 1 / abs(lead)
-        key = tuple(c * scale for c in q.coeffs)
-        q = q.scaled(scale)
-        if key not in best:
-            best[key] = q
-            order.append(key)
-        elif q.rhs < best[key].rhs:
-            best[key] = q
-    return [best[k] for k in order]
-
-
 class ExactBudgetError(ArithmeticError):
     """An exact routine stopped at its work bound before deciding."""
 
 
 def solve_le(
-    A: Sequence[Sequence[Scalar]],
-    b: Sequence[Scalar],
-    max_rows: int = 200_000,
-) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
-    """Decide feasibility of A x <= b by Fourier-Motzkin elimination.
+    A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
+) -> tuple[Optional[list[Fraction]], Optional[list[int]]]:
+    """Decide feasibility of A x <= b, x free, by an exact phase-1 simplex.
 
     Returns ``(point, farkas)`` where exactly one entry is not None.
     ``point`` is a feasible rational vector.  ``farkas`` is a nonnegative
-    multiplier vector y with y A = 0 and y . b < 0, an exact witness of
-    infeasibility (every eliminated inequality is a nonnegative combination
-    of the originals, so the multipliers come out of the elimination).
-    Raises :class:`ExactBudgetError` when an elimination stage keeps more
-    than ``max_rows`` inequalities.
+    integer vector y with gcd 1, y A = 0 and y . b < 0, an exact witness of
+    infeasibility.
+
+    Each row becomes ``A_i x + s_i = b_i`` with a slack s_i >= 0.  The free
+    variables are eliminated first, each into a row of its own that stays
+    out of the ratio test, as in :func:`rref`.  Every other row is negated
+    if its right-hand side is negative; it then starts with its slack basic
+    if that side is zero or positive, else with an artificial variable.
+    The phase-1 objective is the sum of the artificials.  Bland's rule picks
+    the entering column (lowest index with a negative reduced cost) and
+    breaks ties in the ratio test (artificials first, then lowest index), so
+    degenerate systems cannot cycle.  Rows, the objective included, are
+    stored as integer multiples of the tableau rows and divided by their gcd
+    after every pivot; an artificial is dropped once it leaves the basis.
+
+    The objective row is a combination of the input rows whose weights are
+    its slack entries, and it is zero on the free columns; so when no slack
+    can enter and the objective is still positive, minus those weights are
+    the infeasibility multipliers.  Raises :class:`ExactBudgetError` past
+    ``PIVOT_BUDGET`` simplex pivots.
     """
-    nrows = len(A)
-    nvars = len(A[0]) if nrows else 0
-    system = [
-        _Ineq(
-            [Fraction(v) for v in row],
-            Fraction(b[i]),
-            [Fraction(int(i == j)) for j in range(nrows)],
-        )
-        for i, row in enumerate(A)
-    ]
-    stages: list[list[_Ineq]] = []
-    current = system
-    for j in range(nvars):
-        for q in current:
-            if all(c == 0 for c in q.coeffs) and q.rhs < 0:
-                return None, q.mult
-        stages.append(current)
-        pos = [q.scaled(1 / q.coeffs[j]) for q in current if q.coeffs[j] > 0]
-        neg = [q.scaled(-1 / q.coeffs[j]) for q in current if q.coeffs[j] < 0]
-        nxt = [q for q in current if q.coeffs[j] == 0]
-        for p in pos:
-            for n in neg:
-                nxt.append(p.plus(n))
-        current = _dedupe(nxt)
-        if len(current) > max_rows:
+    if len(A) != len(b):
+        raise ValueError(f"{len(A)} rows but {len(b)} right-hand sides")
+    m = len(A)
+    n = len(A[0]) if m else 0
+    tableau: list[list[int]] = []
+    scales: list[int] = []
+    for i, (a_row, rhs) in enumerate(zip(A, b)):
+        if len(a_row) != n:
+            raise ValueError(f"row of length {len(a_row)} in a system of {n} variables")
+        d = lcm(*(v.denominator for v in (*a_row, rhs)))
+        *coeffs, beta = (int(v * d) for v in (*a_row, rhs))
+        row = coeffs + [0] * m + [beta]
+        row[n + i] = 1
+        tableau.append(row)
+        scales.append(d)
+    # basis[r] is a column index, or r - m for row r's artificial; every row
+    # starts with its own slack, column n + r.
+    basis = [n + r for r in range(m)]
+    free: list[int] = []
+    for c in range(n):
+        r = next((i for i in range(m) if basis[i] >= n and tableau[i][c]), None)
+        if r is None:
+            continue
+        if tableau[r][c] < 0:
+            tableau[r] = [-v for v in tableau[r]]
+        _eliminate(tableau, r, c)
+        basis[r] = c
+        free.append(r)
+    bounded = [r for r in range(m) if basis[r] >= n]
+    objective = [0] * (n + m + 1)
+    for r in bounded:
+        if tableau[r][-1] < 0:
+            tableau[r] = [-v for v in tableau[r]]
+            basis[r] = r - m
+            objective = [g + v for g, v in zip(objective, tableau[r])]
+    # objective[c] > 0 is a negative reduced cost; objective[-1] is the
+    # artificials' sum, zero exactly when the current basis is feasible.
+    tableau.append(objective)
+    pivots = 0
+    while tableau[m][-1] > 0:
+        objective = tableau[m]
+        entering = next((c for c in range(n, n + m) if objective[c] > 0), None)
+        if entering is None:
+            return None, _primitive([-objective[n + i] * scales[i] for i in range(m)])
+        # Ratio test by cross-multiplication: the phase-1 objective is
+        # bounded below, so some entry of the entering column is positive.
+        candidates = [r for r in bounded if tableau[r][entering] > 0]
+        leaving = candidates[0]
+        for r in candidates[1:]:
+            ratio = tableau[r][-1] * tableau[leaving][entering]
+            best = tableau[leaving][-1] * tableau[r][entering]
+            if (ratio, basis[r]) < (best, basis[leaving]):
+                leaving = r
+        if pivots == PIVOT_BUDGET:
             raise ExactBudgetError(
-                f"inequality system grew past {max_rows} rows during elimination"
+                f"exact LP on {m} rows and {n} variables exceeded its budget of "
+                f"{PIVOT_BUDGET} pivots"
             )
-    for q in current:
-        if q.rhs < 0:
-            return None, q.mult
-    point: list[Fraction] = [Fraction(0)] * nvars
-    for j in range(nvars - 1, -1, -1):
-        lower: Optional[Fraction] = None
-        upper: Optional[Fraction] = None
-        for q in stages[j]:
-            cj = q.coeffs[j]
-            if cj == 0:
-                continue
-            residual = q.rhs - sum(q.coeffs[i] * point[i] for i in range(j + 1, nvars))
-            bound = residual / cj
-            if cj > 0:
-                upper = bound if upper is None else min(upper, bound)
-            else:
-                lower = bound if lower is None else max(lower, bound)
-        if lower is not None and upper is not None:
-            point[j] = (lower + upper) / 2
-        elif lower is not None:
-            point[j] = lower + 1
-        elif upper is not None:
-            point[j] = upper - 1
+        pivots += 1
+        _eliminate(tableau, leaving, entering)
+        basis[leaving] = entering
+    point = [Fraction(0)] * n
+    for r in free:
+        point[basis[r]] = Fraction(tableau[r][-1], tableau[r][basis[r]])
     return point, None

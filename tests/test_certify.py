@@ -12,6 +12,7 @@ from crncert import (
     EnumerationCapError,
     FaceStatus,
     OverallStatus,
+    RationalBasis,
     ReactionNetwork,
     Reaction,
     Species,
@@ -84,6 +85,13 @@ def test_check_empty_trivial_two_species():
     empty, separating = check_empty_all_classes(basis, frozenset({0, 1}))
     assert empty
     assert separating == (1, 1)
+
+
+def test_check_empty_on_zero_span_reports_a_witness():
+    # with S = {0} nothing moves, and any W gets the all-ones multiplier on W
+    empty, separating = check_empty_all_classes(RationalBasis(dimension=3, vectors=()), {0, 2})
+    assert empty
+    assert separating == (1, 0, 1)
 
 
 @pytest.mark.parametrize("farkas", [[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(0)]])

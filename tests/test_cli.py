@@ -156,6 +156,11 @@ def test_nonfinite_and_nonpositive_flags_exit_1(capsys):
         (("simulate", EX2, "--x0", "1,1,inf"), "--x0"),
         (("simulate", EX2, "--x0", "1,1,1", "--t-end", "inf"), "--t-end"),
         (("simulate", EX2, "--t-end", "nan"), "--t-end"),
+        (("simulate", EX2, "--t-end", "1", "--rtol", "-1", "--atol", "-1"), "--rtol"),
+        (("simulate", EX2, "--t-end", "1", "--atol", "-1"), "--atol"),
+        (("simulate", EX2, "--t-end", "1", "--atol", "inf"), "--atol"),
+        (("simulate", EX2, "--t-end", "1", "--rtol", "nan"), "--rtol"),
+        (("simulate", EX2, "--t-end", "1", "--rtol", "0", "--atol", "0"), "--atol"),
         (("equilibrium", EX2, "--c", "nan,1,1"), "--c"),
         (("equilibrium", EX2, "--c", "1,0,1"), "--c"),
     ):

@@ -139,6 +139,10 @@ def test_simulate_rejects_boundary_start(ex2):
     for t_end in (math.inf, math.nan):
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             simulate(ex2, MASS_ACTION, [1.0, 1.0, 1.0], t_end)
+    for tols, name in (((-1.0, 1e-10), "rtol"), ((1e-8, math.inf), "atol"),
+                       ((math.nan, 1e-10), "rtol"), ((0.0, 0.0), "atol")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simulate(ex2, MASS_ACTION, [1.0, 1.0, 1.0], 1.0, rtol=tols[0], atol=tols[1])
 
 
 def test_find_equilibrium_closed_form(ab):

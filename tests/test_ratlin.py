@@ -7,7 +7,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crncert import check_discrete, conservation_basis, face_kernel_basis, stoichiometric_basis
+from crncert import (
+    check_discrete,
+    conservation_basis,
+    face_kernel_basis,
+    ratlin,
+    stoichiometric_basis,
+)
 from crncert.network import reaction_vector
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
@@ -104,12 +110,15 @@ def test_solve_le_infeasible_simple():
     assert farkas == [Fraction(1), Fraction(1)]
 
 
-def test_solve_le_stops_at_row_budget():
-    # eliminating x1 pairs two upper with two lower bounds: four rows > 3
-    A = [(1, 1, 0), (1, 0, 1), (-1, 1, 1), (-1, -1, 2)]
-    assert solve_le(A, [1, 1, 1, 1])[0] is not None
-    with pytest.raises(ExactBudgetError, match="past 3 rows"):
-        solve_le(A, [1, 1, 1, 1], max_rows=3)
+def test_solve_le_stops_at_pivot_budget(monkeypatch):
+    # x is eliminated into the first row; each other row then starts with
+    # an artificial, and driving each out takes one pivot
+    A, b = [(1,), (1,), (1,)], [0, -1, -2]
+    monkeypatch.setattr(ratlin, "PIVOT_BUDGET", 2)
+    assert solve_le(A, b) == ([-2], None)
+    monkeypatch.setattr(ratlin, "PIVOT_BUDGET", 1)
+    with pytest.raises(ExactBudgetError, match="budget of 1 pivots"):
+        solve_le(A, b)
     assert issubclass(ExactBudgetError, ArithmeticError)
 
 
@@ -120,9 +129,23 @@ def test_solve_le_unbounded_direction():
     assert point[0] + point[1] <= -5
 
 
+def assert_certified(A, b, result):
+    """The point satisfies A x <= b, or the multipliers prove it infeasible."""
+    point, farkas = result
+    assert (point is None) != (farkas is None)
+    if point is not None:
+        for row, rhs in zip(A, b):
+            assert dot(row, point) <= rhs
+    else:
+        assert all(type(y) is int and y >= 0 for y in farkas)
+        for j in range(len(A[0])):
+            assert sum(y * A[i][j] for i, y in enumerate(farkas)) == 0
+        assert dot(farkas, b) < 0
+
+
 @given(
-    st.integers(1, 4),
-    st.integers(1, 5),
+    st.integers(1, 12),
+    st.integers(1, 12),
     st.data(),
 )
 @settings(max_examples=150, deadline=None)
@@ -132,15 +155,63 @@ def test_solve_le_is_self_certifying(nvars, nrows, data):
         for _ in range(nrows)
     ]
     b = [data.draw(_entries) for _ in range(nrows)]
+    assert_certified(A, b, solve_le(A, b))
+
+
+def test_solve_le_takes_rational_rows():
+    # x/2 <= 1/3 and -x <= -1: the multipliers refer to the rows as given
+    A, b = [(Fraction(1, 2),), (-1,)], [Fraction(1, 3), -1]
     point, farkas = solve_le(A, b)
-    if point is not None:
-        for row, rhs in zip(A, b):
-            assert dot(row, point) <= Fraction(rhs)
+    assert point is None and farkas == [2, 1]
+    assert_certified(A, [1, -1], solve_le(A, [1, -1]))
+
+
+@pytest.mark.parametrize("level, feasible", [(-5, True), (-6, False)])
+def test_solve_le_terminates_on_beales_example(level, feasible):
+    # Beale's LP: min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 subject to
+    # x1 = -x4/4 + 8 x5 + x6 - 9 x7, x2 = -x4/2 + 12 x5 + x6/2 - 3 x7,
+    # x3 = 1 - x6, x >= 0; optimum -5/4 at x4 = x6 = 1.  With x4 = 4 y1,
+    # x5 = y2, x6 = 2 y3, x7 = y4, every slack below is one of Beale's
+    # variables; the sign rows come first, so each y is eliminated into its
+    # own and the phase-1 tableau is Beale's, with 4 * objective <= level as
+    # the one artificial row.  The largest-coefficient rule cycles on it.
+    A = [
+        (-4, 0, 0, 0),
+        (0, -1, 0, 0),
+        (0, 0, -2, 0),
+        (0, 0, 0, -1),
+        (1, -8, -2, 9),
+        (2, -12, -1, 3),
+        (0, 0, 2, 0),
+        (-12, 80, -4, 24),
+    ]
+    b = [0, 0, 0, 0, 0, 0, 1, level]
+    result = solve_le(A, b)
+    assert_certified(A, b, result)
+    if feasible:
+        assert result[0] == [Fraction(1, 4), 0, Fraction(1, 2), 0]
     else:
-        assert all(y >= 0 for y in farkas)
-        for j in range(nvars):
-            assert sum(y * Fraction(A[i][j]) for i, y in enumerate(farkas)) == 0
-        assert sum(y * Fraction(b[i]) for i, y in enumerate(farkas)) < 0
+        assert result[0] is None
+
+
+def test_solve_le_random_12x12_within_pivot_bound(monkeypatch):
+    # A full-rank draw takes no pivot: every variable is eliminated into a
+    # row.  A rank-6 draw [R | R reversed] with b = -1 leaves 6 rows to the
+    # simplex (at most 15 pivots in 2000 draws) and is infeasible about half
+    # the time.
+    monkeypatch.setattr(ratlin, "PIVOT_BUDGET", 20)
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for trial in range(60):
+        if trial % 2:
+            r = rng.integers(-9, 10, size=(12, 6))
+            A, b = np.hstack([r, r[:, ::-1]]).tolist(), [-1] * 12
+        else:
+            A, b = rng.integers(-9, 10, size=(12, 12)).tolist(), rng.integers(-9, 10, 12).tolist()
+        result = solve_le(A, b)
+        assert_certified(A, b, result)
+        outcomes.add(result[0] is None)
+    assert outcomes == {False, True}
 
 
 # --- Reference: Gauss-Jordan elimination in Fraction arithmetic --------------
