@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""One sha256 over the certificates of a fixed, seeded set of networks.
+"""Per-certificate and total sha256 over a fixed, seeded set of networks.
 
 Certifies networks/ex*.crn and ``count`` seeded random networks (even draws
-from ``random_network``, odd draws from ``random_cycle_network``), renders
-each certificate as the ``crn-cert certify`` JSON, and prints the number of
-certificates and one sha256 over all of them.  Running the same command in
-two checkouts shows whether a change keeps every certificate byte-identical,
-witnesses included.
+from ``random_network``, odd draws from ``random_cycle_network``) and renders
+each certificate as the ``crn-cert certify`` JSON.  Prints one line per
+certificate (its index, overall verdict and sha256), then a last line with
+the number of certificates and one sha256 over all of them.  Running the
+same command in two checkouts shows whether a change keeps every
+certificate byte-identical, witnesses included; ``diff`` of the two outputs
+names the certificates that moved.
 
 Usage: cert_digest.py [count] [seed]
 """
@@ -40,9 +42,11 @@ def main() -> int:
                 random_network(rng, max_species=8, max_reactions=10, allow_empty_complex=True)
             )
     digest = hashlib.sha256()
-    for net in nets:
-        doc = {"schema": SCHEMA, **certify(net).to_json_dict()}
-        digest.update((json.dumps(doc, indent=2) + "\n").encode())
+    for index, net in enumerate(nets):
+        cert = certify(net)
+        text = (json.dumps({"schema": SCHEMA, **cert.to_json_dict()}, indent=2) + "\n").encode()
+        digest.update(text)
+        print(f"{index} {cert.overall.value} {hashlib.sha256(text).hexdigest()}")
     print(f"{len(nets)} certificates sha256 {digest.hexdigest()}")
     return 0
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .network import ReactionNetwork
+from .network import NumericForm, ReactionNetwork
 from .siphons import is_semi_locking
 from .structure import conservation_basis, stoichiometric_basis, structure_report
 
@@ -82,11 +82,14 @@ def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
     return np.array([th(float(v)) for th, v in zip(kinetics.theta, x)])
 
 
+def _fluxes(form: NumericForm, u: np.ndarray) -> np.ndarray:
+    # np.multiply.reduce is np.prod without its Python-level dispatch.
+    return form.rates * np.multiply.reduce(u**form.exponents, axis=1)
+
+
 def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Per-reaction fluxes at state x (monomials in the transformed state)."""
-    form = net.numeric
-    u = _transformed(np.asarray(x, dtype=float), kinetics)
-    return form.rates * np.prod(u**form.exponents, axis=1)
+    return _fluxes(net.numeric, _transformed(np.asarray(x, dtype=float), kinetics))
 
 
 def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
@@ -170,6 +173,11 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: floa
     return recurse(a, b, fa, fm, fb, whole, tol, 40)
 
 
+def _relative_entropy(x: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
+    # Mass-action V over the last axis: one state, or a stack of states.
+    return np.sum(x * (np.log(x) - np.log(x_bar) - 1.0) + x_bar, axis=-1)
+
+
 def lyapunov(
     x: Sequence[float],
     x_bar: Sequence[float],
@@ -188,8 +196,7 @@ def lyapunov(
     if np.any(xa <= 0) or np.any(xb <= 0):
         raise ValueError("lyapunov arguments must be entrywise positive")
     if kinetics.is_mass_action:
-        value = float(np.sum(xa * (np.log(xa) - np.log(xb) - 1.0) + xb))
-        return value, np.log(xa) - np.log(xb)
+        return float(_relative_entropy(xa, xb)), np.log(xa) - np.log(xb)
     assert kinetics.theta is not None
     value = 0.0
     grad = np.zeros_like(xa)
@@ -218,17 +225,33 @@ class Trajectory:
         return len(self.times)
 
 
-# Fehlberg 4(5) tableau.
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+def _frozen(table: list) -> np.ndarray:
+    array = np.array(table)
+    array.setflags(write=False)
+    return array
+
+
+# Fehlberg 4(5) tableau.  Stage s is evaluated at x + h * (_RKF_A[s, :s] @ K[:s]),
+# row j of K holding stage j.  Row 0 of _RKF_B holds the fifth-order weights
+# and row 1 their difference from the fourth-order weights
+# (25/216, 0, 1408/2565, 2197/4104, -1/5, 0), so h * (_RKF_B @ K) stacks the
+# step's increment over its error estimate.
+_RKF_A = _frozen(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 4, 0.0, 0.0, 0.0, 0.0],
+        [3 / 32, 9 / 32, 0.0, 0.0, 0.0],
+        [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0],
+        [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0],
+        [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40],
+    ]
 )
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RKF_B = _frozen(
+    [
+        [16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55],
+        [1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55],
+    ]
+)
 
 _H_FLOOR = 1e-14
 
@@ -245,11 +268,17 @@ def simulate(
 ) -> Trajectory:
     """Integrate the network ODE with an adaptive Fehlberg 4(5) stepper.
 
+    The six stages of a step fill the rows of one preallocated array, and
+    the tableau is applied to it as matrix products.  Inputs are validated
+    once, here; inside the loop the kinetics are evaluated straight from
+    ``net.numeric`` (generalized kinetics through :func:`reaction_rates`).
     Steps whose stages or proposed state leave the positive orthant are
-    rejected and retried at half the step; the run aborts if the step falls
-    under ``1e-14``.  Records every accepted state together with the
-    Lyapunov value (when ``x_ref`` is given) and the worst conservation-law
-    drift relative to the initial state.
+    rejected and retried at half the step, reusing the first stage; a
+    non-finite error estimate aborts the run, as does a step under
+    ``1e-14`` or more than ``max_steps`` attempts.  Every accepted state
+    is recorded; once the loop ends, the Lyapunov value (when ``x_ref`` is
+    given) and the worst conservation-law drift relative to the initial
+    state are computed over the stored states.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (net.num_species,):
@@ -264,23 +293,28 @@ def simulate(
     if rtol == atol == 0:
         raise ValueError("atol must be positive when rtol is 0")
     ref = None if x_ref is None else np.asarray(x_ref, dtype=float)
+    if ref is not None and not (ref.shape == x.shape and ref.min() > 0 and ref.max() < math.inf):
+        raise ValueError("reference state x_ref must be entrywise positive and finite")
 
-    cons = conservation_basis(net)
-    w_mat = np.array(cons.vectors, dtype=float) if cons.vectors else np.zeros((0, x.size))
+    form = net.numeric
+    stoichiometry = form.stoichiometry
+    if kinetics.is_mass_action:
 
-    def f(state: np.ndarray) -> np.ndarray:
-        return rhs(net, kinetics, state)
+        def f(state: np.ndarray) -> np.ndarray:
+            return _fluxes(form, state) @ stoichiometry
 
+    else:
+
+        def f(state: np.ndarray) -> np.ndarray:
+            return reaction_rates(net, kinetics, state) @ stoichiometry
+
+    size = x.size
+    stages = np.empty((6, size))
+    stages[0] = f(x)
     times = [0.0]
-    states = [x.copy()]
-    lyap = None
-    if ref is not None:
-        lyap = [lyapunov(x, ref, kinetics)[0]]
-    residuals = [0.0]
-
+    states = [x]
     t = 0.0
-    f0 = f(x)
-    h = min(t_end, 0.01 * (1.0 + float(np.max(np.abs(x)))) / (1.0 + float(np.max(np.abs(f0)))))
+    h = min(t_end, 0.01 * (1.0 + float(np.max(x))) / (1.0 + float(np.max(np.abs(stages[0])))))
     steps = 0
     while t < t_end:
         remaining = t_end - t
@@ -293,45 +327,56 @@ def simulate(
             raise IntegrationError(f"step size underflow at t={t}")
         h = min(h, remaining)
 
-        ks = [f(x)]
+        # A NaN in a stage or in x5 passes these sign tests on purpose: it
+        # reaches the error estimate, which is then non-finite.
         positive = True
-        for stage in range(1, 6):
-            xs = x + h * sum(a * k for a, k in zip(_RKF_A[stage], ks))
-            if np.any(xs < 0):
+        for s in range(1, 6):
+            xs = x + h * (_RKF_A[s, :s] @ stages[:s])
+            if xs.min() < 0:
                 positive = False
                 break
-            ks.append(f(xs))
+            stages[s] = f(xs)
         if positive:
-            x5 = x + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-            if np.any(x5 <= 0):
+            increment, error = h * (_RKF_B @ stages)
+            x5 = x + increment
+            if x5.min() <= 0:
                 positive = False
         if not positive:
             h *= 0.5
             continue
-        x4 = x + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
-        err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
+        scaled = error / (atol + rtol * np.maximum(x, x5))
+        err = math.sqrt(float(scaled @ scaled) / size)
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite state at t={t}")
         if err <= 1.0:
             t += h
             x = x5
             times.append(t)
-            states.append(x.copy())
-            if lyap is not None:
-                lyap.append(lyapunov(x, ref, kinetics)[0])
-            drift = w_mat @ (x - states[0])
-            residuals.append(float(np.max(np.abs(drift))) if drift.size else 0.0)
+            states.append(x)
+            stages[0] = f(x)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
         else:
             factor = max(0.2, 0.9 * err**-0.2)
         h *= factor
 
+    path = np.array(states)
+    if ref is None:
+        values = None
+    elif kinetics.is_mass_action:
+        values = _relative_entropy(path, ref)
+    else:
+        values = np.array([lyapunov(state, ref, kinetics)[0] for state in path])
+    cons = conservation_basis(net)
+    if cons.vectors:
+        w_mat = np.array(cons.vectors, dtype=float)
+        residuals = np.max(np.abs((path - path[0]) @ w_mat.T), axis=1)
+    else:
+        residuals = np.zeros(len(path))
     return Trajectory(
         times=np.array(times),
-        states=np.array(states),
-        lyapunov=None if lyap is None else np.array(lyap),
-        conservation_residual=np.array(residuals),
+        states=path,
+        lyapunov=values,
+        conservation_residual=residuals,
     )
 
 

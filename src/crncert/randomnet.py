@@ -102,17 +102,10 @@ def random_cycle_network(
     raise RuntimeError("failed to generate a valid cycle network")
 
 
-def with_rates(net: ReactionNetwork, rates) -> ReactionNetwork:
-    """Copy of the network with the reaction rates replaced in order."""
-    rates = list(rates)
-    if len(rates) != len(net.reactions):
-        raise ValueError("need one rate per reaction")
+def random_rates(net: ReactionNetwork, rng: np.random.Generator, low: float = 0.5, high: float = 2.0):
+    """Fresh copy of the network with rates drawn uniformly from [low, high]."""
+    rates = rng.uniform(low, high, size=len(net.reactions))
     reactions = tuple(
         Reaction(r.source, r.product, float(k)) for r, k in zip(net.reactions, rates)
     )
     return ReactionNetwork(net.species, reactions)
-
-
-def random_rates(net: ReactionNetwork, rng: np.random.Generator, low: float = 0.5, high: float = 2.0):
-    """Fresh copy of the network with rates drawn uniformly from [low, high]."""
-    return with_rates(net, rng.uniform(low, high, size=len(net.reactions)))

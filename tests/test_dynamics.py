@@ -6,6 +6,7 @@ import pytest
 from crncert import (
     MASS_ACTION,
     HypothesesError,
+    IntegrationError,
     Trajectory,
     complex_balance_residual,
     complex_balanced_point,
@@ -21,7 +22,7 @@ from crncert import (
     simulate,
     stoichiometric_basis,
 )
-from crncert.randomnet import random_rates
+from crncert.randomnet import random_cycle_network, random_rates
 
 from conftest import names_of
 
@@ -279,7 +280,6 @@ def test_omega_limit_check_interior(ex2):
 
 def test_certified_networks_simulate_persistently():
     from crncert import OverallStatus, certify
-    from crncert.randomnet import random_cycle_network
 
     rng = np.random.default_rng(31)
     checked = 0
@@ -315,27 +315,129 @@ def test_generalized_admissibility_checks():
         generalized_kinetics(lambda x: 0.0 * x, 2)
 
 
-def test_generalized_saturating_simulation(ex2):
+def _saturating(x):
     # saturating map with a linear tail: strictly increasing and onto [0, inf)
-    def theta(x):
-        return x / (1.0 + x) + 0.1 * x
+    return x / (1.0 + x) + 0.1 * x
 
-    gk = generalized_kinetics(theta, 3)
-    x_star = complex_balanced_point(ex2)
 
-    def theta_inverse(target):
+def _saturating_reference(net):
+    """The state whose saturated values are the network's complex-balanced point."""
+
+    def inverse(target):
         lo, hi = 0.0, 1.0
-        while theta(hi) < target:
+        while _saturating(hi) < target:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if theta(mid) < target:
+            if _saturating(mid) < target:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    x_ref = np.array([theta_inverse(v) for v in x_star])
-    traj = simulate(ex2, gk, [0.4, 1.1, 2.0], 20.0, x_ref=x_ref)
+    return np.array([inverse(v) for v in complex_balanced_point(net)])
+
+
+def test_generalized_saturating_simulation(ex2):
+    gk = generalized_kinetics(_saturating, 3)
+    traj = simulate(ex2, gk, [0.4, 1.1, 2.0], 20.0, x_ref=_saturating_reference(ex2))
     assert np.all(np.diff(traj.lyapunov) < 1e-12)
     assert persistence_margin(traj) > 0
+
+
+def test_diagnostics_match_per_state_recomputation(ex1, ex2):
+    # V and the drift are computed after the loop, over all stored states at
+    # once; each entry must still be the per-state value.
+    x_bar = find_equilibrium(ex1, [0.5, 1.0, 1.5, 1.0, 0.7]).x_bar
+    runs = [
+        (ex1, MASS_ACTION, [0.5, 1.0, 1.5, 1.0, 0.7], x_bar),
+        (ex2, generalized_kinetics(_saturating, 3), [0.4, 1.1, 2.0], _saturating_reference(ex2)),
+    ]
+    for net, kinetics, x0, x_ref in runs:
+        traj = simulate(net, kinetics, x0, 20.0, x_ref=x_ref)
+        cons = np.array(conservation_basis(net).vectors, dtype=float)
+        assert len(traj.lyapunov) == len(traj.conservation_residual) == len(traj) > 10
+        assert traj.conservation_residual[0] == 0.0
+        for i, state in enumerate(traj.states):
+            assert abs(traj.lyapunov[i] - lyapunov(state, x_ref, kinetics)[0]) <= 1e-12
+            drift = float(np.max(np.abs(cons @ (state - traj.states[0]))))
+            assert abs(traj.conservation_residual[i] - drift) <= 1e-15
+
+
+def test_steps_leaving_the_orthant_are_rejected():
+    # Loose tolerances let the step outgrow the decay of A, so stage states
+    # and proposals leave the orthant: the step must be retried, and the rate
+    # law never evaluated at a negative state.
+    def nonnegative_identity(v):
+        if v < 0:
+            raise AssertionError(f"rate law evaluated at {v}")
+        return v
+
+    net = parse_network("A -> B ; k=1")
+    for kinetics in (MASS_ACTION, generalized_kinetics(nonnegative_identity, 2)):
+        traj = simulate(net, kinetics, [1.0, 1.0], 200.0, rtol=1e-3, atol=1e-3)
+        assert np.all(traj.states > 0)
+        assert traj.times[-1] == 200.0
+
+
+def test_simulate_rejects_bad_reference(ex2):
+    for x_ref in ([1.0, 0.0, 1.0], [1.0, math.nan, 1.0], [1.0, 1.0, math.inf], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="x_ref must be entrywise positive"):
+            simulate(ex2, MASS_ACTION, [1.0, 1.0, 1.0], 1.0, x_ref=x_ref)
+
+
+@pytest.mark.parametrize(
+    "text, x0",
+    [
+        ("2A -> 3A ; k=1e10", 1e100),  # the first step is already under the floor
+        ("2A -> 3A ; k=1", 10.0),  # x = 10 / (1 - 10 t) blows up at t = 0.1
+    ],
+)
+def test_finite_time_blow_up_is_an_integration_error(text, x0):
+    # The stepper does not validate its stage states; a blow-up must still
+    # end in IntegrationError, never in a ValueError from rhs.
+    with pytest.raises(IntegrationError):
+        simulate(parse_network(text), MASS_ACTION, [x0], 1.0)
+
+
+def test_simulate_step_budget(ab):
+    with pytest.raises(IntegrationError, match="exceeded 3 steps"):
+        simulate(ab, MASS_ACTION, [1.0, 2.0], 10.0, max_steps=3)
+
+
+def _loop_rhs(net):
+    """Mass-action vector field built reaction by reaction, sharing no code with crncert."""
+
+    def f(t, y):
+        dy = np.zeros(len(y))
+        for r in net.reactions:
+            flux = r.rate
+            for i, k in r.source.terms:
+                flux *= y[i] ** k
+            for i, k in r.source.terms:
+                dy[i] -= k * flux
+            for i, k in r.product.terms:
+                dy[i] += k * flux
+        return dy
+
+    return f
+
+
+def test_simulate_matches_radau_oracle(ex1, ex2, ex3):
+    from scipy.integrate import solve_ivp
+
+    rng = np.random.default_rng(41)
+    cases = [(net, np.linspace(0.5, 1.5, net.num_species), 20.0) for net in (ex1, ex2, ex3)]
+    for _ in range(20):
+        net = random_cycle_network(rng)
+        cases.append((net, rng.uniform(0.5, 1.5, net.num_species), 5.0))
+    stiff = parse_network("A <-> B ; kf=1e4, kr=1e4\nB <-> C ; kf=1e-2, kr=1e-2")
+    cases.append((stiff, np.array([1.0, 0.5, 2.0]), 0.1))
+    for net, x0, t_end in cases:
+        final = simulate(net, MASS_ACTION, x0, t_end).states[-1]
+        oracle = solve_ivp(
+            _loop_rhs(net), (0.0, t_end), x0, method="Radau", rtol=1e-10, atol=1e-12
+        )
+        assert oracle.success
+        expected = oracle.y[:, -1]
+        assert np.max(np.abs(final - expected) / np.abs(expected)) < 1e-6

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -22,3 +23,19 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_cert_digest_prints_one_line_per_certificate():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cert_digest.py"), "6", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    count = len(list(NETWORKS.glob("*.crn"))) + 6
+    assert len(lines) == count + 1
+    for index, line in enumerate(lines[:-1]):
+        assert re.fullmatch(rf"{index} (GLOBALLY_STABLE|NOT_CERTIFIED) [0-9a-f]{{64}}", line)
+    assert re.fullmatch(rf"{count} certificates sha256 [0-9a-f]{{64}}", lines[-1])
