@@ -30,7 +30,6 @@ from .siphons import (
     minimal_semi_locking_sets,
 )
 from .certify import (
-    BoundaryClassification,
     Certificate,
     FaceStatus,
     FaceVerdict,
@@ -38,9 +37,7 @@ from .certify import (
     certify,
     check_discrete,
     check_empty_all_classes,
-    classify_boundary_point,
     face_kernel_basis,
-    is_extreme_point,
 )
 from .dynamics import (
     MASS_ACTION,
@@ -56,7 +53,6 @@ from .dynamics import (
     generalized_kinetics,
     jacobian,
     lyapunov,
-    omega_limit_siphon_check,
     persistence_margin,
     reaction_rates,
     rhs,

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import ratlin
 from .network import ReactionNetwork
-from .siphons import SiphonCatalog, SpeciesSet, is_semi_locking, minimal_semi_locking_sets
-from .structure import RationalBasis, StructureReport, stoichiometric_basis, structure_report
+from .siphons import SiphonCatalog, SpeciesSet, minimal_semi_locking_sets
+from .structure import RationalBasis, StructureReport, structure_report
 
 
 class FaceStatus(str, Enum):
@@ -252,41 +252,3 @@ def certify(net: ReactionNetwork) -> Certificate:
         overall=overall,
         reasons=tuple(reasons),
     )
-
-
-def is_extreme_point(net: ReactionNetwork, y: Sequence[float]) -> bool:
-    """Whether y is an extreme point of its own nonnegative compatibility class.
-
-    Extremality is equivalent to the face of the zero coordinates of y
-    admitting no nonzero direction inside the reaction span.
-    """
-    if len(y) != net.num_species:
-        raise ValueError("point dimension differs from species count")
-    if any(v < 0 for v in y):
-        raise ValueError("point must be entrywise nonnegative")
-    w = frozenset(i for i, v in enumerate(y) if v == 0)
-    discrete, _ = check_discrete(stoichiometric_basis(net), w)
-    return discrete
-
-
-@dataclass(frozen=True)
-class BoundaryClassification:
-    face: SpeciesSet
-    face_is_semi_locking: bool
-
-
-def classify_boundary_point(net: ReactionNetwork, y: Sequence[float]) -> BoundaryClassification:
-    """Report whether the zero pattern of a boundary point could hold an equilibrium.
-
-    Only semi-locking zero sets can carry boundary equilibria (or boundary
-    limit points of interior trajectories), so a non-semi-locking face rules
-    the candidate out.
-    """
-    if len(y) != net.num_species:
-        raise ValueError("point dimension differs from species count")
-    if any(v < 0 for v in y):
-        raise ValueError("point must be entrywise nonnegative")
-    w = frozenset(i for i, v in enumerate(y) if v == 0)
-    if not w:
-        raise ValueError("point is strictly positive, not a boundary point")
-    return BoundaryClassification(face=w, face_is_semi_locking=is_semi_locking(net, w))

@@ -15,11 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import NumericForm, ReactionNetwork
-from .siphons import is_semi_locking
 from .structure import conservation_basis, stoichiometric_basis, structure_report
-
-MASS_ACTION_KIND = "mass_action"
-GENERALIZED_KIND = "generalized"
 
 
 class HypothesesError(ValueError):
@@ -36,17 +32,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class KineticsSpec:
-    """Kinetics selector: plain monomials or theta-transformed monomials."""
+    """Kinetics selector: plain monomials (no ``theta``) or theta-transformed monomials."""
 
-    kind: str
     theta: Optional[tuple[Callable[[float], float], ...]] = None
 
     @property
     def is_mass_action(self) -> bool:
-        return self.kind == MASS_ACTION_KIND
+        return self.theta is None
 
 
-MASS_ACTION = KineticsSpec(MASS_ACTION_KIND)
+MASS_ACTION = KineticsSpec()
 
 
 def generalized_kinetics(
@@ -72,7 +67,7 @@ def generalized_kinetics(
         values = [th(g) for g in grid]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"theta[{i}] is not strictly increasing on the sample grid")
-    return KineticsSpec(GENERALIZED_KIND, thetas)
+    return KineticsSpec(thetas)
 
 
 def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
@@ -178,11 +173,14 @@ def _relative_entropy(x: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
     return np.sum(x * (np.log(x) - np.log(x_bar) - 1.0) + x_bar, axis=-1)
 
 
+# Error bound of the adaptive quadrature behind generalized-kinetics V.
+_QUAD_TOL = 1e-10
+
+
 def lyapunov(
     x: Sequence[float],
     x_bar: Sequence[float],
     kinetics: KineticsSpec = MASS_ACTION,
-    quad_tol: float = 1e-10,
 ) -> tuple[float, np.ndarray]:
     """Relative-entropy Lyapunov value and gradient at x for reference x_bar.
 
@@ -206,7 +204,7 @@ def lyapunov(
             lambda s, th=th, rb=rho_bar: math.log(th(s)) - rb,
             float(xb[i]),
             float(xa[i]),
-            quad_tol,
+            _QUAD_TOL,
         )
         grad[i] = math.log(th(float(xa[i]))) - rho_bar
     return value, grad
@@ -254,6 +252,8 @@ _RKF_B = _frozen(
 )
 
 _H_FLOOR = 1e-14
+# Step attempts one simulate call may make before it raises IntegrationError.
+MAX_STEPS = 2_000_000
 
 
 def simulate(
@@ -264,7 +264,6 @@ def simulate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     x_ref: Optional[Sequence[float]] = None,
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the network ODE with an adaptive Fehlberg 4(5) stepper.
 
@@ -275,7 +274,7 @@ def simulate(
     Steps whose stages or proposed state leave the positive orthant are
     rejected and retried at half the step, reusing the first stage; a
     non-finite error estimate aborts the run, as does a step under
-    ``1e-14`` or more than ``max_steps`` attempts.  Every accepted state
+    ``1e-14`` or more than ``MAX_STEPS`` attempts.  Every accepted state
     is recorded; once the loop ends, the Lyapunov value (when ``x_ref`` is
     given) and the worst conservation-law drift relative to the initial
     state are computed over the stored states.
@@ -320,8 +319,8 @@ def simulate(
         remaining = t_end - t
         if remaining < _H_FLOOR:
             break  # endpoint reached to within step resolution
-        if steps >= max_steps:
-            raise IntegrationError(f"exceeded {max_steps} steps at t={t}")
+        if steps >= MAX_STEPS:
+            raise IntegrationError(f"exceeded {MAX_STEPS} steps at t={t}")
         steps += 1
         if h < _H_FLOOR:
             raise IntegrationError(f"step size underflow at t={t}")
@@ -465,11 +464,15 @@ class EquilibriumResult:
         }
 
 
+# Newton stops once the gradient in reaction-span coordinates is below
+# _GRAD_TOL and raises ConvergenceError after _NEWTON_ITERATIONS steps.
+_GRAD_TOL = 1e-10
+_NEWTON_ITERATIONS = 200
+
+
 def find_equilibrium(
     net: ReactionNetwork,
     c: Sequence[float],
-    grad_tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> EquilibriumResult:
     """Unique positive equilibrium in the compatibility class anchored at c.
 
@@ -487,27 +490,23 @@ def find_equilibrium(
     basis = stoichiometric_basis(net)
     b_mat = np.array(basis.vectors, dtype=float).T
     log_star = np.log(x_star)
-
-    def objective(x: np.ndarray) -> float:
-        return float(np.sum(x * (np.log(x) - log_star - 1.0) + x_star))
-
     alpha = np.zeros(b_mat.shape[1])
     x = anchor.copy()
     iterations = 0
-    for _ in range(max_iter + 1):
+    for _ in range(_NEWTON_ITERATIONS + 1):
         grad = b_mat.T @ (np.log(x) - log_star)
-        if float(np.max(np.abs(grad))) < grad_tol:
+        if float(np.max(np.abs(grad))) < _GRAD_TOL:
             break
         iterations += 1
         hess = (b_mat.T * (1.0 / x)) @ b_mat
         step = np.linalg.solve(hess, -grad)
         t_ls = 1.0
-        current = objective(x)
+        current = float(_relative_entropy(x, x_star))
         for _ in range(60):
             candidate = anchor + b_mat @ (alpha + t_ls * step)
-            if np.all(candidate > 1e-12) and objective(candidate) <= current + 1e-15 * (
-                1.0 + abs(current)
-            ):
+            if np.all(candidate > 1e-12) and _relative_entropy(
+                candidate, x_star
+            ) <= current + 1e-15 * (1.0 + abs(current)):
                 break
             t_ls *= 0.5
         else:
@@ -516,7 +515,7 @@ def find_equilibrium(
         x = anchor + b_mat @ alpha
     else:
         raise ConvergenceError(
-            f"Newton did not converge in {max_iter} iterations "
+            f"Newton did not converge in {_NEWTON_ITERATIONS} iterations "
             f"(gradient norm {np.max(np.abs(grad)):.3e})"
         )
 
@@ -546,27 +545,3 @@ def persistence_margin(traj: Trajectory) -> float:
         raise ValueError("trajectory is empty")
     start = len(traj) // 2
     return float(np.min(traj.states[start:]))
-
-
-@dataclass(frozen=True)
-class OmegaLimitDiagnostic:
-    below_threshold: frozenset[int]
-    semi_locking: Optional[bool]
-    consistent: bool
-
-
-def omega_limit_siphon_check(
-    net: ReactionNetwork, traj: Trajectory, tau: float = 1e-6
-) -> OmegaLimitDiagnostic:
-    """Check the near-zero species of the final state against the siphon condition.
-
-    Boundary limit points can only sit on semi-locking faces, so a final
-    state hugging a non-semi-locking face indicates a transient (or an
-    integrator fault), which is flagged as inconsistent.
-    """
-    final = traj.states[-1]
-    w = frozenset(i for i, v in enumerate(final) if v < tau)
-    if not w:
-        return OmegaLimitDiagnostic(below_threshold=w, semi_locking=None, consistent=True)
-    semi = is_semi_locking(net, w)
-    return OmegaLimitDiagnostic(below_threshold=w, semi_locking=semi, consistent=semi)

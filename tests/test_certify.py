@@ -20,9 +20,7 @@ from crncert import (
     certify,
     check_discrete,
     check_empty_all_classes,
-    classify_boundary_point,
     face_kernel_basis,
-    is_extreme_point,
     minimal_semi_locking_sets,
     parse_network,
     stoichiometric_basis,
@@ -229,37 +227,6 @@ def test_certificate_json(ex1):
     assert "separating" in empty[0]["witness"]
 
 
-def test_extreme_points(ex1, ex2):
-    for big in (1.0, 3.0):
-        assert is_extreme_point(ex2, vec_by_name(ex2, {"C": big}))
-    # strictly positive point of a network with nontrivial span is never extreme
-    assert not is_extreme_point(ex2, (1.0, 1.0, 1.0))
-    # face of {C,D,E} carries the direction (2,-1,0,0,0), so not extreme
-    y = vec_by_name(ex1, {"A": 1.0, "B": 2.0})
-    assert not is_extreme_point(ex1, y)
-    with pytest.raises(ValueError):
-        is_extreme_point(ex2, (-1.0, 0.0, 1.0))
-
-
-def test_classify_boundary_point(ex1, ex2):
-    out = classify_boundary_point(ex2, vec_by_name(ex2, {"C": 1.0}))
-    assert names_of(ex2, out.face) == frozenset("AB")
-    assert out.face_is_semi_locking
-
-    y = vec_by_name(ex1, {"B": 1.0, "C": 1.0})
-    out = classify_boundary_point(ex1, y)
-    assert names_of(ex1, out.face) == frozenset("ADE")
-    # {A,D,E}: reaction B+C -> E produces E without consuming A, D or E
-    assert not out.face_is_semi_locking
-
-    two = parse_network("A <-> B ; kf=1, kr=2")
-    out = classify_boundary_point(two, (1.0, 0.0))
-    assert not out.face_is_semi_locking
-
-    with pytest.raises(ValueError):
-        classify_boundary_point(ex2, (1.0, 1.0, 1.0))
-
-
 def _permuted(net, perm, rnd):
     """Network with species indices relabeled by perm and reactions shuffled."""
     species = tuple(
@@ -396,26 +363,3 @@ def test_face_verdicts_transfer_to_supersets(seed):
         else OverallStatus.NOT_CERTIFIED
     )
     assert cert.overall is expected
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_extreme_point_matches_kernel_oracle(seed):
-    rng = np.random.default_rng(seed)
-    net = random_network(rng)
-    m = net.num_species
-    y = rng.uniform(0.5, 2.0, size=m)
-    zeros = rng.random(m) < 0.5
-    y[zeros] = 0.0
-    basis = stoichiometric_basis(net)
-    w = [i for i in range(m) if y[i] == 0]
-    rows = [[v[i] for v in basis.vectors] for i in w]
-    if basis.vectors:
-        if rows:
-            null_dim = len(sympy.Matrix(rows).nullspace())
-        else:
-            null_dim = len(basis.vectors)
-        expected = null_dim == 0
-    else:
-        expected = True
-    assert is_extreme_point(net, y) == expected

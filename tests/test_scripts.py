@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import pytest
 from conftest import NETWORKS
 
 SCRIPTS = NETWORKS.parent / "scripts"
+TRACING = NETWORKS.parent / "crnbench" / "tracing.py"
 
 
 @pytest.mark.parametrize(
@@ -39,3 +42,16 @@ def test_cert_digest_prints_one_line_per_certificate():
     for index, line in enumerate(lines[:-1]):
         assert re.fullmatch(rf"{index} (GLOBALLY_STABLE|NOT_CERTIFIED) [0-9a-f]{{64}}", line)
     assert re.fullmatch(rf"{count} certificates sha256 [0-9a-f]{{64}}", lines[-1])
+
+
+def test_benchmark_trace_targets_resolve():
+    # The benchmark reports a missing target only as trace.absent, so a
+    # pruned or renamed name that it traces breaks here instead.
+    spec = importlib.util.spec_from_file_location("crnbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, module_name, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), name

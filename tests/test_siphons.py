@@ -33,11 +33,17 @@ def brute_force_minimal(net):
     return {s for s in semi if not any(o < s for o in semi)}
 
 
-def test_is_semi_locking_examples(ex1):
+def test_is_semi_locking_examples(ex1, ex2):
     assert is_semi_locking(ex1, species_set(ex1, "A", "B", "E"))
     # B + C -> E produces E but consumes neither B nor C from {E}
     assert not is_semi_locking(ex1, species_set(ex1, "E"))
     assert is_semi_locking(ex1, range(ex1.num_species))
+    assert is_semi_locking(ex2, species_set(ex2, "A", "B"))
+    # B + C -> E produces E without consuming A, D or E
+    assert not is_semi_locking(ex1, species_set(ex1, "A", "D", "E"))
+    # A -> B produces B from outside {B}
+    two = parse_network("A <-> B ; kf=1, kr=2")
+    assert not is_semi_locking(two, species_set(two, "B"))
 
 
 def test_is_locking_examples(ex2, ex3):
