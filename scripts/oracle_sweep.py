@@ -17,9 +17,9 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from crncert import (  # noqa: E402
+    all_semi_locking_sets,
     check_discrete,
     check_empty_all_classes,
-    is_semi_locking,
     minimal_semi_locking_sets,
     stoichiometric_basis,
 )
@@ -35,12 +35,7 @@ def main() -> int:
     discrete_faces = 0
     for trial in range(count):
         net = random_network(rng, max_species=6, max_reactions=8)
-        m = net.num_species
-        semi = [
-            frozenset(i for i in range(m) if w >> i & 1)
-            for w in range(1, 1 << m)
-            if is_semi_locking(net, [i for i in range(m) if w >> i & 1])
-        ]
+        semi = all_semi_locking_sets(net)
         brute_minimal = {s for s in semi if not any(o < s for o in semi)}
         enumerated = set(minimal_semi_locking_sets(net).minimal_sets)
         if enumerated != brute_minimal:

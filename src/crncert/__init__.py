@@ -15,8 +15,6 @@ from .structure import (
     RationalBasis,
     StructureReport,
     conservation_basis,
-    is_weakly_reversible,
-    linkage_classes,
     stoichiometric_basis,
     structure_report,
 )

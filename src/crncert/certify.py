@@ -208,16 +208,7 @@ def certify(net: ReactionNetwork) -> Certificate:
     decide every semi-locking face.
     """
     report = structure_report(net)
-    reasons: list[str] = []
-    if not report.weakly_reversible:
-        reasons.append(
-            "hypotheses of Deficiency Zero Theorem fail: network is not weakly reversible"
-        )
-    if report.deficiency != 0:
-        reasons.append(
-            "hypotheses of Deficiency Zero Theorem fail: "
-            f"deficiency is {report.deficiency}, not 0"
-        )
+    reasons = list(report.hypothesis_failures)
     if reasons:
         return Certificate(
             structure=report,

@@ -49,7 +49,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_vector(text: str, m: int, flag: str) -> np.ndarray:
@@ -109,26 +109,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     final_v = float(traj.lyapunov[-1]) if traj.lyapunov is not None else float("nan")
     margin = persistence_margin(traj)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_trajectory_csv(traj, net.species_names, fh)
     if args.json:
         # JSON summary on stdout; the full CSV only lands in --out.
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                write_trajectory_csv(traj, net.species_names, fh)
         doc = {
             "schema": SCHEMA,
             "t_end": args.t_end,
             "steps": len(traj),
             "final_state": [float(v) for v in traj.states[-1]],
-            "final_V": final_v,
+            "final_V": None if math.isnan(final_v) else final_v,
             "persistence_margin": margin,
             "max_conservation_residual": float(traj.conservation_residual.max()),
         }
         sys.stdout.write(_json_text(doc))
         return EXIT_OK
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_trajectory_csv(traj, net.species_names, fh)
-    else:
+    if not args.out:
         write_trajectory_csv(traj, net.species_names, sys.stdout)
     print(f"persistence_margin={margin!r} final_V={final_v!r}", file=sys.stderr)
     return EXIT_OK

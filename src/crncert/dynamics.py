@@ -399,12 +399,8 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
     Requires weak reversibility and deficiency zero.
     """
     report = structure_report(net)
-    if not report.weakly_reversible:
-        raise HypothesesError("complex balancing requires a weakly reversible network")
-    if report.deficiency != 0:
-        raise HypothesesError(
-            f"complex balancing requires deficiency zero, got {report.deficiency}"
-        )
+    if report.hypothesis_failures:
+        raise HypothesesError("; ".join(report.hypothesis_failures))
     form = net.numeric
     n = len(net.complexes)
     lap = np.zeros((n, n))

@@ -59,93 +59,60 @@ class StructureReport:
             "conservation_basis": [list(v) for v in self.conservation_basis.vectors],
         }
 
+    @property
+    def hypothesis_failures(self) -> tuple[str, ...]:
+        """Why the Deficiency Zero Theorem does not apply; empty when it does."""
+        failures = []
+        if not self.weakly_reversible:
+            failures.append(
+                "hypotheses of Deficiency Zero Theorem fail: network is not weakly reversible"
+            )
+        if self.deficiency != 0:
+            failures.append(
+                "hypotheses of Deficiency Zero Theorem fail: "
+                f"deficiency is {self.deficiency}, not 0"
+            )
+        return tuple(failures)
 
-def _complex_graph(net: ReactionNetwork) -> tuple[int, list[tuple[int, int]]]:
-    idx = net.complex_index
-    edges = [(idx[r.source], idx[r.product]) for r in net.reactions]
-    return len(net.complexes), edges
 
+def _complex_graph(net: ReactionNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Linkage classes and weak reversibility, in one flood fill over bit masks.
 
-def linkage_classes(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the undirected complex graph.
-
-    Returns blocks of indices into ``net.complexes``, each block
-    sorted, blocks ordered by their smallest member.
+    Each linkage class is the undirected flood from its lowest complex, so
+    blocks are sorted and ordered by their smallest member.  The network is
+    weakly reversible iff every class is strongly connected, that is iff
+    the forward and the backward flood from each root cover its class.
     """
-    n, edges = _complex_graph(net)
-    parent = list(range(n))
+    idx = net.complex_index
+    n = len(net.complexes)
+    succ = [0] * n
+    pred = [0] * n
+    for r in net.reactions:
+        u, v = idx[r.source], idx[r.product]
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    links = [a | b for a, b in zip(succ, pred)]
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def flood(root: int, adj: list[int]) -> int:
+        seen = frontier = 1 << root
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen
 
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
-    return tuple(tuple(blocks[root]) for root in sorted(blocks))
-
-
-def _strongly_connected_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Tarjan's algorithm, iterative.  Returns component id per node."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(ei, len(adj[node])):
-                nxt = adj[node][k]
-                if index[nxt] == -1:
-                    work[-1] = (node, k + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == node:
-                        break
-                ncomp += 1
-    return comp
-
-
-def is_weakly_reversible(net: ReactionNetwork) -> bool:
-    """True iff every reaction edge stays inside one strongly connected component."""
-    n, edges = _complex_graph(net)
-    comp = _strongly_connected_components(n, edges)
-    return all(comp[u] == comp[v] for u, v in edges)
+    classes = []
+    weakly_reversible = True
+    unplaced = (1 << n) - 1
+    while unplaced:
+        root = (unplaced & -unplaced).bit_length() - 1
+        block = flood(root, links)
+        unplaced &= ~block
+        weakly_reversible = weakly_reversible and flood(root, succ) == block == flood(root, pred)
+        classes.append(tuple(i for i in range(root, block.bit_length()) if block >> i & 1))
+    return tuple(classes), weakly_reversible
 
 
 def stoichiometric_basis(net: ReactionNetwork) -> RationalBasis:
@@ -165,7 +132,7 @@ def conservation_basis(net: ReactionNetwork) -> RationalBasis:
 
 
 def structure_report(net: ReactionNetwork) -> StructureReport:
-    classes = linkage_classes(net)
+    classes, weakly_reversible = _complex_graph(net)
     s_basis = stoichiometric_basis(net)
     cons = _orthogonal_complement(s_basis)
     n = len(net.complexes)
@@ -178,7 +145,7 @@ def structure_report(net: ReactionNetwork) -> StructureReport:
         l=l,
         s=s,
         deficiency=deficiency,
-        weakly_reversible=is_weakly_reversible(net),
+        weakly_reversible=weakly_reversible,
         linkage_classes=classes,
         complex_labels=tuple(c.format(names) for c in net.complexes),
         species_names=names,

@@ -210,12 +210,19 @@ def test_criterion_8_negative_controls():
     cert = certify(oneway)
     assert cert.overall is OverallStatus.NOT_CERTIFIED
     assert any("weakly reversible" in r for r in cert.reasons)
+    assert structure_report(oneway).hypothesis_failures == (
+        "hypotheses of Deficiency Zero Theorem fail: network is not weakly reversible",
+    )
 
     deficient = parse_network("A <-> B ; kf=1, kr=1\n2A -> 2B ; k=1")
     rep = structure_report(deficient)
     # complexes A, B, 2A, 2B; classes {A,B} and {2A,2B}; span is 1-dimensional
     assert (rep.n, rep.l, rep.s) == (4, 2, 1)
     assert rep.deficiency == 1
+    assert rep.hypothesis_failures == (
+        "hypotheses of Deficiency Zero Theorem fail: network is not weakly reversible",
+        "hypotheses of Deficiency Zero Theorem fail: deficiency is 1, not 0",
+    )
     cert = certify(deficient)
     assert cert.overall is OverallStatus.NOT_CERTIFIED
     assert any("deficiency is 1" in r for r in cert.reasons)

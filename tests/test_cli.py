@@ -179,6 +179,13 @@ def test_simulate_without_hypotheses_has_nan_lyapunov(tmp_path, capsys):
     assert rows and all(row.split(",")[-2] == "nan" for row in rows)
     assert err.endswith("final_V=nan\n")
 
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    code, out, _ = run(capsys, "simulate", str(path), "--x0", "1,1", "--t-end", "1", "--json")
+    assert code == 0
+    assert json.loads(out, parse_constant=reject)["final_V"] is None
+
 
 def test_simulate_rejects_dimension_mismatch(capsys):
     code, _, err = run(capsys, "simulate", EX2, "--x0", "1,1")

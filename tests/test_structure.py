@@ -6,33 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert import (
+    Complex,
+    Reaction,
     ReactionNetwork,
+    Species,
     conservation_basis,
-    is_weakly_reversible,
-    linkage_classes,
     parse_network,
     reaction_vector,
     stoichiometric_basis,
     structure_report,
 )
-from crncert.randomnet import random_network
+from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import canonical_basis, dot
 
 from conftest import vec_by_name
 
 def test_linkage_classes_counts(ex1, ex3):
-    assert [len(b) for b in linkage_classes(ex1)] == [4]
-    assert [len(b) for b in linkage_classes(ex3)] == [2, 2]
-    assert [len(b) for b in linkage_classes(parse_network("A -> B ; k=1"))] == [2]
+    assert [len(b) for b in structure_report(ex1).linkage_classes] == [4]
+    assert [len(b) for b in structure_report(ex3).linkage_classes] == [2, 2]
+    oneway = structure_report(parse_network("A -> B ; k=1"))
+    assert [len(b) for b in oneway.linkage_classes] == [2]
 
 def test_weak_reversibility(ex2):
-    assert is_weakly_reversible(ex2)
-    assert not is_weakly_reversible(parse_network("A -> B ; k=1"))
+    def weakly_reversible(net):
+        return structure_report(net).weakly_reversible
+
+    assert weakly_reversible(ex2)
+    assert not weakly_reversible(parse_network("A -> B ; k=1"))
     cycle = parse_network("A -> B ; k=1\nB -> C ; k=1\nC -> A ; k=1")
-    assert is_weakly_reversible(cycle)
+    assert weakly_reversible(cycle)
     # one irreversible edge hanging off a cycle breaks it
     tail = parse_network("A -> B ; k=1\nB -> A ; k=1\nB -> C ; k=1")
-    assert not is_weakly_reversible(tail)
+    assert not weakly_reversible(tail)
 
 def test_stoichiometric_basis_golden(ex1, ex2):
     basis = stoichiometric_basis(ex1)
@@ -100,29 +105,59 @@ def test_exact_rank_matches_svd_oracle(seed):
     float_rank = int(np.sum(svals > 1e-9))
     assert len(stoichiometric_basis(net)) == float_rank
 
+def _disjoint_union(nets, rng):
+    """The parts on disjoint species, reactions shuffled so classes interleave."""
+    reactions = []
+    offset = 0
+    for net in nets:
+        for r in net.reactions:
+            source, product = (
+                Complex(tuple((i + offset, k) for i, k in c.terms)) for c in (r.source, r.product)
+            )
+            reactions.append(Reaction(source, product, r.rate))
+        offset += net.num_species
+    species = tuple(Species(f"S{i}", i) for i in range(offset))
+    return ReactionNetwork(species, tuple(reactions[i] for i in rng.permutation(len(reactions))))
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_graph_structure_matches_networkx(seed):
     import networkx as nx
 
-    net = random_network(np.random.default_rng(seed), max_species=6, max_reactions=8)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(net.complexes)))
-    idx = net.complex_index
-    for r in net.reactions:
-        graph.add_edge(idx[r.source], idx[r.product])
+    rng = np.random.default_rng(seed)
+    nets = (
+        random_network(rng, max_species=6, max_reactions=8),
+        random_network(rng, max_species=8, max_reactions=16, allow_empty_complex=True),
+        random_cycle_network(rng, max_species=6, max_complexes=8),
+        # several linkage classes with interleaved complex indices; parts that
+        # both use the empty complex share one class
+        _disjoint_union(
+            [random_network(rng, allow_empty_complex=True) for _ in range(2)]
+            + [random_cycle_network(rng)],
+            rng,
+        ),
+    )
+    for net in nets:
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(len(net.complexes)))
+        idx = net.complex_index
+        for r in net.reactions:
+            graph.add_edge(idx[r.source], idx[r.product])
+        report = structure_report(net)
 
-    expected_classes = {
-        frozenset(c) for c in nx.connected_components(graph.to_undirected())
-    }
-    assert {frozenset(b) for b in linkage_classes(net)} == expected_classes
+        # JSON shows the blocks as stored: each sorted, ordered by smallest member
+        expected_classes = sorted(
+            sorted(c) for c in nx.connected_components(graph.to_undirected())
+        )
+        assert [list(b) for b in report.linkage_classes] == expected_classes
+        assert report.l == len(expected_classes)
 
-    comp_of = {}
-    for cid, comp in enumerate(nx.strongly_connected_components(graph)):
-        for node in comp:
-            comp_of[node] = cid
-    expected_wr = all(comp_of[u] == comp_of[v] for u, v in graph.edges)
-    assert is_weakly_reversible(net) == expected_wr
+        comp_of = {}
+        for cid, comp in enumerate(nx.strongly_connected_components(graph)):
+            for node in comp:
+                comp_of[node] = cid
+        expected_wr = all(comp_of[u] == comp_of[v] for u, v in graph.edges)
+        assert report.weakly_reversible == expected_wr
 
 
 @given(st.integers(0, 10_000), st.randoms())
@@ -132,9 +167,13 @@ def test_linkage_classes_invariant_under_reaction_permutation(seed, rnd):
     shuffled = list(net.reactions)
     rnd.shuffle(shuffled)
     permuted = ReactionNetwork(net.species, tuple(shuffled))
-    original = {frozenset(net.complexes[i] for i in block) for block in linkage_classes(net)}
+    original = {
+        frozenset(net.complexes[i] for i in block)
+        for block in structure_report(net).linkage_classes
+    }
     after = {
-        frozenset(permuted.complexes[i] for i in block) for block in linkage_classes(permuted)
+        frozenset(permuted.complexes[i] for i in block)
+        for block in structure_report(permuted).linkage_classes
     }
     assert original == after
 
