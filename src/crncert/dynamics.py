@@ -4,6 +4,11 @@ The structural modules are exact; this one is deliberately floating point.
 Rates follow the monomial law (absent species contribute a factor 1, i.e.
 ``0**0 == 1``), or the generalized form where every concentration first
 passes through a per-species monotone map ``theta``.
+
+:func:`simulate` integrates with the explicit Fehlberg 4(5) pair until a
+rejected step shows that stability, not accuracy, holds the step size, and
+then with the L-stable Rosenbrock pair RODAS4 for the rest of the run, so
+the step grows with the slow time scales once the fast ones have settled.
 """
 
 from __future__ import annotations
@@ -211,6 +216,26 @@ def lyapunov(
 
 
 @dataclass(frozen=True)
+class IntegrationStats:
+    """What one :func:`simulate` run spent, by stepper and by cause.
+
+    ``switch_time`` is the time at which the run handed over from the
+    explicit Fehlberg stepper to the implicit Rosenbrock one, ``None`` when
+    it never did.  Rejections count the attempts of both steppers;
+    ``rhs_evaluations`` counts the steppers' evaluations of the vector
+    field, not those of a difference-quotient Jacobian.
+    """
+
+    fehlberg_steps: int
+    rosenbrock_steps: int
+    rejected_error: int
+    rejected_positivity: int
+    rhs_evaluations: int
+    jacobian_evaluations: int
+    switch_time: Optional[float]
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Accepted integrator states with Lyapunov and conservation diagnostics."""
 
@@ -218,6 +243,7 @@ class Trajectory:
     states: np.ndarray
     lyapunov: Optional[np.ndarray]
     conservation_residual: np.ndarray
+    stats: Optional[IntegrationStats] = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -250,10 +276,90 @@ _RKF_B = _frozen(
         [1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55],
     ]
 )
+# Fehlberg's stability interval on the negative real axis is about
+# [-3.68, 0].  When a step is rejected for its error with h * rho(J) above
+# this bound, the step size is held by stability, not accuracy, and the run
+# hands over to the Rosenbrock stepper.
+_STIFF_BOUND = 3.0
+
+# RODAS4 (Hairer & Wanner, Solving ODEs II, sec. VI.4), an L-stable, stiffly
+# accurate Rosenbrock 4(3) pair, in the transformed variables U_s = h * sum_j
+# gamma_sj k_j that need no matrix-vector product with J.  With
+# W = I / (h * _ROS_GAMMA) - J, stage s solves
+# W U_s = f(x + _ROS_A[s, :s] @ U[:s]) + (_ROS_C[s, :s] / h) @ U[:s].
+# Row 0 of _ROS_B holds the fourth-order weights and row 1 their difference
+# from the third-order weights, so _ROS_B @ U stacks increment over error.
+_ROS_GAMMA = 0.25
+_ROS_A = _frozen(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.544, 0.0, 0.0, 0.0, 0.0],
+        [0.9466785280815826, 0.2557011698983284, 0.0, 0.0, 0.0],
+        [3.314825187068521, 2.896124015972201, 0.9986419139977817, 0.0, 0.0],
+        [1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 0.0],
+        [1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0],
+    ]
+)
+_ROS_C = _frozen(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [-5.6688, 0.0, 0.0, 0.0, 0.0],
+        [-2.430093356833875, -0.2063599157091915, 0.0, 0.0, 0.0],
+        [-0.1073529058151375, -9.594562251023355, -20.47028614809616, 0.0, 0.0],
+        [7.496443313967647, -10.24680431464352, -33.99990352819905, 11.7089089320616, 0.0],
+        [8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+         -6.058818238834054],
+    ]
+)
+_ROS_B = _frozen(
+    [
+        [1.221224509226641, 6.019134481288629, 12.53708332932087, -0.687886036105895, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    ]
+)
 
 _H_FLOOR = 1e-14
 # Step attempts one simulate call may make before it raises IntegrationError.
 MAX_STEPS = 2_000_000
+
+
+def _fehlberg_step(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, stages: np.ndarray
+) -> Optional[np.ndarray]:
+    """One Fehlberg attempt from x, ``stages[0]`` holding f(x).
+
+    Returns the step's increment stacked over its error estimate, or None
+    when a stage state leaves the orthant.
+    """
+    for s in range(1, 6):
+        xs = x + h * (_RKF_A[s, :s] @ stages[:s])
+        if xs.min() < 0:
+            return None
+        stages[s] = f(xs)
+    return h * (_RKF_B @ stages)
+
+
+def _rosenbrock_step(
+    f: Callable[[np.ndarray], np.ndarray],
+    fx: np.ndarray,
+    jac_x: np.ndarray,
+    x: np.ndarray,
+    h: float,
+    stages: np.ndarray,
+) -> Optional[np.ndarray]:
+    """One RODAS4 attempt from x, given f(x) and the Jacobian at x.
+
+    Returns what :func:`_fehlberg_step` returns; raises ``LinAlgError``
+    when W is singular.
+    """
+    w_inv = np.linalg.inv(np.eye(x.size) / (h * _ROS_GAMMA) - jac_x)
+    stages[0] = w_inv @ fx
+    for s in range(1, 6):
+        xs = x + _ROS_A[s, :s] @ stages[:s]
+        if xs.min() < 0:
+            return None
+        stages[s] = w_inv @ (f(xs) + (_ROS_C[s, :s] / h) @ stages[:s])
+    return _ROS_B @ stages
 
 
 def simulate(
@@ -265,19 +371,28 @@ def simulate(
     atol: float = 1e-10,
     x_ref: Optional[Sequence[float]] = None,
 ) -> Trajectory:
-    """Integrate the network ODE with an adaptive Fehlberg 4(5) stepper.
+    """Integrate the network ODE: explicit Fehlberg 4(5), then RODAS4 once stiff.
 
-    The six stages of a step fill the rows of one preallocated array, and
-    the tableau is applied to it as matrix products.  Inputs are validated
-    once, here; inside the loop the kinetics are evaluated straight from
-    ``net.numeric`` (generalized kinetics through :func:`reaction_rates`).
-    Steps whose stages or proposed state leave the positive orthant are
-    rejected and retried at half the step, reusing the first stage; a
-    non-finite error estimate aborts the run, as does a step under
-    ``1e-14`` or more than ``MAX_STEPS`` attempts.  Every accepted state
-    is recorded; once the loop ends, the Lyapunov value (when ``x_ref`` is
-    given) and the worst conservation-law drift relative to the initial
-    state are computed over the stored states.
+    The run starts with the explicit Fehlberg stepper.  After each step it
+    rejects for its error, the Jacobian J at the current state bounds the
+    spectral radius rho; when ``h * rho`` exceeds ``_STIFF_BOUND`` the step
+    is held by stability, not accuracy, and the run switches, once, to the
+    L-stable Rosenbrock pair RODAS4, which inverts ``W = I / (h gamma) - J``
+    once per step.  Accepted Fehlberg steps cost no Jacobian.  J is exact
+    for mass action and central differences otherwise.  Each stepper fills
+    the rows of one preallocated stage array and applies its tableau as
+    matrix products.  Inputs are
+    validated once, here; inside the loop the kinetics are evaluated
+    straight from ``net.numeric`` (generalized kinetics through
+    :func:`reaction_rates`).  Steps whose stages or proposed state leave
+    the positive orthant are rejected and retried at half the step; a
+    non-finite error estimate or a singular W aborts the run, as does a
+    step under ``1e-14`` or more than ``MAX_STEPS`` attempts of the two
+    steppers together.  Every accepted state is recorded; once the loop
+    ends, the Lyapunov value (when ``x_ref`` is given) and the worst
+    conservation-law drift relative to the initial state are computed over
+    the stored states.  ``Trajectory.stats`` counts the run's steps,
+    rejections and evaluations.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (net.num_species,):
@@ -297,24 +412,41 @@ def simulate(
 
     form = net.numeric
     stoichiometry = form.stoichiometry
+    evaluations = 0
     if kinetics.is_mass_action:
 
         def f(state: np.ndarray) -> np.ndarray:
+            nonlocal evaluations
+            evaluations += 1
             return _fluxes(form, state) @ stoichiometry
+
+        def jac(state: np.ndarray) -> np.ndarray:
+            # Exact at a positive state: d flux_r / d x_j = flux_r * e_rj / x_j.
+            # Column j is divided by x_j last, so a tiny x_j cannot overflow.
+            return (stoichiometry.T * _fluxes(form, state)) @ form.exponents / state
 
     else:
 
         def f(state: np.ndarray) -> np.ndarray:
+            nonlocal evaluations
+            evaluations += 1
             return reaction_rates(net, kinetics, state) @ stoichiometry
+
+        def jac(state: np.ndarray) -> np.ndarray:
+            return _jacobian_fd(net, kinetics, state)
 
     size = x.size
     stages = np.empty((6, size))
-    stages[0] = f(x)
+    fx = stages[0] = f(x)
     times = [0.0]
     states = [x]
     t = 0.0
-    h = min(t_end, 0.01 * (1.0 + float(np.max(x))) / (1.0 + float(np.max(np.abs(stages[0])))))
-    steps = 0
+    h = min(t_end, 0.01 * (1.0 + float(np.max(x))) / (1.0 + float(np.max(np.abs(fx)))))
+    steps = rejected_error = rejected_positivity = jacobians = 0
+    accepted = [0, 0]  # by stepper: Fehlberg, Rosenbrock
+    stiff = False
+    switch_time = None
+    jac_x = None  # the Jacobian at x, while the Rosenbrock stepper needs it
     while t < t_end:
         remaining = t_end - t
         if remaining < _H_FLOOR:
@@ -326,36 +458,54 @@ def simulate(
             raise IntegrationError(f"step size underflow at t={t}")
         h = min(h, remaining)
 
-        # A NaN in a stage or in x5 passes these sign tests on purpose: it
+        if not stiff:
+            step = _fehlberg_step(f, x, h, stages)
+        else:
+            if jac_x is None:
+                jac_x = jac(x)
+                jacobians += 1
+            try:
+                step = _rosenbrock_step(f, fx, jac_x, x, h, stages)
+            except np.linalg.LinAlgError:
+                raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
+        # A NaN in a stage or in x5 passes the sign tests on purpose: it
         # reaches the error estimate, which is then non-finite.
-        positive = True
-        for s in range(1, 6):
-            xs = x + h * (_RKF_A[s, :s] @ stages[:s])
-            if xs.min() < 0:
-                positive = False
-                break
-            stages[s] = f(xs)
-        if positive:
-            increment, error = h * (_RKF_B @ stages)
+        if step is not None:
+            increment, error = step
             x5 = x + increment
-            if x5.min() <= 0:
-                positive = False
-        if not positive:
+        if step is None or x5.min() <= 0:
+            rejected_positivity += 1
             h *= 0.5
             continue
         scaled = error / (atol + rtol * np.maximum(x, x5))
         err = math.sqrt(float(scaled @ scaled) / size)
         if not math.isfinite(err):
             raise IntegrationError(f"non-finite state at t={t}")
+        # One over the order of the embedded solution plus one.
+        exponent = -0.25 if stiff else -0.2
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**exponent))
         if err <= 1.0:
             t += h
             x = x5
             times.append(t)
             states.append(x)
-            stages[0] = f(x)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            accepted[stiff] += 1
+            fx = f(x)
+            if stiff:
+                jac_x = None
+            else:
+                stages[0] = fx
         else:
-            factor = max(0.2, 0.9 * err**-0.2)
+            rejected_error += 1
+            if not stiff:
+                # The largest absolute row sum of J bounds its spectral radius.
+                jac_x = jac(x)
+                jacobians += 1
+                if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
+                    stiff = True
+                    switch_time = t
+                    continue  # retry the same step with the stable stepper
+                jac_x = None
         h *= factor
 
     path = np.array(states)
@@ -376,6 +526,15 @@ def simulate(
         states=path,
         lyapunov=values,
         conservation_residual=residuals,
+        stats=IntegrationStats(
+            fehlberg_steps=accepted[0],
+            rosenbrock_steps=accepted[1],
+            rejected_error=rejected_error,
+            rejected_positivity=rejected_positivity,
+            rhs_evaluations=evaluations,
+            jacobian_evaluations=jacobians,
+            switch_time=switch_time,
+        ),
     )
 
 
@@ -536,8 +695,13 @@ def find_equilibrium(
 
 
 def persistence_margin(traj: Trajectory) -> float:
-    """Smallest concentration over the trailing half of the recorded times."""
+    """Smallest concentration over the trailing half of the recorded times.
+
+    The window is the later half of the time span, not of the stored
+    states: once the run switches to the Rosenbrock stepper, the states
+    are crowded into the early transient.
+    """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    start = len(traj) // 2
+    start = int(np.searchsorted(traj.times, 0.5 * traj.times[-1]))
     return float(np.min(traj.states[start:]))

@@ -180,6 +180,11 @@ class ReactionNetwork:
             a.setflags(write=False)
         return form
 
+    @cached_property
+    def structure(self) -> StructureReport:
+        """The exact structure report, built once per object and freed with it."""
+        return _build_report(self)
+
 
 def reaction_vector(reaction: Reaction, num_species: int) -> tuple[int, ...]:
     """Dense net stoichiometry of one reaction: product minus source."""
@@ -302,3 +307,7 @@ def serialize_network(net: ReactionNetwork) -> str:
         for r in net.reactions
     ]
     return "\n".join(lines) + "\n"
+
+
+# The structure module imports this one, so it is imported last.
+from .structure import StructureReport, _build_report  # noqa: E402

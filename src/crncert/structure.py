@@ -117,24 +117,26 @@ def _complex_graph(net: ReactionNetwork) -> tuple[tuple[tuple[int, ...], ...], b
 
 def stoichiometric_basis(net: ReactionNetwork) -> RationalBasis:
     """Canonical exact basis of the span of all reaction vectors."""
-    m = net.num_species
-    vectors = [reaction_vector(r, m) for r in net.reactions]
-    return RationalBasis(m, ratlin.canonical_basis(vectors))
-
-
-def _orthogonal_complement(s_basis: RationalBasis) -> RationalBasis:
-    return RationalBasis(s_basis.dimension, ratlin.nullspace(s_basis.vectors, s_basis.dimension))
+    return net.structure.s_basis
 
 
 def conservation_basis(net: ReactionNetwork) -> RationalBasis:
     """Canonical exact basis of the orthogonal complement of the reaction span."""
-    return _orthogonal_complement(stoichiometric_basis(net))
+    return net.structure.conservation_basis
 
 
 def structure_report(net: ReactionNetwork) -> StructureReport:
+    """The network's exact structure, built once per network object (``net.structure``)."""
+    return net.structure
+
+
+def _build_report(net: ReactionNetwork) -> StructureReport:
+    """Compute the structure report; ``ReactionNetwork.structure`` keeps the result."""
     classes, weakly_reversible = _complex_graph(net)
-    s_basis = stoichiometric_basis(net)
-    cons = _orthogonal_complement(s_basis)
+    m = net.num_species
+    vectors = [reaction_vector(r, m) for r in net.reactions]
+    s_basis = RationalBasis(m, ratlin.canonical_basis(vectors))
+    cons = RationalBasis(m, ratlin.nullspace(s_basis.vectors, m))
     n = len(net.complexes)
     l = len(classes)
     s = len(s_basis)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,10 @@ from crncert import (
 )
 from crncert import dynamics
 from crncert.randomnet import random_cycle_network, random_rates
+
+
+# Stiff enough that the run switches to the Rosenbrock stepper early.
+STIFF_PAIR = "A <-> B ; kf=1e4, kr=1e4\nB <-> C ; kf=1e-2, kr=1e-2"
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +259,17 @@ def test_persistence_margin_frozen_trajectory(ab):
     assert persistence_margin(traj) == 1.0
 
 
+def test_persistence_margin_spans_the_later_half_in_time():
+    # Most states crowd into the transient; only the last lies in [5, 10].
+    traj = Trajectory(
+        times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 10.0]),
+        states=np.array([[1.0], [0.2], [0.3], [0.4], [0.5], [0.9]]),
+        lyapunov=None,
+        conservation_residual=np.zeros(6),
+    )
+    assert persistence_margin(traj) == 0.9
+
+
 def test_persistence_margin_decays_for_draining_network():
     net = parse_network("A -> B ; k=1")
     short = simulate(net, MASS_ACTION, [1.0, 1.0], 2.0)
@@ -366,6 +382,43 @@ def test_steps_leaving_the_orthant_are_rejected():
         assert traj.times[-1] == 200.0
 
 
+def _rosenbrock_outcomes(monkeypatch):
+    """Record each Rosenbrock attempt: "stage" or "proposal" if it left the orthant, else "ok"."""
+    outcomes = []
+    step = dynamics._rosenbrock_step
+
+    def recording(f, fx, jac_x, x, h, stages):
+        result = step(f, fx, jac_x, x, h, stages)
+        if result is None:
+            outcomes.append("stage")
+        else:
+            outcomes.append("proposal" if (x + result[0]).min() <= 0 else "ok")
+        return result
+
+    monkeypatch.setattr(dynamics, "_rosenbrock_step", recording)
+    return outcomes
+
+
+def test_rosenbrock_steps_leaving_the_orthant_are_rejected(monkeypatch):
+    # The fast binding makes the run switch early; at loose tolerances the
+    # Rosenbrock stages then leave the orthant, and the rate law (and the
+    # difference-quotient Jacobian) must never see a negative state.
+    def nonnegative_identity(v):
+        if v < 0:
+            raise AssertionError(f"rate law evaluated at {v}")
+        return v
+
+    net = parse_network("A + B -> C ; k=1e3\nC -> A + B ; k=1\n0 -> A ; k=1\nB -> 0 ; k=1")
+    outcomes = _rosenbrock_outcomes(monkeypatch)
+    for kinetics in (MASS_ACTION, generalized_kinetics(nonnegative_identity, 3)):
+        outcomes.clear()
+        traj = simulate(net, kinetics, [1.0, 2.0, 0.1], 10.0, rtol=0.1, atol=0.1)
+        assert traj.stats.switch_time is not None
+        assert "stage" in outcomes
+        assert np.all(traj.states > 0)
+        assert traj.times[-1] == 10.0
+
+
 def test_simulate_rejects_bad_reference(ex2):
     for x_ref in ([1.0, 0.0, 1.0], [1.0, math.nan, 1.0], [1.0, 1.0, math.inf], [1.0, 1.0]):
         with pytest.raises(ValueError, match="x_ref must be entrywise positive"):
@@ -386,10 +439,45 @@ def test_finite_time_blow_up_is_an_integration_error(text, x0):
         simulate(parse_network(text), MASS_ACTION, [x0], 1.0)
 
 
+def test_blow_up_after_the_switch_is_an_integration_error(monkeypatch):
+    # The fast pair hands the run to the Rosenbrock stepper long before C
+    # blows up at t = 10.
+    outcomes = _rosenbrock_outcomes(monkeypatch)
+    net = parse_network("A <-> B ; kf=1e4, kr=1e4\n2C -> 3C ; k=1")
+    with pytest.raises(IntegrationError):
+        simulate(net, MASS_ACTION, [2.0, 0.5, 0.1], 20.0)
+    assert len(outcomes) > 10
+
+
+def test_singular_rosenbrock_matrix_is_an_integration_error(monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(IntegrationError, match="singular Rosenbrock matrix"):
+        simulate(parse_network(STIFF_PAIR), MASS_ACTION, [1.0, 0.5, 2.0], 1.0)
+
+
 def test_simulate_step_budget(ab, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
     with pytest.raises(IntegrationError, match="exceeded 3 steps"):
         simulate(ab, MASS_ACTION, [1.0, 2.0], 10.0)
+
+
+def test_step_budget_counts_the_attempts_of_both_steppers(monkeypatch):
+    net = parse_network(STIFF_PAIR)
+    stats = simulate(net, MASS_ACTION, [1.0, 0.5, 2.0], 100.0).stats
+    attempts = (
+        stats.fehlberg_steps + stats.rosenbrock_steps + stats.rejected_error
+        + stats.rejected_positivity
+    )
+    budget = attempts - 5
+    assert stats.rosenbrock_steps > 5
+    outcomes = _rosenbrock_outcomes(monkeypatch)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", budget)
+    with pytest.raises(IntegrationError, match=f"exceeded {budget} steps"):
+        simulate(net, MASS_ACTION, [1.0, 0.5, 2.0], 100.0)
+    assert outcomes
 
 
 @pytest.mark.parametrize(
@@ -404,6 +492,17 @@ def test_simulate_rejects_a_non_positive_proposal(text, x0):
     # their fifth-order combination dips below zero; such a proposal must
     # be rejected, so every stored state stays positive.
     traj = simulate(parse_network(text), MASS_ACTION, x0, 10.0, rtol=0.1, atol=0.1)
+    assert np.all(traj.states > 0)
+
+
+def test_rosenbrock_rejects_a_non_positive_proposal(monkeypatch):
+    # The fast pair makes the run switch at once.  C then decays past the
+    # smallest subnormal number: its proposals round to 0 with an error
+    # far below the tolerance, so only the sign test rejects them.
+    outcomes = _rosenbrock_outcomes(monkeypatch)
+    net = parse_network("A <-> B ; kf=1e4, kr=1e4\nC -> 0 ; k=1")
+    traj = simulate(net, MASS_ACTION, [2.0, 0.5, 1.0], 1000.0, rtol=0.1, atol=0.1)
+    assert "proposal" in outcomes
     assert np.all(traj.states > 0)
 
 
@@ -433,13 +532,130 @@ def test_simulate_matches_radau_oracle(ex1, ex2, ex3):
     for _ in range(20):
         net = random_cycle_network(rng)
         cases.append((net, rng.uniform(0.5, 1.5, net.num_species), 5.0))
-    stiff = parse_network("A <-> B ; kf=1e4, kr=1e4\nB <-> C ; kf=1e-2, kr=1e-2")
+    stiff = parse_network(STIFF_PAIR)
     cases.append((stiff, np.array([1.0, 0.5, 2.0]), 0.1))
     for net, x0, t_end in cases:
-        final = simulate(net, MASS_ACTION, x0, t_end).states[-1]
+        traj = simulate(net, MASS_ACTION, x0, t_end)
+        if net is stiff:
+            assert traj.stats.switch_time is not None
+        final = traj.states[-1]
         oracle = solve_ivp(
             _loop_rhs(net), (0.0, t_end), x0, method="Radau", rtol=1e-10, atol=1e-12
         )
         assert oracle.success
         expected = oracle.y[:, -1]
         assert np.max(np.abs(final - expected) / np.abs(expected)) < 1e-6
+
+
+def test_stiff_pair_reaches_t100_in_few_steps():
+    # The explicit stepper alone needs about 5,400 steps per unit of time here.
+    from scipy.integrate import solve_ivp
+
+    net = parse_network(STIFF_PAIR)
+    x0 = np.array([1.0, 0.5, 2.0])
+    traj = simulate(net, MASS_ACTION, x0, 100.0)
+    assert traj.stats.switch_time is not None
+    assert traj.stats.rosenbrock_steps + traj.stats.fehlberg_steps == len(traj) - 1 <= 150
+    oracle = solve_ivp(_loop_rhs(net), (0.0, 100.0), x0, method="Radau", rtol=1e-10, atol=1e-12)
+    assert oracle.success
+    expected = oracle.y[:, -1]
+    assert np.max(np.abs(traj.states[-1] - expected) / np.abs(expected)) < 1e-6
+
+
+def test_long_horizon_stores_few_states(ab):
+    traj = simulate(ab, MASS_ACTION, [1.0, 2.0], 1e9)
+    assert traj.times[-1] == 1e9
+    assert len(traj) <= 300
+    assert np.max(np.abs(traj.states[-1] - [2.0, 1.0])) < 1e-8
+
+
+def test_stats_count_the_run(ab):
+    names = [
+        "fehlberg_steps", "rosenbrock_steps", "rejected_error", "rejected_positivity",
+        "rhs_evaluations", "jacobian_evaluations", "switch_time",
+    ]
+    assert [f.name for f in dataclasses.fields(dynamics.IntegrationStats)] == names
+    short = simulate(ab, MASS_ACTION, [1.0, 2.0], 1.0).stats
+    assert short.switch_time is None
+    assert short.rosenbrock_steps == short.jacobian_evaluations == 0
+    # Six evaluations per accepted Fehlberg step, the first stage of each
+    # step being the last evaluation of the one before.
+    assert short.rhs_evaluations == 1 + 6 * short.fehlberg_steps + 5 * short.rejected_error
+    stats = simulate(parse_network(STIFF_PAIR), MASS_ACTION, [1.0, 0.5, 2.0], 1.0).stats
+    assert 0 < stats.switch_time < 1.0
+    assert stats.fehlberg_steps > 0 and stats.rosenbrock_steps > 0
+    assert stats.jacobian_evaluations >= stats.rosenbrock_steps
+
+
+def _rosenbrock_tableau():
+    """RODAS4 untransformed: alpha, Gamma, and the weights of both solutions."""
+    a = np.zeros((6, 6))
+    a[:, :5] = dynamics._ROS_A
+    c = np.zeros((6, 6))
+    c[:, :5] = dynamics._ROS_C
+    gamma = np.linalg.inv(np.eye(6) / dynamics._ROS_GAMMA - c)
+    main, difference = dynamics._ROS_B
+    return a @ gamma, gamma, main @ gamma, (main - difference) @ gamma
+
+
+def test_rosenbrock_order_conditions():
+    # Hairer & Wanner, Solving ODEs II, Table IV.7.1 (autonomous problems):
+    # eight conditions for order 4, the first four of them for order 3.
+    alpha, gamma, b, b_hat = _rosenbrock_tableau()
+    g = dynamics._ROS_GAMMA
+    assert np.allclose(np.diag(gamma), g, rtol=0.0, atol=1e-12)
+    beta = alpha + np.tril(gamma, -1)
+    a_sum = alpha.sum(axis=1)
+    b_sum = beta.sum(axis=1)
+    conditions = [
+        (lambda w: w.sum(), 1.0),
+        (lambda w: w @ b_sum, 0.5 - g),
+        (lambda w: w @ a_sum**2, 1 / 3),
+        (lambda w: w @ beta @ b_sum, 1 / 6 - g + g**2),
+        (lambda w: w @ a_sum**3, 1 / 4),
+        (lambda w: w @ (a_sum * (alpha @ b_sum)), 1 / 8 - g / 3),
+        (lambda w: w @ beta @ a_sum**2, 1 / 12 - g / 3),
+        (lambda w: w @ beta @ beta @ b_sum, 1 / 24 - g / 2 + 1.5 * g**2 - g**3),
+    ]
+    for lhs, value in conditions:
+        assert abs(lhs(b) - value) < 1e-12
+    for lhs, value in conditions[:4]:
+        assert abs(lhs(b_hat) - value) < 1e-12
+    # The embedded solution is of order 3 exactly, so the error estimate is not zero.
+    assert max(abs(lhs(b_hat) - value) for lhs, value in conditions[4:]) > 1e-3
+
+
+def test_rosenbrock_stability_function_vanishes_at_infinity():
+    # R(z) = 1 + z w (I - z B)^-1 1 with B = alpha + Gamma, so R(inf) = 1 - w B^-1 1.
+    alpha, gamma, b, b_hat = _rosenbrock_tableau()
+    for w in (b, b_hat):
+        assert abs(1.0 - w @ np.linalg.solve(alpha + gamma, np.ones(6))) < 1e-12
+
+
+def test_rosenbrock_converges_at_its_order():
+    # Fixed steps on a nonlinear network: halving h divides the global error
+    # by 2**4 for the main solution and 2**3 for the embedded one.
+    from scipy.integrate import solve_ivp
+
+    net = parse_network("2A <-> B ; kf=1, kr=1\nA + B <-> C ; kf=2, kr=1")
+    x0 = np.array([1.0, 0.3, 0.2])
+    t_end = 2.0
+    expected = solve_ivp(
+        _loop_rhs(net), (0.0, t_end), x0, method="DOP853", rtol=1e-13, atol=1e-15
+    ).y[:, -1]
+
+    def f(x):
+        return rhs(net, MASS_ACTION, x)
+
+    def global_error(steps, embedded):
+        x = x0
+        stages = np.empty((6, x0.size))
+        for _ in range(steps):
+            jac_x = jacobian(net, MASS_ACTION, x)
+            increment, error = dynamics._rosenbrock_step(f, f(x), jac_x, x, t_end / steps, stages)
+            x = x + increment - (error if embedded else 0.0)
+        return np.max(np.abs(x - expected))
+
+    for embedded, order in ((False, 4), (True, 3)):
+        errors = np.array([global_error(n, embedded) for n in (20, 40, 80)])
+        assert np.all(np.log2(errors[:-1] / errors[1:]) > order - 0.15)

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert import (
+    MASS_ACTION,
     Complex,
     Reaction,
     ReactionNetwork,
     Species,
     conservation_basis,
+    find_equilibrium,
     parse_network,
     reaction_vector,
+    simulate,
     stoichiometric_basis,
     structure_report,
 )
+from crncert import ratlin
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import canonical_basis, dot
 
@@ -180,3 +184,23 @@ def test_linkage_classes_invariant_under_reaction_permutation(seed, rnd):
 def test_negative_deficiency_is_impossible_on_fixtures(ex1, ex2, ex3):
     for net in (ex1, ex2, ex3):
         assert structure_report(net).deficiency >= 0
+
+
+def test_structure_is_built_once_per_network(monkeypatch):
+    text = "A <-> B ; kf=1, kr=2\nB <-> C ; kf=3, kr=1"
+    net = parse_network(text)
+    report = structure_report(net)
+    assert structure_report(net) is report is net.structure
+    assert stoichiometric_basis(net) is report.s_basis
+    assert conservation_basis(net) is report.conservation_basis
+
+    def no_rref(rows):
+        raise AssertionError("exact elimination ran again")
+
+    # Equilibrium and integration reuse the report: no further elimination.
+    monkeypatch.setattr(ratlin, "rref", no_rref)
+    x_ref = find_equilibrium(net, [1.0, 1.0, 1.0]).x_bar
+    simulate(net, MASS_ACTION, [0.5, 1.0, 1.5], 1.0, x_ref=x_ref)
+    monkeypatch.undo()
+    # The report lives on the network object, not in a process-wide cache.
+    assert parse_network(text).structure is not report
