@@ -35,7 +35,6 @@ from .certify import (
     certify,
     check_discrete,
     check_empty_all_classes,
-    face_kernel_basis,
 )
 from .dynamics import (
     MASS_ACTION,

@@ -6,8 +6,8 @@ provided each boundary face cut out by a semi-locking set W meets the
 classes in a set that is empty or discrete.  Both conditions reduce to
 exact linear algebra on the reaction span S:
 
-* ``DISCRETE``: the only vector of S vanishing on every W coordinate is
-  zero, so a class can meet the face in at most one point.
+* ``DISCRETE``: one exact elimination shows that S has rank dim S on the
+  W coordinates, so a class can meet the face in at most one point.
 * ``EMPTY_ALL_CLASSES``: no vector of S is strictly negative on all W
   coordinates, so no positive anchor can reach the face at all.  The
   infeasibility dual is a nonnegative conserved combination supported on
@@ -114,15 +114,11 @@ def _verified(kind: str, witness: tuple[int, ...], holds: bool) -> tuple[int, ..
     return witness
 
 
-def face_kernel_basis(s_basis: RationalBasis, members: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of {z in S : z_i = 0 for all i in W}."""
+def _face_columns(s_basis: RationalBasis, members: Iterable[int]) -> list[int]:
     w = sorted(set(members))
-    vectors = s_basis.vectors
-    if not vectors:
-        return ()
-    constraint = [[v[i] for v in vectors] for i in w]
-    alphas = ratlin.nullspace(constraint, len(vectors))
-    return ratlin.canonical_basis([_combine(a, vectors, s_basis.dimension) for a in alphas])
+    if not w or w[0] < 0 or w[-1] >= s_basis.dimension:
+        raise ValueError(f"species set {w} must be a nonempty subset of 0..{s_basis.dimension - 1}")
+    return w
 
 
 def check_discrete(
@@ -130,14 +126,19 @@ def check_discrete(
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide whether the face of W can meet a class in more than one point.
 
-    Returns ``(True, None)`` when the only vector of S vanishing on W is
-    zero, else ``(False, witness)`` with a nonzero such vector.
+    One ``rref`` of the basis of S with the W columns first has r pivots in
+    the W block, r being the rank of S on W.  Its later rows, zero on W, are
+    in the original column order the canonical basis of {z in S : z_W = 0}.
+    Returns ``(True, None)`` when there is none, else ``(False, witness)``
+    with the first of them.
     """
-    w = set(members)
-    kernel = face_kernel_basis(s_basis, w)
-    if not kernel:
+    w = _face_columns(s_basis, members)
+    order = w + sorted(set(range(s_basis.dimension)).difference(w))
+    rows, pivots = ratlin.rref([[v[j] for j in order] for v in s_basis.vectors])
+    r = sum(p < len(w) for p in pivots)
+    if r == len(rows):
         return True, None
-    z = kernel[0]
+    z = tuple(rows[r][order.index(j)] for j in range(s_basis.dimension))
     # The direction must verify exactly: nonzero and zero on every W coordinate.
     return False, _verified("kernel", z, any(z) and not any(z[i] for i in w))
 
@@ -153,9 +154,7 @@ def check_empty_all_classes(
     Returns ``(True, separating_witness)`` when infeasible and
     ``(False, feasible_witness)`` otherwise.
     """
-    w = sorted(set(members))
-    if not w:
-        raise ValueError("species set must be nonempty")
+    w = _face_columns(s_basis, members)
     vectors = s_basis.vectors
     A = [[v[i] for v in vectors] for i in w]
     point, farkas = ratlin.solve_le(A, [-1] * len(w))

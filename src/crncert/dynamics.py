@@ -374,18 +374,18 @@ def simulate(
     """Integrate the network ODE: explicit Fehlberg 4(5), then RODAS4 once stiff.
 
     The run starts with the explicit Fehlberg stepper.  After each step it
-    rejects for its error, the Jacobian J at the current state bounds the
-    spectral radius rho; when ``h * rho`` exceeds ``_STIFF_BOUND`` the step
-    is held by stability, not accuracy, and the run switches, once, to the
-    L-stable Rosenbrock pair RODAS4, which inverts ``W = I / (h gamma) - J``
-    once per step.  Accepted Fehlberg steps cost no Jacobian.  J is exact
+    rejects, for its error or for leaving the orthant, the Jacobian J at
+    the current state bounds the spectral radius rho; when ``h * rho``
+    exceeds ``_STIFF_BOUND`` the step is held by stability, not accuracy,
+    and the run switches, once, to the L-stable Rosenbrock pair RODAS4,
+    which inverts ``W = I / (h gamma) - J`` once per step, and retries the
+    step with it.  Accepted Fehlberg steps cost no Jacobian.  J is exact
     for mass action and central differences otherwise.  Each stepper fills
     the rows of one preallocated stage array and applies its tableau as
-    matrix products.  Inputs are
-    validated once, here; inside the loop the kinetics are evaluated
-    straight from ``net.numeric`` (generalized kinetics through
-    :func:`reaction_rates`).  Steps whose stages or proposed state leave
-    the positive orthant are rejected and retried at half the step; a
+    matrix products.  Inputs are validated once, here; inside the loop the
+    kinetics are evaluated straight from ``net.numeric`` (generalized
+    kinetics through :func:`reaction_rates`).  Other steps whose stages or
+    proposed state leave the positive orthant are retried at half the step; a
     non-finite error estimate or a singular W aborts the run, as does a
     step under ``1e-14`` or more than ``MAX_STEPS`` attempts of the two
     steppers together.  Every accepted state is recorded; once the loop
@@ -475,37 +475,39 @@ def simulate(
             x5 = x + increment
         if step is None or x5.min() <= 0:
             rejected_positivity += 1
-            h *= 0.5
-            continue
-        scaled = error / (atol + rtol * np.maximum(x, x5))
-        err = math.sqrt(float(scaled @ scaled) / size)
-        if not math.isfinite(err):
-            raise IntegrationError(f"non-finite state at t={t}")
-        # One over the order of the embedded solution plus one.
-        exponent = -0.25 if stiff else -0.2
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**exponent))
-        if err <= 1.0:
-            t += h
-            x = x5
-            times.append(t)
-            states.append(x)
-            accepted[stiff] += 1
-            fx = f(x)
-            if stiff:
-                jac_x = None
-            else:
-                stages[0] = fx
+            factor = 0.5
         else:
+            scaled = error / (atol + rtol * np.maximum(x, x5))
+            err = math.sqrt(float(scaled @ scaled) / size)
+            if not math.isfinite(err):
+                raise IntegrationError(f"non-finite state at t={t}")
+            # One over the order of the embedded solution plus one.
+            exponent = -0.25 if stiff else -0.2
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**exponent))
+            if err <= 1.0:
+                t += h
+                x = x5
+                times.append(t)
+                states.append(x)
+                accepted[stiff] += 1
+                fx = f(x)
+                if stiff:
+                    jac_x = None
+                else:
+                    stages[0] = fx
+                h *= factor
+                continue
             rejected_error += 1
-            if not stiff:
-                # The largest absolute row sum of J bounds its spectral radius.
-                jac_x = jac(x)
-                jacobians += 1
-                if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
-                    stiff = True
-                    switch_time = t
-                    continue  # retry the same step with the stable stepper
-                jac_x = None
+        if not stiff:
+            # A rejected explicit step, for its error or its sign: the largest
+            # absolute row sum of J bounds its spectral radius.
+            jac_x = jac(x)
+            jacobians += 1
+            if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
+                stiff = True
+                switch_time = t
+                continue  # retry the same step with the stable stepper
+            jac_x = None
         h *= factor
 
     path = np.array(states)

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from crncert import parse_network_file
+from crncert import check_discrete, parse_network_file
 
 NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "networks"
 
@@ -30,6 +30,21 @@ def species_set(net, *names):
 def vec_by_name(net, mapping):
     """Dense tuple in the network's species order from a name -> value dict."""
     return tuple(mapping.get(s.name, 0) for s in net.species)
+
+
+def face_kernel(basis, members):
+    """Canonical basis of {z in S : z_W = 0}, read off ``check_discrete``.
+
+    Each witness is the first row of that basis and the later rows are zero
+    at its pivot, so adding the pivot to W leaves exactly the later rows.
+    """
+    w, kernel = set(members), []
+    while True:
+        discrete, z = check_discrete(basis, w)
+        if discrete:
+            return tuple(kernel)
+        kernel.append(z)
+        w.add(next(i for i, v in enumerate(z) if v))
 
 
 def names_of(net, members):

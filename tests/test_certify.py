@@ -20,7 +20,6 @@ from crncert import (
     certify,
     check_discrete,
     check_empty_all_classes,
-    face_kernel_basis,
     minimal_semi_locking_sets,
     parse_network,
     stoichiometric_basis,
@@ -31,7 +30,14 @@ from crncert.cli import main
 from crncert.randomnet import random_network
 from crncert.ratlin import canonical_basis, dot
 
-from conftest import OVER_BUDGET_K, doubling_siphons_text, names_of, species_set, vec_by_name
+from conftest import (
+    OVER_BUDGET_K,
+    doubling_siphons_text,
+    face_kernel,
+    names_of,
+    species_set,
+    vec_by_name,
+)
 
 
 def test_check_discrete_golden(ex1, ex2):
@@ -47,11 +53,20 @@ def test_check_discrete_golden(ex1, ex2):
     assert ok
 
 
-def test_face_kernel_basis_golden(ex1):
+def test_face_kernel_golden(ex1):
     basis = stoichiometric_basis(ex1)
-    kernel = face_kernel_basis(basis, species_set(ex1, "C", "D", "E"))
+    kernel = face_kernel(basis, species_set(ex1, "C", "D", "E"))
     assert kernel == (vec_by_name(ex1, {"A": 2, "B": -1}),)
-    assert face_kernel_basis(basis, species_set(ex1, "A", "B", "E")) == ()
+    assert face_kernel(basis, species_set(ex1, "A", "B", "E")) == ()
+
+
+@pytest.mark.parametrize("check", [check_discrete, check_empty_all_classes])
+@pytest.mark.parametrize("members", [set(), {-1}, {0, 2}, {5}])
+def test_face_checks_reject_a_bad_species_set(check, members):
+    # W must be a nonempty set of species: no index is wrapped or dropped
+    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1"))
+    with pytest.raises(ValueError, match="species set"):
+        check(basis, members)
 
 
 def test_check_empty_golden(ex1, ex2):
@@ -101,11 +116,12 @@ def test_check_empty_rejects_unverified_separating_witness(monkeypatch, farkas):
         check_empty_all_classes(basis, frozenset({0, 1}))
 
 
-@pytest.mark.parametrize("alphas", [((1, 0),), ((1, 1),)])
-def test_check_discrete_rejects_unverified_kernel_witness(monkeypatch, alphas):
-    # S = span{(1,-1,0,0), (0,0,1,-1)}; on W = {A, B} only alpha = (0, 1) vanishes
+@pytest.mark.parametrize("row", [(1, -1, 1, -1), (0, 0, 0, 0)])
+def test_check_discrete_rejects_unverified_kernel_witness(monkeypatch, row):
+    # S = span{(1,-1,0,0), (0,0,1,-1)}; a row with its pivot past the W = {A, B}
+    # block must be nonzero and zero on W, and these rows are not
     basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1\nC <-> D ; kf=1, kr=1"))
-    monkeypatch.setattr(ratlin, "nullspace", lambda rows, ncols: alphas)
+    monkeypatch.setattr(ratlin, "rref", lambda rows: ([row], [2]))
     with pytest.raises(ArithmeticError, match="kernel witness"):
         check_discrete(basis, frozenset({0, 1}))
 

@@ -382,20 +382,21 @@ def test_steps_leaving_the_orthant_are_rejected():
         assert traj.times[-1] == 200.0
 
 
-def _rosenbrock_outcomes(monkeypatch):
-    """Record each Rosenbrock attempt: "stage" or "proposal" if it left the orthant, else "ok"."""
+def _step_outcomes(monkeypatch, stepper="_rosenbrock_step"):
+    """Record each attempt of a stepper: "stage" or "proposal" if it left the orthant, else "ok"."""
     outcomes = []
-    step = dynamics._rosenbrock_step
+    step = getattr(dynamics, stepper)
 
-    def recording(f, fx, jac_x, x, h, stages):
-        result = step(f, fx, jac_x, x, h, stages)
+    def recording(*args):
+        result = step(*args)
+        x = args[-3]  # both steppers take (..., x, h, stages)
         if result is None:
             outcomes.append("stage")
         else:
             outcomes.append("proposal" if (x + result[0]).min() <= 0 else "ok")
         return result
 
-    monkeypatch.setattr(dynamics, "_rosenbrock_step", recording)
+    monkeypatch.setattr(dynamics, stepper, recording)
     return outcomes
 
 
@@ -409,7 +410,7 @@ def test_rosenbrock_steps_leaving_the_orthant_are_rejected(monkeypatch):
         return v
 
     net = parse_network("A + B -> C ; k=1e3\nC -> A + B ; k=1\n0 -> A ; k=1\nB -> 0 ; k=1")
-    outcomes = _rosenbrock_outcomes(monkeypatch)
+    outcomes = _step_outcomes(monkeypatch)
     for kinetics in (MASS_ACTION, generalized_kinetics(nonnegative_identity, 3)):
         outcomes.clear()
         traj = simulate(net, kinetics, [1.0, 2.0, 0.1], 10.0, rtol=0.1, atol=0.1)
@@ -442,7 +443,7 @@ def test_finite_time_blow_up_is_an_integration_error(text, x0):
 def test_blow_up_after_the_switch_is_an_integration_error(monkeypatch):
     # The fast pair hands the run to the Rosenbrock stepper long before C
     # blows up at t = 10.
-    outcomes = _rosenbrock_outcomes(monkeypatch)
+    outcomes = _step_outcomes(monkeypatch)
     net = parse_network("A <-> B ; kf=1e4, kr=1e4\n2C -> 3C ; k=1")
     with pytest.raises(IntegrationError):
         simulate(net, MASS_ACTION, [2.0, 0.5, 0.1], 20.0)
@@ -473,7 +474,7 @@ def test_step_budget_counts_the_attempts_of_both_steppers(monkeypatch):
     )
     budget = attempts - 5
     assert stats.rosenbrock_steps > 5
-    outcomes = _rosenbrock_outcomes(monkeypatch)
+    outcomes = _step_outcomes(monkeypatch)
     monkeypatch.setattr(dynamics, "MAX_STEPS", budget)
     with pytest.raises(IntegrationError, match=f"exceeded {budget} steps"):
         simulate(net, MASS_ACTION, [1.0, 0.5, 2.0], 100.0)
@@ -483,15 +484,18 @@ def test_step_budget_counts_the_attempts_of_both_steppers(monkeypatch):
 @pytest.mark.parametrize(
     "text, x0",
     [
-        ("A + 2B -> 0 ; k=10\n0 -> B ; k=2\n0 -> A ; k=1", [100.0, 100.0]),
-        ("A + B -> 2B ; k=10\nB -> 0 ; k=1\n0 -> A ; k=1", [1.0, 1.0]),
+        ("A + 2B -> 0 ; k=10\n0 -> B ; k=2\n0 -> A ; k=1", [0.3, 0.3]),
+        ("A + B -> 2B ; k=10\nB -> 0 ; k=1\n0 -> A ; k=1", [100.0, 10.0]),
     ],
 )
-def test_simulate_rejects_a_non_positive_proposal(text, x0):
-    # At these loose tolerances some steps keep every stage positive while
-    # their fifth-order combination dips below zero; such a proposal must
-    # be rejected, so every stored state stays positive.
+def test_simulate_rejects_a_non_positive_proposal(monkeypatch, text, x0):
+    # At these loose tolerances a Fehlberg step keeps every stage positive
+    # while its fifth-order combination dips below zero, before the step is
+    # long enough to hand the run to the stable stepper; such a proposal
+    # must be rejected, so every stored state stays positive.
+    outcomes = _step_outcomes(monkeypatch, "_fehlberg_step")
     traj = simulate(parse_network(text), MASS_ACTION, x0, 10.0, rtol=0.1, atol=0.1)
+    assert "proposal" in outcomes
     assert np.all(traj.states > 0)
 
 
@@ -499,11 +503,24 @@ def test_rosenbrock_rejects_a_non_positive_proposal(monkeypatch):
     # The fast pair makes the run switch at once.  C then decays past the
     # smallest subnormal number: its proposals round to 0 with an error
     # far below the tolerance, so only the sign test rejects them.
-    outcomes = _rosenbrock_outcomes(monkeypatch)
-    net = parse_network("A <-> B ; kf=1e4, kr=1e4\nC -> 0 ; k=1")
-    traj = simulate(net, MASS_ACTION, [2.0, 0.5, 1.0], 1000.0, rtol=0.1, atol=0.1)
+    outcomes = _step_outcomes(monkeypatch)
+    net = parse_network("A <-> B ; kf=1e4, kr=1e4\nC -> D ; k=1")
+    traj = simulate(net, MASS_ACTION, [2.0, 0.5, 1.0, 1.0], 1000.0, rtol=0.1, atol=0.1)
     assert "proposal" in outcomes
     assert np.all(traj.states > 0)
+
+
+def test_positivity_rejections_also_switch_to_the_stable_stepper():
+    # At loose tolerances the explicit steps on the fast pair are rejected
+    # for leaving the orthant, not for their error; the stiffness test must
+    # run after those rejections too, or this run takes about 54,000 steps.
+    net = parse_network("A <-> B ; kf=1e4, kr=1e4\nC + 2D -> 3D ; k=1")
+    traj = simulate(net, MASS_ACTION, [2.0, 0.5, 1.0, 0.01], 10.0, rtol=0.3, atol=0.3)
+    stats = traj.stats
+    assert stats.switch_time is not None
+    assert stats.fehlberg_steps + stats.rosenbrock_steps == len(traj) - 1 <= 50
+    assert np.all(traj.states > 0)
+    assert traj.times[-1] == 10.0
 
 
 def _loop_rhs(net):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crncert import (
     check_discrete,
     conservation_basis,
-    face_kernel_basis,
     ratlin,
     stoichiometric_basis,
 )
@@ -26,6 +25,8 @@ from crncert.ratlin import (
     rref,
     solve_le,
 )
+
+from conftest import face_kernel
 
 
 def test_rref_and_rank():
@@ -194,6 +195,18 @@ def test_solve_le_terminates_on_beales_example(level, feasible):
         assert result[0] is None
 
 
+def test_solve_le_ratio_test_ties_go_to_the_lowest_basis_index():
+    # 2x <= 1, -2x <= 0, 2x <= -1, 2x <= 0: x is eliminated into row 0, so the
+    # first pivot brings in row 0's slack, and rows 1 and 3 tie in its ratio
+    # test.  Bland's rule lets row 3's artificial leave, not row 1's slack,
+    # which fixes the multipliers; keeping the first tied row would end at
+    # [0, 2, 1, 1], another valid certificate.
+    A, b = [[2], [-2], [2], [2]], [1, 0, -1, 0]
+    result = solve_le(A, b)
+    assert_certified(A, b, result)
+    assert result == (None, [0, 1, 1, 0])
+
+
 def test_solve_le_random_12x12_within_pivot_bound(monkeypatch):
     # A full-rank draw takes no pivot: every variable is eliminated into a
     # row.  A rank-6 draw [R | R reversed] with b = -1 leaves 6 rows to the
@@ -346,7 +359,7 @@ def test_face_kernels_match_fraction_reference_on_random_networks():
         ]
         for w in subsets:
             ref = reference_face_kernel(basis, w)
-            assert face_kernel_basis(basis, w) == ref
+            assert face_kernel(basis, w) == ref
             assert check_discrete(basis, w) == (not ref, ref[0] if ref else None)
             faces += 1
     assert faces > 1500

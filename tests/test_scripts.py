@@ -44,6 +44,21 @@ def test_cert_digest_prints_one_line_per_certificate():
     assert re.fullmatch(rf"{count} certificates sha256 [0-9a-f]{{64}}", lines[-1])
 
 
+def test_cert_digest_matches_the_committed_digest():
+    # Every certificate, witnesses included, stays byte-identical; a change
+    # that moves certificates on purpose regenerates this file with
+    # `scripts/cert_digest.py 200 0`.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cert_digest.py"), "200", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = (NETWORKS.parent / "tests" / "data" / "cert_digest_200_0.txt").read_text()
+    assert proc.stdout == expected
+
+
 def test_benchmark_trace_targets_resolve():
     # The benchmark reports a missing target only as trace.absent, so a
     # pruned or renamed name that it traces breaks here instead.
