@@ -95,7 +95,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} must be nonnegative and finite")
     if args.rtol == args.atol == 0:
         raise ValueError("--atol must be positive when --rtol is 0")
-    if args.x0:
+    if args.x0 is not None:
         x0 = _parse_vector(args.x0, m, "--x0")
     else:
         rng = np.random.default_rng(args.seed)

@@ -9,6 +9,11 @@ passes through a per-species monotone map ``theta``.
 rejected step shows that stability, not accuracy, holds the step size, and
 then with the L-stable Rosenbrock pair RODAS4 for the rest of the run, so
 the step grows with the slow time scales once the fast ones have settled.
+
+:func:`find_equilibrium` gets a complex-balanced point from tree constants
+that GTH elimination computes to a small relative error, and then the class
+equilibrium by Newton on a convex function whose iterates are positive by
+construction, so equilibrium constants far from 1 do not break it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import NumericForm, ReactionNetwork
-from .structure import conservation_basis, stoichiometric_basis, structure_report
+from .structure import conservation_basis, structure_report
 
 
 class HypothesesError(ValueError):
@@ -277,9 +282,9 @@ _RKF_B = _frozen(
     ]
 )
 # Fehlberg's stability interval on the negative real axis is about
-# [-3.68, 0].  When a step is rejected for its error with h * rho(J) above
-# this bound, the step size is held by stability, not accuracy, and the run
-# hands over to the Rosenbrock stepper.
+# [-3.68, 0].  When a step is rejected, for its error or for leaving the
+# orthant, with h * rho(J) above this bound, the step size is held by
+# stability, not accuracy, and the run hands over to the Rosenbrock stepper.
 _STIFF_BOUND = 3.0
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, sec. VI.4), an L-stable, stiffly
@@ -318,6 +323,7 @@ _ROS_B = _frozen(
     ]
 )
 
+# The run ends once less than _H_FLOOR remains to t_end.
 _H_FLOOR = 1e-14
 # Step attempts one simulate call may make before it raises IntegrationError.
 MAX_STEPS = 2_000_000
@@ -387,8 +393,8 @@ def simulate(
     kinetics through :func:`reaction_rates`).  Other steps whose stages or
     proposed state leave the positive orthant are retried at half the step; a
     non-finite error estimate or a singular W aborts the run, as does a
-    step under ``1e-14`` or more than ``MAX_STEPS`` attempts of the two
-    steppers together.  Every accepted state is recorded; once the loop
+    step too small to advance t or more than ``MAX_STEPS`` attempts of the
+    two steppers together.  Every accepted state is recorded; once the loop
     ends, the Lyapunov value (when ``x_ref`` is given) and the worst
     conservation-law drift relative to the initial state are computed over
     the stored states.  ``Trajectory.stats`` counts the run's steps,
@@ -454,7 +460,7 @@ def simulate(
         if steps >= MAX_STEPS:
             raise IntegrationError(f"exceeded {MAX_STEPS} steps at t={t}")
         steps += 1
-        if h < _H_FLOOR:
+        if t + h == t:
             raise IntegrationError(f"step size underflow at t={t}")
         h = min(h, remaining)
 
@@ -551,44 +557,58 @@ def write_trajectory_csv(traj: Trajectory, names: Sequence[str], fh) -> None:
         fh.write(",".join(row) + "\n")
 
 
+def _tree_constants(q: np.ndarray) -> np.ndarray:
+    """Stationary vector, ``pi[0] = 1``, of the irreducible rate matrix q.
+
+    ``q[i, j]`` is the rate i -> j.  GTH elimination (Grassmann, Taksar &
+    Heyman 1985) uses only sums, products and quotients of nonnegative
+    numbers, so each entry keeps a small relative error however far the
+    rates spread.  The diagonal of ``q`` is never read.
+    """
+    q = q.copy()
+    for k in range(len(q) - 1, 0, -1):
+        q[:k, k] /= q[k, :k].sum()
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k])
+    pi = np.ones(len(q))
+    for k in range(1, len(q)):
+        pi[k] = pi[:k] @ q[:k, k]
+    return pi
+
+
 def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
     """One positive state at which every complex's inflow equals its outflow.
 
-    Per linkage class, the kernel of the rate-weighted graph Laplacian on
-    the complexes is one-dimensional with a positive representative; matching
-    complex monomials to that kernel is then a linear solve in log space.
-    Requires weak reversibility and deficiency zero.
+    On each linkage class the complex monomials of such a state are
+    proportional to the tree constants of the class's rate matrix
+    ``q[source, product]`` (Matrix-Tree theorem); matching them is a linear
+    solve in log space.  Requires weak reversibility and deficiency zero.
+    Raises ``ConvergenceError`` when the rates spread so far that the
+    constants or the point leave the float range.
     """
     report = structure_report(net)
     if report.hypothesis_failures:
         raise HypothesesError("; ".join(report.hypothesis_failures))
     form = net.numeric
     n = len(net.complexes)
-    lap = np.zeros((n, n))
-    np.add.at(lap, (form.product, form.source), form.rates)
-    np.add.at(lap, (form.source, form.source), -form.rates)
+    q = np.zeros((n, n))
+    np.add.at(q, (form.source, form.product), form.rates)
     kappa = np.zeros(n)
-    for block in report.linkage_classes:
-        sel = np.ix_(block, block)
-        sub = lap[sel]
-        _, svals, vt = np.linalg.svd(sub)
-        v = vt[-1]
-        if v.sum() < 0:
-            v = -v
-        if np.min(v) <= 0:
-            raise ArithmeticError("Laplacian kernel vector is not strictly positive")
-        kappa[list(block)] = v / np.max(v)
-    l = len(report.linkage_classes)
-    indicator = np.zeros((n, l))
-    for b_idx, block in enumerate(report.linkage_classes):
-        indicator[list(block), b_idx] = 1.0
-    system = np.hstack([form.complex_matrix, -indicator])
-    solution, *_ = np.linalg.lstsq(system, np.log(kappa), rcond=None)
-    x_star = np.exp(solution[: net.num_species])
-    residual = complex_balance_residual(net, x_star)
-    if residual > 1e-9:
-        raise ArithmeticError(
-            f"complex balance residual {residual:.3e} (network may be inconsistent)"
+    indicator = np.zeros((n, len(report.linkage_classes)))
+    # Out of the float range the elimination gives inf, 0 or nan and exp
+    # gives inf or 0; the check below turns each into a typed error.
+    with np.errstate(all="ignore"):
+        for b_idx, block in enumerate(report.linkage_classes):
+            kappa[list(block)] = _tree_constants(q[np.ix_(block, block)])
+            indicator[list(block), b_idx] = 1.0
+        x_star = kappa
+        if kappa.min() > 0 and kappa.max() < math.inf:
+            system = np.hstack([form.complex_matrix, -indicator])
+            solution, *_ = np.linalg.lstsq(system, np.log(kappa), rcond=None)
+            x_star = np.exp(solution[: net.num_species])
+    if not (x_star.min() > 0 and x_star.max() < math.inf):
+        raise ConvergenceError(
+            "the complex-balanced point leaves the float range "
+            f"(rates span {form.rates.min():.3g} to {form.rates.max():.3g})"
         )
     return x_star
 
@@ -621,9 +641,7 @@ class EquilibriumResult:
         }
 
 
-# Newton stops once the gradient in reaction-span coordinates is below
-# _GRAD_TOL and raises ConvergenceError after _NEWTON_ITERATIONS steps.
-_GRAD_TOL = 1e-10
+# Newton raises ConvergenceError after _NEWTON_ITERATIONS steps.
 _NEWTON_ITERATIONS = 200
 
 
@@ -633,58 +651,39 @@ def find_equilibrium(
 ) -> EquilibriumResult:
     """Unique positive equilibrium in the compatibility class anchored at c.
 
-    Stage 1 produces a complex-balanced state ``x*``; stage 2 minimizes the
-    relative entropy against ``x*`` over the class by damped Newton in the
-    reaction-span coordinates, staying strictly positive.  The minimizer is
-    the class equilibrium.
+    Stage 1 gives a complex-balanced state ``x*``.  With C the conservation
+    basis, every ``x(mu) = x* * exp(C^T mu)`` is complex balanced and
+    positive by construction, and by Birch's theorem the class point
+    minimizes the strictly convex ``F(mu) = sum x(mu) - mu . C c``, whose
+    gradient ``C x(mu) - C c`` is the conservation residual.  Stage 2 runs
+    Newton on F from ``mu = 0`` and scales each step d by
+    ``t = min(1, 1 / |C^T d|_inf)``: for ``|s| <= 1``,
+    ``e^s - 1 <= s + (e - 2) s^2``, so F falls by at least ``0.28 t``
+    times the squared Newton decrement and no line search is needed.  It
+    stops once ``|C x - C c| <= 1e-12 |C| (c + x)`` componentwise, a bound
+    that covers the rounding of ``C x`` however large x grows.
     """
     anchor = np.asarray(c, dtype=float)
     if anchor.shape != (net.num_species,):
         raise ValueError("class anchor dimension differs from species count")
     if not (anchor.min() > 0 and anchor.max() < math.inf):
         raise ValueError("class anchor c must be entrywise positive and finite")
-    x_star = complex_balanced_point(net)
-    basis = stoichiometric_basis(net)
-    b_mat = np.array(basis.vectors, dtype=float).T
-    log_star = np.log(x_star)
-    alpha = np.zeros(b_mat.shape[1])
-    x = anchor.copy()
-    iterations = 0
-    for _ in range(_NEWTON_ITERATIONS + 1):
-        grad = b_mat.T @ (np.log(x) - log_star)
-        if float(np.max(np.abs(grad))) < _GRAD_TOL:
+    x = complex_balanced_point(net)
+    cons = np.array(conservation_basis(net).vectors, dtype=float).reshape(-1, net.num_species)
+    target = cons @ anchor
+    log_x = np.log(x)
+    for iterations in range(_NEWTON_ITERATIONS + 1):
+        gap = cons @ x - target
+        if np.all(np.abs(gap) <= 1e-12 * (np.abs(cons) @ (anchor + x))):
             break
-        iterations += 1
-        hess = (b_mat.T * (1.0 / x)) @ b_mat
-        step = np.linalg.solve(hess, -grad)
-        t_ls = 1.0
-        current = float(_relative_entropy(x, x_star))
-        for _ in range(60):
-            candidate = anchor + b_mat @ (alpha + t_ls * step)
-            if np.all(candidate > 1e-12) and _relative_entropy(
-                candidate, x_star
-            ) <= current + 1e-15 * (1.0 + abs(current)):
-                break
-            t_ls *= 0.5
-        else:
-            raise ConvergenceError("line search failed to find a positive descent step")
-        alpha = alpha + t_ls * step
-        x = anchor + b_mat @ alpha
-    else:
-        raise ConvergenceError(
-            f"Newton did not converge in {_NEWTON_ITERATIONS} iterations "
-            f"(gradient norm {np.max(np.abs(grad)):.3e})"
-        )
-
-    # One polish step: quadratic convergence makes the final gradient tiny.
-    grad = b_mat.T @ (np.log(x) - log_star)
-    if float(np.max(np.abs(grad))) > 0:
-        hess = (b_mat.T * (1.0 / x)) @ b_mat
-        step = np.linalg.solve(hess, -grad)
-        candidate = anchor + b_mat @ (alpha + step)
-        if np.all(candidate > 1e-12):
-            alpha = alpha + step
-            x = candidate
+        if iterations == _NEWTON_ITERATIONS:
+            raise ConvergenceError(
+                f"Newton did not converge in {_NEWTON_ITERATIONS} iterations "
+                f"(conservation residual {np.max(np.abs(gap)):.3e})"
+            )
+        move = cons.T @ np.linalg.solve((cons * x) @ cons.T, -gap)
+        log_x += min(1.0, 1.0 / float(np.max(np.abs(move)))) * move
+        x = np.exp(log_x)
 
     residual = float(np.max(np.abs(rhs(net, MASS_ACTION, x))))
     return EquilibriumResult(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -209,6 +210,41 @@ def test_equilibrium_matches_long_simulation(capsys):
     assert code == 0
     doc = json.loads(out)
     assert np.max(np.abs(np.array(doc["x_bar"]) - 1.0)) < 1e-9
+
+
+def test_simulate_rejects_empty_x0(capsys):
+    # an empty --x0 is a malformed state, not a request for a random one
+    code, out, err = run(capsys, "simulate", EX2, "--x0", "")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --x0 must be"), err
+
+
+def test_wide_rate_pair_equilibrium_and_simulate(tmp_path, capsys):
+    # equilibrium constant 1e8: x_A = 2 / (1 + 1e8)
+    path = tmp_path / "pair.crn"
+    path.write_text("A <-> B ; kf=1e4, kr=1e-4\n")
+    code, out, _ = run(capsys, "equilibrium", str(path), "--c", "1,1")
+    assert code == 0
+    assert abs(json.loads(out)["x_bar"][0] / (2.0 / (1.0 + 1e8)) - 1.0) < 1e-12
+    code, _, err = run(capsys, "simulate", str(path), "--x0", "1,1", "--t-end", "10")
+    assert code == 0
+    assert "final_V=" in err
+
+
+def test_rates_beyond_the_float_range_exit_1_without_warnings(tmp_path, capsys):
+    path = tmp_path / "pair.crn"
+    path.write_text("A <-> B ; kf=1e200, kr=1e-200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ("equilibrium", str(path), "--c", "1,1"),
+            ("simulate", str(path), "--x0", "1,1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "float range (rates span 1e-200 to 1e+200)" in err
 
 
 def test_equilibrium_refusal(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 The loop functions below are the straightforward per-reaction versions of the
 mass-action kernels.  The array versions keep the same arithmetic in the same
-order, so results must agree exactly, boundary states included.
+order, so results must agree exactly, boundary states included.  The
+complex-balanced point is held instead to exact tree constants built by loops
+over the reactions, to a relative tolerance.
 """
 
 import gc
@@ -25,6 +27,8 @@ from crncert import (
     structure_report,
 )
 from crncert.randomnet import random_cycle_network, random_network
+
+from conftest import exact_tree_constants
 
 
 def loop_arrays(net):
@@ -65,46 +69,12 @@ def loop_jacobian(net, x):
     return jac
 
 
-def loop_laplacian(net):
-    n = len(net.complexes)
-    idx = net.complex_index
-    lap = np.zeros((n, n))
-    for r in net.reactions:
-        j = idx[r.source]
-        i = idx[r.product]
-        lap[i, j] += r.rate
-        lap[j, j] -= r.rate
-    return lap
-
-
 def loop_complex_matrix(net):
     y = np.zeros((len(net.complexes), net.num_species))
     for row, c in enumerate(net.complexes):
         for i, k in c.terms:
             y[row, i] = k
     return y
-
-
-def loop_complex_balanced_point(net):
-    """Stage one of the equilibrium solver, built on the loop Laplacian."""
-    report = structure_report(net)
-    n = len(net.complexes)
-    lap = loop_laplacian(net)
-    kappa = np.zeros(n)
-    for block in report.linkage_classes:
-        _, _, vt = np.linalg.svd(lap[np.ix_(block, block)])
-        v = vt[-1]
-        if v.sum() < 0:
-            v = -v
-        if np.min(v) <= 0:
-            raise ArithmeticError("Laplacian kernel vector is not strictly positive")
-        kappa[list(block)] = v / np.max(v)
-    indicator = np.zeros((n, len(report.linkage_classes)))
-    for b_idx, block in enumerate(report.linkage_classes):
-        indicator[list(block), b_idx] = 1.0
-    system = np.hstack([loop_complex_matrix(net), -indicator])
-    solution, *_ = np.linalg.lstsq(system, np.log(kappa), rcond=None)
-    return np.exp(solution[: net.num_species])
 
 
 def loop_complex_balance_residual(net, x):
@@ -154,19 +124,21 @@ def test_jacobian_exact_at_the_origin():
     assert np.all(np.isfinite(jac))
 
 
-def test_complex_balanced_point_equals_loop_reference():
+def test_complex_balanced_point_matches_exact_tree_constants():
+    # x*^y_i / kappa_i is one constant on each linkage class exactly when x*
+    # is complex balanced; kappa here is exact, so the gap is x*'s own error.
     rng = np.random.default_rng(29)
     checked = 0
     for _ in range(120):
         net = random_cycle_network(rng)
         if structure_report(net).deficiency != 0:
             continue
-        try:
-            expected = loop_complex_balanced_point(net)
-        except ArithmeticError:
-            continue
+        kappa = exact_tree_constants(net)
         x_star = complex_balanced_point(net)
-        assert np.array_equal(x_star, expected)
+        monomials = np.prod(x_star ** loop_complex_matrix(net), axis=1)
+        for block in structure_report(net).linkage_classes:
+            ratios = [monomials[i] / float(kappa[i]) for i in block]
+            assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
         assert complex_balance_residual(net, x_star) == loop_complex_balance_residual(net, x_star)
         checked += 1
     assert checked >= 80
