@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -273,3 +274,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["overall"] == "GLOBALLY_STABLE"
+
+
+def test_the_program_runs_on_numpy_alone():
+    # scipy, sympy, networkx and mpmath are test-only oracles: certifying,
+    # solving for the equilibrium and simulating must import none of them.
+    script = f"""
+import sys
+import crncert
+import crncert.cli
+for argv in (["certify"], ["equilibrium", "--c", "1,1,1,1,1"], ["simulate", "--t-end", "5"]):
+    assert crncert.cli.main([argv[0], {EX1!r}, *argv[1:], "--out", {os.devnull!r}]) == 0
+oracles = {{"scipy", "sympy", "networkx", "mpmath"}}
+print(sorted(name for name in sys.modules if name.split(".")[0] in oracles))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=NETWORKS.parent / "src",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

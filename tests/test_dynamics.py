@@ -429,7 +429,7 @@ def test_simulate_rejects_bad_reference(ex2):
 @pytest.mark.parametrize(
     "text, x0",
     [
-        ("2A -> 3A ; k=1e10", 1e100),  # the first step is already under the floor
+        ("2A -> 3A ; k=1e10", 1e100),  # x = 1e100 / (1 - 1e110 t) blows up at t = 1e-110
         ("2A -> 3A ; k=1", 10.0),  # x = 10 / (1 - 10 t) blows up at t = 0.1
     ],
 )
@@ -469,7 +469,7 @@ def test_step_budget_counts_the_attempts_of_both_steppers(monkeypatch):
     net = parse_network(STIFF_PAIR)
     stats = simulate(net, MASS_ACTION, [1.0, 0.5, 2.0], 100.0).stats
     attempts = (
-        stats.fehlberg_steps + stats.rosenbrock_steps + stats.rejected_error
+        stats.explicit_steps + stats.rosenbrock_steps + stats.rejected_error
         + stats.rejected_positivity
     )
     budget = attempts - 5
@@ -484,16 +484,17 @@ def test_step_budget_counts_the_attempts_of_both_steppers(monkeypatch):
 @pytest.mark.parametrize(
     "text, x0",
     [
-        ("A + 2B -> 0 ; k=10\n0 -> B ; k=2\n0 -> A ; k=1", [0.3, 0.3]),
-        ("A + B -> 2B ; k=10\nB -> 0 ; k=1\n0 -> A ; k=1", [100.0, 10.0]),
+        ("0 -> A + 2B ; k=2\nA + B -> A ; k=10", [0.2, 0.3]),
+        ("A + B -> 2B ; k=10\nB -> 0 ; k=1\n0 -> A ; k=1", [0.6, 5.5]),
     ],
 )
 def test_simulate_rejects_a_non_positive_proposal(monkeypatch, text, x0):
-    # At these loose tolerances a Fehlberg step keeps every stage positive
-    # while its fifth-order combination dips below zero, before the step is
-    # long enough to hand the run to the stable stepper; such a proposal
-    # must be rejected, so every stored state stays positive.
-    outcomes = _step_outcomes(monkeypatch, "_fehlberg_step")
+    # At these loose tolerances a DOP853 step keeps every stage nonnegative
+    # while its eighth-order combination dips below zero, with an error
+    # estimate small enough to accept it; only the sign test rejects such a
+    # proposal, so every stored state stays positive.  (Cases from a seeded
+    # search over small networks; a few percent off x0, a stage dips first.)
+    outcomes = _step_outcomes(monkeypatch, "_dop853_step")
     traj = simulate(parse_network(text), MASS_ACTION, x0, 10.0, rtol=0.1, atol=0.1)
     assert "proposal" in outcomes
     assert np.all(traj.states > 0)
@@ -518,7 +519,7 @@ def test_positivity_rejections_also_switch_to_the_stable_stepper():
     traj = simulate(net, MASS_ACTION, [2.0, 0.5, 1.0, 0.01], 10.0, rtol=0.3, atol=0.3)
     stats = traj.stats
     assert stats.switch_time is not None
-    assert stats.fehlberg_steps + stats.rosenbrock_steps == len(traj) - 1 <= 50
+    assert stats.explicit_steps + stats.rosenbrock_steps == len(traj) - 1 <= 50
     assert np.all(traj.states > 0)
     assert traj.times[-1] == 10.0
 
@@ -572,11 +573,19 @@ def test_stiff_pair_reaches_t100_in_few_steps():
     x0 = np.array([1.0, 0.5, 2.0])
     traj = simulate(net, MASS_ACTION, x0, 100.0)
     assert traj.stats.switch_time is not None
-    assert traj.stats.rosenbrock_steps + traj.stats.fehlberg_steps == len(traj) - 1 <= 150
+    assert traj.stats.rosenbrock_steps + traj.stats.explicit_steps == len(traj) - 1 <= 150
     oracle = solve_ivp(_loop_rhs(net), (0.0, 100.0), x0, method="Radau", rtol=1e-10, atol=1e-12)
     assert oracle.success
     expected = oracle.y[:, -1]
     assert np.max(np.abs(traj.states[-1] - expected) / np.abs(expected)) < 1e-6
+
+
+def test_simulate_ends_at_a_tiny_t_end():
+    # The relaxation time is 5e-21, so the run settles well before 1e-15.
+    net = parse_network("A <-> B ; kf=1e20, kr=1e20")
+    traj = simulate(net, MASS_ACTION, [2.0, 0.5], 1e-15)
+    assert traj.times[-1] == 1e-15
+    assert np.max(np.abs(traj.states[-1] - [1.25, 1.25])) < 1e-6
 
 
 def test_long_horizon_stores_few_states(ab):
@@ -586,22 +595,46 @@ def test_long_horizon_stores_few_states(ab):
     assert np.max(np.abs(traj.states[-1] - [2.0, 1.0])) < 1e-8
 
 
-def test_stats_count_the_run(ab):
+def test_stats_count_the_run(ab, ex1):
     names = [
-        "fehlberg_steps", "rosenbrock_steps", "rejected_error", "rejected_positivity",
+        "explicit_steps", "rosenbrock_steps", "rejected_error", "rejected_positivity",
         "rhs_evaluations", "jacobian_evaluations", "switch_time",
     ]
     assert [f.name for f in dataclasses.fields(dynamics.IntegrationStats)] == names
     short = simulate(ab, MASS_ACTION, [1.0, 2.0], 1.0).stats
     assert short.switch_time is None
     assert short.rosenbrock_steps == short.jacobian_evaluations == 0
-    # Six evaluations per accepted Fehlberg step, the first stage of each
-    # step being the last evaluation of the one before.
-    assert short.rhs_evaluations == 1 + 6 * short.fehlberg_steps + 5 * short.rejected_error
+    rejecting = simulate(ex1, MASS_ACTION, np.linspace(0.5, 1.5, 5), 5.0).stats
+    assert rejecting.switch_time is None and rejecting.rejected_positivity == 0
+    assert rejecting.rejected_error > 0
+    # Twelve evaluations per accepted DOP853 step, the first stage of each
+    # step being the last evaluation of the one before; a step rejected for
+    # its error costs eleven, as it never evaluates f at its proposal.
+    for run in (short, rejecting):
+        assert run.rhs_evaluations == 1 + 12 * run.explicit_steps + 11 * run.rejected_error
     stats = simulate(parse_network(STIFF_PAIR), MASS_ACTION, [1.0, 0.5, 2.0], 1.0).stats
     assert 0 < stats.switch_time < 1.0
-    assert stats.fehlberg_steps > 0 and stats.rosenbrock_steps > 0
+    assert stats.explicit_steps > 0 and stats.rosenbrock_steps > 0
     assert stats.jacobian_evaluations >= stats.rosenbrock_steps
+
+
+def test_dop853_tableau():
+    # Frozen copies of Hairer's coefficients; scipy holds the same ones.
+    from scipy.integrate._ivp import dop853_coefficients as oracle
+
+    a = np.zeros((12, 12))
+    a[:, :11] = dynamics._DOP_A
+    assert np.array_equal(a, oracle.A[:12, :12])
+    weights, e5, e3 = dynamics._DOP_B
+    assert np.array_equal(weights, oracle.B)
+    assert np.array_equal(e5, oracle.E5[:12]) and oracle.E5[12] == 0.0
+    assert np.array_equal(e3, oracle.E3[:12]) and oracle.E3[12] == 0.0
+    # Quadrature conditions of order 8 at the nodes c = A 1, and error rows
+    # that vanish on constant stages.
+    c = a.sum(axis=1)
+    for k in range(8):
+        assert abs(weights @ c**k - 1 / (k + 1)) < 1e-14
+    assert abs(e5.sum()) < 1e-15 and abs(e3.sum()) < 1e-15
 
 
 def _rosenbrock_tableau():
