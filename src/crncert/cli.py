@@ -1,7 +1,8 @@
 """Command line front end: analyze, certify, simulate, equilibrium.
 
 Exit codes: 0 success (certified where applicable), 2 valid input whose
-network fails the certification or equilibrium hypotheses, 1 any error.
+network fails the certification or equilibrium hypotheses, 1 any error,
+a usage error included.
 JSON documents carry ``"schema": "crn-cert/2"``.  A ``certify`` document
 holds one verdict per minimal semi-locking set, and has no ``"siphons"``
 key when a hypothesis fails, since siphons are then not enumerated.
@@ -186,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "not certified".
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -1,9 +1,10 @@
 """Numerical dynamics: kinetics, Lyapunov monitoring, integration, equilibria.
 
 The structural modules are exact; this one is deliberately floating point.
-Rates follow the monomial law (absent species contribute a factor 1, i.e.
-``0**0 == 1``), or the generalized form where every concentration first
-passes through a per-species monotone map ``theta``.
+Every rate is a monomial in ``u = theta(x)`` (absent species contribute a
+factor 1, i.e. ``0**0 == 1``), ``theta`` being the identity for mass action
+and a per-species monotone map for generalized kinetics.  So each numeric
+routine has one path, and the Jacobians scale by ``d theta / dx``.
 
 :func:`simulate` integrates with the explicit Dormand-Prince 8(5,3) pair
 DOP853 until a rejected step shows that stability, not accuracy, holds the
@@ -82,10 +83,38 @@ def generalized_kinetics(
 
 
 def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
-    if kinetics.is_mass_action:
+    if kinetics.theta is None:
         return x
-    assert kinetics.theta is not None
     return np.array([th(float(v)) for th, v in zip(kinetics.theta, x)])
+
+
+def _slopes(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray | float:
+    """``d theta_j / d x_j`` at x, by which the chain rule scales column j.
+
+    Mass action gives 1.0, which changes no bit; generalized kinetics take
+    central quotients with ``h = 1e-6 max(1, |x_j|)``, forward ones where
+    ``x_j - h < 0``, so theta never sees a negative argument.
+    """
+    if kinetics.theta is None:
+        return 1.0
+    slopes = np.empty(x.size)
+    for j, (th, v) in enumerate(zip(kinetics.theta, x.tolist())):
+        h = 1e-6 * max(1.0, abs(v))
+        if v - h >= 0:
+            slopes[j] = (th(v + h) - th(v - h)) / (2 * h)
+        else:
+            slopes[j] = (th(v + h) - th(v)) / h
+    return slopes
+
+
+def _checked(x: Sequence[float], m: int, name: str, positive: bool) -> np.ndarray:
+    """x as a float vector of m finite entries, each positive or nonnegative."""
+    arr = np.asarray(x, dtype=float)
+    low = arr > 0 if positive else arr >= 0
+    if arr.shape != (m,) or not np.all(low & (arr < math.inf)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be entrywise {sign} and finite, one entry per species ({m})")
+    return arr
 
 
 def _fluxes(form: NumericForm, u: np.ndarray) -> np.ndarray:
@@ -95,7 +124,8 @@ def _fluxes(form: NumericForm, u: np.ndarray) -> np.ndarray:
 
 def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Per-reaction fluxes at state x (monomials in the transformed state)."""
-    return _fluxes(net.numeric, _transformed(np.asarray(x, dtype=float), kinetics))
+    arr = _checked(x, net.num_species, "state", positive=False)
+    return _fluxes(net.numeric, _transformed(arr, kinetics))
 
 
 def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
@@ -104,53 +134,27 @@ def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.
     Boundary states are allowed; a flux with any required input at zero is
     zero, and species absent from a source contribute a factor 1.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (net.num_species,):
-        raise ValueError("state dimension differs from species count")
-    if not (arr.min() >= 0 and arr.max() < math.inf):
-        raise ValueError("state must be entrywise nonnegative and finite")
-    return reaction_rates(net, kinetics, arr) @ net.numeric.stoichiometry
+    return reaction_rates(net, kinetics, x) @ net.numeric.stoichiometry
 
 
 def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Derivative matrix of :func:`rhs` at x.
 
-    Mass action uses exact monomial differentiation (valid on the boundary);
-    generalized kinetics falls back to central differences since the theta
-    handles carry no derivative information.
+    Exact monomial differentiation in ``u = theta(x)``, valid on the
+    boundary, times ``d theta_j / d x_j`` on column j (the chain rule).
     """
-    arr = np.asarray(x, dtype=float)
-    m = net.num_species
-    if arr.shape != (m,):
-        raise ValueError("state dimension differs from species count")
-    if not (arr.min() >= 0 and arr.max() < math.inf):
-        raise ValueError("state must be entrywise nonnegative and finite")
-    if not kinetics.is_mass_action:
-        return _jacobian_fd(net, kinetics, arr)
+    arr = _checked(x, net.num_species, "state", positive=False)
+    u = _transformed(arr, kinetics)
+    m = arr.size
     form = net.numeric
     e = form.exponents
-    # factors[r, j] is the monomial of reaction r with x_j**e replaced by
-    # e * x_j**(e - 1); clipping e - 1 at 0 keeps x_j = 0 exact (0**0 == 1).
-    factors = np.repeat((arr**e)[:, None, :], m, axis=1)
-    factors[:, range(m), range(m)] = e * arr ** np.maximum(e - 1.0, 0.0)
+    # factors[r, j] is the monomial of reaction r with u_j**e replaced by
+    # e * u_j**(e - 1); clipping e - 1 at 0 keeps u_j = 0 exact (0**0 == 1).
+    factors = np.repeat((u**e)[:, None, :], m, axis=1)
+    factors[:, range(m), range(m)] = e * u ** np.maximum(e - 1.0, 0.0)
     grad = np.where(e != 0.0, form.rates[:, None] * np.prod(factors, axis=2), 0.0)
-    return np.sum(grad[:, None, :] * form.stoichiometry[:, :, None], axis=0, initial=0.0)
-
-
-def _jacobian_fd(net: ReactionNetwork, kinetics: KineticsSpec, x: np.ndarray) -> np.ndarray:
-    m = x.size
-    jac = np.zeros((m, m))
-    for j in range(m):
-        h = 1e-6 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        if x[j] - h >= 0:
-            xm = x.copy()
-            xm[j] -= h
-            jac[:, j] = (rhs(net, kinetics, xp) - rhs(net, kinetics, xm)) / (2 * h)
-        else:
-            jac[:, j] = (rhs(net, kinetics, xp) - rhs(net, kinetics, x)) / h
-    return jac
+    jac = np.sum(grad[:, None, :] * form.stoichiometry[:, :, None], axis=0, initial=0.0)
+    return jac * _slopes(arr, kinetics)
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -195,29 +199,21 @@ def lyapunov(
 ) -> tuple[float, np.ndarray]:
     """Relative-entropy Lyapunov value and gradient at x for reference x_bar.
 
-    Mass action: ``sum x_i (ln x_i - ln xbar_i - 1) + xbar_i`` with gradient
-    ``ln x_i - ln xbar_i``.  Generalized kinetics integrates
-    ``ln theta_i(s) - ln theta_i(xbar_i)`` from ``xbar_i`` to ``x_i`` by
-    adaptive Simpson quadrature.
+    The gradient is ``ln u_i - ln ubar_i`` with ``u = theta(x)``.  The value
+    is ``sum x_i (ln x_i - ln xbar_i - 1) + xbar_i`` for mass action;
+    generalized kinetics integrate ``ln theta_i(s) - ln theta_i(xbar_i)``
+    from ``xbar_i`` to ``x_i`` by adaptive Simpson quadrature.
     """
-    xa = np.asarray(x, dtype=float)
-    xb = np.asarray(x_bar, dtype=float)
-    if np.any(xa <= 0) or np.any(xb <= 0):
-        raise ValueError("lyapunov arguments must be entrywise positive")
+    xb = _checked(x_bar, np.size(x_bar), "x_bar", positive=True)
+    xa = _checked(x, xb.size, "x", positive=True)
+    log_ub = np.log(_transformed(xb, kinetics))
+    grad = np.log(_transformed(xa, kinetics)) - log_ub
     if kinetics.is_mass_action:
-        return float(_relative_entropy(xa, xb)), np.log(xa) - np.log(xb)
+        return float(_relative_entropy(xa, xb)), grad
     assert kinetics.theta is not None
     value = 0.0
-    grad = np.zeros_like(xa)
-    for i, th in enumerate(kinetics.theta):
-        rho_bar = math.log(th(float(xb[i])))
-        value += _adaptive_simpson(
-            lambda s, th=th, rb=rho_bar: math.log(th(s)) - rb,
-            float(xb[i]),
-            float(xa[i]),
-            _QUAD_TOL,
-        )
-        grad[i] = math.log(th(float(xa[i]))) - rho_bar
+    for th, rb, lo, hi in zip(kinetics.theta, log_ub.tolist(), xb.tolist(), xa.tolist()):
+        value += _adaptive_simpson(lambda s, th=th, rb=rb: math.log(th(s)) - rb, lo, hi, _QUAD_TOL)
     return value, grad
 
 
@@ -228,8 +224,8 @@ class IntegrationStats:
     ``switch_time`` is the time at which the run handed over from the
     explicit DOP853 stepper to the implicit Rosenbrock one, ``None`` when
     it never did.  Rejections count the attempts of both steppers;
-    ``rhs_evaluations`` counts the steppers' evaluations of the vector
-    field, not those of a difference-quotient Jacobian.
+    ``rhs_evaluations`` counts every evaluation of the vector field, as
+    the Jacobian evaluates none.
     """
 
     explicit_steps: int
@@ -420,11 +416,11 @@ def simulate(
     accuracy, and the run switches, once, to the L-stable Rosenbrock pair
     RODAS4, which inverts ``W = I / (h gamma) - J`` once per step, and
     retries the step with it.  Accepted DOP853 steps cost no Jacobian.  J is
-    exact for mass action and central differences otherwise.  Each stepper
-    fills the rows of one preallocated stage array and applies its tableau
-    as matrix products.  Inputs are validated once, here; inside the loop
-    the kinetics are evaluated straight from ``net.numeric`` (generalized
-    kinetics through :func:`reaction_rates`).  Other steps whose stages or
+    the exact derivative in ``u = theta(x)`` times the slopes of theta, as
+    in :func:`jacobian`.  Each stepper fills the rows of one preallocated
+    stage array and applies its tableau as matrix products.  Inputs are
+    validated once, here; inside the loop the kinetics are evaluated
+    straight from ``net.numeric``.  Other steps whose stages or
     proposed state leave the positive orthant are retried at half the step;
     a non-finite error estimate or a singular W aborts the run, as does a
     step too small to advance t or more than ``MAX_STEPS`` attempts of the
@@ -434,11 +430,7 @@ def simulate(
     drift relative to the initial state are computed over the stored states.
     ``Trajectory.stats`` counts the run's steps, rejections and evaluations.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (net.num_species,):
-        raise ValueError("initial state dimension differs from species count")
-    if not (x.min() > 0 and x.max() < math.inf):
-        raise ValueError("initial state x0 must be entrywise positive and finite")
+    x = _checked(x0, net.num_species, "initial state x0", positive=True)
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     for name, tol in (("rtol", rtol), ("atol", atol)):
@@ -446,34 +438,22 @@ def simulate(
             raise ValueError(f"{name} must be nonnegative and finite")
     if rtol == atol == 0:
         raise ValueError("atol must be positive when rtol is 0")
-    ref = None if x_ref is None else np.asarray(x_ref, dtype=float)
-    if ref is not None and not (ref.shape == x.shape and ref.min() > 0 and ref.max() < math.inf):
-        raise ValueError("reference state x_ref must be entrywise positive and finite")
+    ref = None if x_ref is None else _checked(x_ref, x.size, "reference state x_ref", positive=True)
 
     form = net.numeric
     stoichiometry = form.stoichiometry
     evaluations = 0
-    if kinetics.is_mass_action:
 
-        def f(state: np.ndarray) -> np.ndarray:
-            nonlocal evaluations
-            evaluations += 1
-            return _fluxes(form, state) @ stoichiometry
+    def f(state: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
+        return _fluxes(form, _transformed(state, kinetics)) @ stoichiometry
 
-        def jac(state: np.ndarray) -> np.ndarray:
-            # Exact at a positive state: d flux_r / d x_j = flux_r * e_rj / x_j.
-            # Column j is divided by x_j last, so a tiny x_j cannot overflow.
-            return (stoichiometry.T * _fluxes(form, state)) @ form.exponents / state
-
-    else:
-
-        def f(state: np.ndarray) -> np.ndarray:
-            nonlocal evaluations
-            evaluations += 1
-            return reaction_rates(net, kinetics, state) @ stoichiometry
-
-        def jac(state: np.ndarray) -> np.ndarray:
-            return _jacobian_fd(net, kinetics, state)
+    def jac(state: np.ndarray) -> np.ndarray:
+        # Exact at a positive state: d flux_r / d u_j = flux_r * e_rj / u_j.
+        # Column j is divided by u_j last, so a tiny u_j cannot overflow.
+        u = _transformed(state, kinetics)
+        return (stoichiometry.T * _fluxes(form, u)) @ form.exponents / u * _slopes(state, kinetics)
 
     size = x.size
     stages = np.empty((12, size))
@@ -703,11 +683,7 @@ def find_equilibrium(
     stops once ``|C x - C c| <= 1e-12 |C| (c + x)`` componentwise, a bound
     that covers the rounding of ``C x`` however large x grows.
     """
-    anchor = np.asarray(c, dtype=float)
-    if anchor.shape != (net.num_species,):
-        raise ValueError("class anchor dimension differs from species count")
-    if not (anchor.min() > 0 and anchor.max() < math.inf):
-        raise ValueError("class anchor c must be entrywise positive and finite")
+    anchor = _checked(c, net.num_species, "class anchor c", positive=True)
     x = complex_balanced_point(net)
     cons = np.array(conservation_basis(net).vectors, dtype=float).reshape(-1, net.num_species)
     target = cons @ anchor

@@ -5,6 +5,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from crncert.cli import main
 
@@ -170,6 +171,21 @@ def test_nonfinite_and_nonpositive_flags_exit_1(capsys):
         assert code == 1, argv
         assert out == ""
         assert err.startswith(f"error: {flag} must be"), err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("certify", EX1, "--bogus"), 1),
+        (("simulate", EX2, "--t-end", "abc"), 1),
+        (("certify",), 1),
+        (("certify", "--help"), 0),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, code):
+    # argparse exits 2 on a usage error, which would read as "not certified";
+    # --help still exits 0.
+    assert run(capsys, *argv)[0] == code
 
 
 def test_simulate_without_hypotheses_has_nan_lyapunov(tmp_path, capsys):

@@ -21,6 +21,7 @@ from crncert import (
     lyapunov,
     parse_network,
     persistence_margin,
+    reaction_rates,
     rhs,
     simulate,
     stoichiometric_basis,
@@ -51,10 +52,12 @@ def test_rhs_locked_at_zero(ex3):
 
 
 def test_rhs_rejects_negative(ab):
-    for bad in ([-0.1, 1.0], [math.nan, 1.0], [1.0, math.inf]):
-        for f in (rhs, jacobian):
+    for bad in ([-0.1, 1.0], [math.nan, 1.0], [1.0, math.inf], [1.0], [1.0, 1.0, 1.0]):
+        for f in (rhs, jacobian, reaction_rates):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 f(ab, MASS_ACTION, bad)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            complex_balance_residual(ab, bad)
 
 
 def test_lyapunov_examples():
@@ -64,8 +67,16 @@ def test_lyapunov_examples():
     v, g = lyapunov([math.e, 1.0], [1.0, 1.0])
     assert abs(v - 1.0) < 1e-14
     assert np.allclose(g, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        lyapunov([0.0, 1.0], [1.0, 1.0])
+    for x, x_bar in (
+        ([0.0, 1.0], [1.0, 1.0]),
+        ([math.nan, 1.0], [1.0, 1.0]),
+        ([math.inf, 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, -1.0]),
+        ([1.0, 1.0, 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, 1.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="must be entrywise positive and finite"):
+            lyapunov(x, x_bar)
 
 
 def test_lyapunov_gradient_matches_finite_differences():
@@ -222,6 +233,16 @@ def test_generalized_jacobian_fd_matches_analytic(ex2):
         fd = jacobian(ex2, gk, x)
         analytic = jacobian(ex2, MASS_ACTION, x)
         assert np.max(np.abs(fd - analytic)) < 1e-5
+    # The chain rule: the mass-action Jacobian at theta(x) times the exact
+    # theta'(v) = 1 / (1 + v)**2 + 0.1 on each column.  At a zero entry the
+    # slope is a forward quotient.
+    gk = generalized_kinetics(_saturating, 3)
+    states = [rng.uniform(0.3, 2.0, size=3) for _ in range(5)]
+    states += [np.array(x) for x in ([0.0, 0.0, 1.5], [0.0, 0.8, 2.0], [1e-7, 0.5, 0.0])]
+    for x in states:
+        analytic = jacobian(ex2, MASS_ACTION, _saturating(x)) * (1.0 / (1.0 + x) ** 2 + 0.1)
+        error = np.max(np.abs(jacobian(ex2, gk, x) - analytic))
+        assert error <= 1e-5 * np.max(np.abs(analytic))
 
 
 def test_complex_balance_at_stage_one_point(ex1, ex2, ex3):
@@ -403,7 +424,7 @@ def _step_outcomes(monkeypatch, stepper="_rosenbrock_step"):
 def test_rosenbrock_steps_leaving_the_orthant_are_rejected(monkeypatch):
     # The fast binding makes the run switch early; at loose tolerances the
     # Rosenbrock stages then leave the orthant, and the rate law (and the
-    # difference-quotient Jacobian) must never see a negative state.
+    # difference quotients of the Jacobian) must never see a negative state.
     def nonnegative_identity(v):
         if v < 0:
             raise AssertionError(f"rate law evaluated at {v}")
@@ -524,15 +545,16 @@ def test_positivity_rejections_also_switch_to_the_stable_stepper():
     assert traj.times[-1] == 10.0
 
 
-def _loop_rhs(net):
-    """Mass-action vector field built reaction by reaction, sharing no code with crncert."""
+def _loop_rhs(net, theta=lambda v: v):
+    """Vector field of theta-monomials, built reaction by reaction, sharing no code with crncert."""
 
     def f(t, y):
+        u = [theta(v) for v in y]
         dy = np.zeros(len(y))
         for r in net.reactions:
             flux = r.rate
             for i, k in r.source.terms:
-                flux *= y[i] ** k
+                flux *= u[i] ** k
             for i, k in r.source.terms:
                 dy[i] -= k * flux
             for i, k in r.product.terms:
@@ -567,17 +589,22 @@ def test_simulate_matches_radau_oracle(ex1, ex2, ex3):
 
 def test_stiff_pair_reaches_t100_in_few_steps():
     # The explicit stepper alone needs about 5,400 steps per unit of time here.
+    # Under the saturating theta the Rosenbrock steps use the chain-rule Jacobian.
     from scipy.integrate import solve_ivp
 
     net = parse_network(STIFF_PAIR)
     x0 = np.array([1.0, 0.5, 2.0])
-    traj = simulate(net, MASS_ACTION, x0, 100.0)
-    assert traj.stats.switch_time is not None
-    assert traj.stats.rosenbrock_steps + traj.stats.explicit_steps == len(traj) - 1 <= 150
-    oracle = solve_ivp(_loop_rhs(net), (0.0, 100.0), x0, method="Radau", rtol=1e-10, atol=1e-12)
-    assert oracle.success
-    expected = oracle.y[:, -1]
-    assert np.max(np.abs(traj.states[-1] - expected) / np.abs(expected)) < 1e-6
+    saturating = generalized_kinetics(_saturating, 3)
+    for kinetics, theta in ((MASS_ACTION, lambda v: v), (saturating, _saturating)):
+        traj = simulate(net, kinetics, x0, 100.0)
+        assert traj.stats.switch_time is not None
+        assert traj.stats.rosenbrock_steps + traj.stats.explicit_steps == len(traj) - 1 <= 150
+        oracle = solve_ivp(
+            _loop_rhs(net, theta), (0.0, 100.0), x0, method="Radau", rtol=1e-10, atol=1e-12
+        )
+        assert oracle.success
+        expected = oracle.y[:, -1]
+        assert np.max(np.abs(traj.states[-1] - expected) / np.abs(expected)) < 1e-6
 
 
 def test_simulate_ends_at_a_tiny_t_end():

@@ -14,7 +14,7 @@ TRACING = NETWORKS.parent / "crnbench" / "tracing.py"
 
 @pytest.mark.parametrize(
     "argv",
-    [["run_example_networks.py"], ["oracle_sweep.py", "5", "0"], ["cert_digest.py", "20", "0"]],
+    [["run_example_networks.py"], ["cert_digest.py", "20", "0"]],
 )
 def test_script_runs(argv):
     # the scripts import crncert's public names, so a pruned name breaks them here
