@@ -665,6 +665,19 @@ class EquilibriumResult:
 _NEWTON_ITERATIONS = 200
 
 
+def _binary_terms(laws: Sequence[Sequence[int]]) -> list[list[tuple[int, float]]]:
+    """Each integer law as (species, +-2^k) pairs, one per set bit of its weight.
+
+    ``x_j * 2^k`` is exact in floats, so ``math.fsum`` over these products
+    gives ``C x`` rounded once.
+    """
+    return [
+        [(j, math.copysign(2.0**k, w)) for j, w in enumerate(row)
+         for k in range(abs(w).bit_length()) if abs(w) >> k & 1]
+        for row in laws
+    ]
+
+
 def find_equilibrium(
     net: ReactionNetwork,
     c: Sequence[float],
@@ -681,15 +694,27 @@ def find_equilibrium(
     ``e^s - 1 <= s + (e - 2) s^2``, so F falls by at least ``0.28 t``
     times the squared Newton decrement and no line search is needed.  It
     stops once ``|C x - C c| <= 1e-12 |C| (c + x)`` componentwise, a bound
-    that covers the rounding of ``C x`` however large x grows.
+    that covers the rounding of ``C x`` however large x grows, then takes
+    one more full Newton step.  The bound is loose for a species that is
+    small beside the others in its conservation laws (its relative error
+    may still be 1e-9); Newton's quadratic convergence takes that final
+    step down to rounding.  The gap is summed exactly: a float sum
+    rounds each law on its own, by up to eps times its largest term, and
+    where laws cancel large species against each other that noise lands on
+    the small ones.
     """
     anchor = _checked(c, net.num_species, "class anchor c", positive=True)
     x = complex_balanced_point(net)
-    cons = np.array(conservation_basis(net).vectors, dtype=float).reshape(-1, net.num_species)
-    target = cons @ anchor
+    laws = conservation_basis(net).vectors
+    cons = np.array(laws, dtype=float).reshape(-1, net.num_species)
+    terms = _binary_terms(laws)
+    c_list = anchor.tolist()
     log_x = np.log(x)
     for iterations in range(_NEWTON_ITERATIONS + 1):
-        gap = cons @ x - target
+        x_list = x.tolist()
+        gap = np.array([
+            math.fsum([v for j, m in law for v in (x_list[j] * m, -c_list[j] * m)]) for law in terms
+        ])
         if np.all(np.abs(gap) <= 1e-12 * (np.abs(cons) @ (anchor + x))):
             break
         if iterations == _NEWTON_ITERATIONS:
@@ -699,6 +724,9 @@ def find_equilibrium(
             )
         move = cons.T @ np.linalg.solve((cons * x) @ cons.T, -gap)
         log_x += min(1.0, 1.0 / float(np.max(np.abs(move)))) * move
+        x = np.exp(log_x)
+    if len(cons):
+        log_x += cons.T @ np.linalg.solve((cons * x) @ cons.T, -gap)
         x = np.exp(log_x)
 
     residual = float(np.max(np.abs(rhs(net, MASS_ACTION, x))))

@@ -115,3 +115,16 @@ def wide_rate_cycles(draw):
 def test_log_uniform_rates_on_cycles_match_oracle(case):
     net, c = case
     assert_matches_oracle(net, c, 1e-10)
+
+
+@pytest.mark.parametrize("k2, k3, k4", [(10**1.25, 10**3.5, 1.0), (1.0, 1e5, 1e-3)])
+def test_small_species_beside_cancelling_large_ones_match_oracle(k2, k3, k4):
+    # The conservation basis holds S0 + S2 + S3 - S4, and S2, S4 settle
+    # 400 to 2e6 times larger than S0: the float sum of that law, or a stop
+    # at its 1e-12 bound without the final Newton step, misses S0 by 3e-10.
+    net = parse_network(
+        f"S0 -> S1 + S2 ; k=1\nS1 + S2 -> S1 + S3 ; k={k2!r}\n"
+        f"S1 + S3 -> S1 + 2S3 + S4 ; k={k3!r}\nS1 + 2S3 + S4 -> S0 ; k={k4!r}"
+    )
+    c = np.array([1.17061068, 0.56468202, 1.36891634, 1.90339209, 1.53171819])
+    assert_matches_oracle(net, c, 1e-10)
