@@ -83,8 +83,13 @@ def generalized_kinetics(
 
 
 def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
+    """u = theta(x); ``ValueError`` unless theta holds one map per entry of x."""
     if kinetics.theta is None:
         return x
+    if len(kinetics.theta) != x.size:
+        raise ValueError(
+            f"kinetics has {len(kinetics.theta)} theta maps for a state of {x.size} species"
+        )
     return np.array([th(float(v)) for th, v in zip(kinetics.theta, x)])
 
 

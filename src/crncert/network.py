@@ -54,6 +54,8 @@ class Complex:
     """Multiset of species, stored as sorted (index, multiplicity) pairs.
 
     Multiplicities are strictly positive; the empty complex is ``Complex(())``.
+    Complexes key the dictionaries and sets that index a network, so the
+    hash of ``terms`` is computed once, here, not on every lookup.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -67,6 +69,10 @@ class Complex:
                 raise ValueError("negative species index")
             if not 0 < k <= MAX_COEFF:
                 raise ValueError(f"multiplicity {k} out of range")
+        object.__setattr__(self, "_hash", hash(self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "Complex":
@@ -76,7 +82,7 @@ class Complex:
     def is_empty(self) -> bool:
         return not self.terms
 
-    @property
+    @cached_property
     def indices(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.terms)
 
@@ -152,18 +158,16 @@ class ReactionNetwork:
     @cached_property
     def complexes(self) -> tuple[Complex, ...]:
         """All source and product complexes, deduplicated, in first-appearance order."""
-        out: list[Complex] = []
-        seen: set[Complex] = set()
-        for r in self.reactions:
-            for c in (r.source, r.product):
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        return tuple(out)
+        return tuple(self.complex_index)
 
     @cached_property
     def complex_index(self) -> dict[Complex, int]:
-        return {c: i for i, c in enumerate(self.complexes)}
+        """Each complex's position in :attr:`complexes`."""
+        index: dict[Complex, int] = {}
+        for r in self.reactions:
+            index.setdefault(r.source, len(index))
+            index.setdefault(r.product, len(index))
+        return index
 
     @cached_property
     def numeric(self) -> NumericForm:
@@ -196,12 +200,22 @@ def reaction_vector(reaction: Reaction, num_species: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _parse_complex(text: str, line_no: int, col_base: int, index_of: dict[str, int], order: list[str]) -> Complex:
+def _parse_complex(
+    text: str, line_no: int, col_base: int, index_of: dict[str, int], parsed: dict[str, Complex]
+) -> Complex:
+    """The complex ``text`` denotes, parsed once per stripped text into ``parsed``.
+
+    New species enter ``index_of`` in order of first appearance.  A failed
+    parse raises and is never stored, so every error keeps its position.
+    """
     stripped = text.strip()
+    if stripped in parsed:
+        return parsed[stripped]
     if not stripped:
         raise ParseError("missing complex expression", line_no, col_base + 1)
     if stripped == "0":
-        return Complex(())
+        complex_ = parsed[stripped] = Complex(())
+        return complex_
     coeffs: dict[int, int] = {}
     offset = 0
     for part in text.split("+"):
@@ -215,13 +229,11 @@ def _parse_complex(text: str, line_no: int, col_base: int, index_of: dict[str, i
             raise ParseError("zero stoichiometric coefficient", line_no, col + 1)
         if coeff > MAX_COEFF:
             raise ParseError(f"stoichiometric coefficient {coeff} exceeds 32-bit range", line_no, col + 1)
-        if name not in index_of:
-            index_of[name] = len(order)
-            order.append(name)
-        idx = index_of[name]
+        idx = index_of.setdefault(name, len(index_of))
         coeffs[idx] = coeffs.get(idx, 0) + coeff
         offset += len(part) + 1
-    return Complex.from_dict(coeffs)
+    complex_ = parsed[stripped] = Complex.from_dict(coeffs)
+    return complex_
 
 
 def _parse_rate(text: str, line_no: int, col_base: int) -> float:
@@ -237,7 +249,7 @@ def _parse_rate(text: str, line_no: int, col_base: int) -> float:
 def parse_network(text: str) -> ReactionNetwork:
     """Parse network text into a validated :class:`ReactionNetwork`."""
     index_of: dict[str, int] = {}
-    order: list[str] = []
+    parsed: dict[str, Complex] = {}
     reactions: list[Reaction] = []
     seen_pairs: dict[tuple[Complex, Complex], int] = {}
 
@@ -259,8 +271,8 @@ def parse_network(text: str) -> ReactionNetwork:
             raise ParseError("more than one reaction arrow on a line", line_no, arrow_pos + len(arrow) + 1)
         lhs_text = head[:arrow_pos]
         rhs_text = head[arrow_pos + len(arrow) :]
-        source = _parse_complex(lhs_text, line_no, 0, index_of, order)
-        product = _parse_complex(rhs_text, line_no, arrow_pos + len(arrow), index_of, order)
+        source = _parse_complex(lhs_text, line_no, 0, index_of, parsed)
+        product = _parse_complex(rhs_text, line_no, arrow_pos + len(arrow), index_of, parsed)
         if source == product:
             raise ParseError("reaction source and product complexes are identical", line_no, 1)
 
@@ -290,7 +302,7 @@ def parse_network(text: str) -> ReactionNetwork:
 
     if not reactions:
         raise ParseError("no reactions found", max(1, text.count("\n") + 1))
-    species = tuple(Species(name, i) for i, name in enumerate(order))
+    species = tuple(Species(name, i) for i, name in enumerate(index_of))
     return ReactionNetwork(species, tuple(reactions))
 
 

@@ -8,7 +8,13 @@ or ``Fraction``.
 Canonical form used throughout the package: a subspace is represented by
 the reduced row echelon form of a spanning set, with every row scaled to
 integer entries of gcd 1 and positive leading entry.  Two spanning sets
-describe the same subspace iff their canonical bases are equal.
+describe the same subspace iff their canonical bases are equal.  A kernel
+basis is read off a matrix already in that form (``_kernel``), so a caller
+holding the reduced rows of a matrix needs only one more elimination, the
+one that puts the kernel vectors in canonical form.  No computed basis is
+checked again by a further elimination such as :func:`rank`: the
+canonical form can be checked entry by entry, as
+:class:`~crncert.structure.RationalBasis` does.
 
 That form is computed by Gauss-Jordan elimination over the integers: each
 row is scaled to integers once on entry and divided by the gcd of its
@@ -74,7 +80,7 @@ def _int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     for row in rows:
         if len(row) != len(rows[0]):
             raise ValueError(f"row of length {len(row)} in a matrix of {len(rows[0])} columns")
-        out.append(list(row) if all(type(v) is int for v in row) else list(integerize(row)))
+        out.append(list(row) if set(map(type, row)) <= {int} else list(integerize(row)))
     return out
 
 
@@ -92,8 +98,10 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[IntVec], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, len(m)):
+            if m[pivot_row][c]:
+                break
+        else:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         m[r] = _primitive(m[r] if m[r][c] > 0 else [-v for v in m[r]])
@@ -114,15 +122,12 @@ def canonical_basis(rows: Sequence[Sequence[Scalar]]) -> tuple[IntVec, ...]:
     return tuple(rref(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[IntVec, ...]:
-    """Canonical integer basis of the right kernel {x : rows @ x = 0}.
+def _kernel(reduced: Sequence[IntVec], pivots: Sequence[int], ncols: int) -> list[list[int]]:
+    """Integer kernel vectors of a reduced matrix, one per free column.
 
-    Every row must have exactly ``ncols`` entries.
+    ``reduced`` and ``pivots`` are as :func:`rref` returns them.  The vectors
+    span the kernel but are not yet in canonical form.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)} for a kernel in {ncols} columns")
-    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     vectors: list[list[int]] = []
     for fc in range(ncols):
@@ -136,7 +141,19 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[IntVec, ...
             if row[fc]:
                 v[pc] = -row[fc] * (scale // row[pc])
         vectors.append(v)
-    return canonical_basis(vectors)
+    return vectors
+
+
+def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[IntVec, ...]:
+    """Canonical integer basis of the right kernel {x : rows @ x = 0}.
+
+    Every row must have exactly ``ncols`` entries.
+    """
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} for a kernel in {ncols} columns")
+    reduced, pivots = rref(rows)
+    return canonical_basis(_kernel(reduced, pivots, ncols))
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

@@ -3,12 +3,17 @@
 Rates never enter here: linkage classes, weak reversibility, the
 stoichiometric subspace, conservation laws and the deficiency are all
 properties of the graph and of integer reaction vectors, computed by
-exact integer elimination.
+exact integer elimination.  One elimination of the reaction vectors gives
+the canonical basis of their span S, and its rows and pivots give the
+kernel, whose canonical form takes a second elimination: two per network.
+A :class:`RationalBasis` checks its canonical form entry by entry and runs
+no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import ratlin
 from .network import ReactionNetwork, reaction_vector
@@ -16,17 +21,35 @@ from .network import ReactionNetwork, reaction_vector
 
 @dataclass(frozen=True)
 class RationalBasis:
-    """Independent spanning set with exact integer entries (canonical form)."""
+    """Canonical integer basis of a subspace of Q^dimension.
+
+    The rows are the reduced row echelon form of the subspace (see
+    :mod:`crncert.ratlin`): each row has gcd 1 and a positive leading entry,
+    the leading entries sit in strictly increasing columns, and every other
+    row is zero in those columns.  Construction checks exactly this, which
+    implies independence, in time linear in the entries.
+    """
 
     dimension: int
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        leads: list[int] = []
         for v in self.vectors:
             if len(v) != self.dimension:
                 raise ValueError("basis vector length differs from ambient dimension")
-        if ratlin.rank(self.vectors) != len(self.vectors):
-            raise ValueError("basis vectors are not linearly independent")
+            first = next(filter(None, v), 0)
+            if first <= 0 or gcd(*v) != 1:
+                raise ValueError(f"basis vector {v} is not primitive with a positive leading entry")
+            lead = v.index(first)
+            if leads and lead <= leads[-1]:
+                raise ValueError("basis leading entries are not in strictly increasing columns")
+            leads.append(lead)
+        # A row is zero before its own leading column, so only later leads need a look.
+        for i, v in enumerate(self.vectors):
+            for c in leads[i + 1 :]:
+                if v[c]:
+                    raise ValueError(f"basis vector {v} is nonzero in another vector's leading column")
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -134,9 +157,9 @@ def _build_report(net: ReactionNetwork) -> StructureReport:
     """Compute the structure report; ``ReactionNetwork.structure`` keeps the result."""
     classes, weakly_reversible = _complex_graph(net)
     m = net.num_species
-    vectors = [reaction_vector(r, m) for r in net.reactions]
-    s_basis = RationalBasis(m, ratlin.canonical_basis(vectors))
-    cons = RationalBasis(m, ratlin.nullspace(s_basis.vectors, m))
+    reduced, pivots = ratlin.rref([reaction_vector(r, m) for r in net.reactions])
+    s_basis = RationalBasis(m, tuple(reduced))
+    cons = RationalBasis(m, ratlin.canonical_basis(ratlin._kernel(reduced, pivots, m)))
     n = len(net.complexes)
     l = len(classes)
     s = len(s_basis)

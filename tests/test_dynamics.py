@@ -60,6 +60,22 @@ def test_rhs_rejects_negative(ab):
             complex_balance_residual(ab, bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, kinetics: rhs(net, kinetics, [2.0, 1.0, 5.0]),
+        lambda net, kinetics: jacobian(net, kinetics, [2.0, 1.0, 5.0]),
+        lambda net, kinetics: reaction_rates(net, kinetics, [2.0, 1.0, 5.0]),
+        lambda net, kinetics: lyapunov([2.0, 1.0, 5.0], [1.0, 1.0, 1.0], kinetics),
+        lambda net, kinetics: simulate(net, kinetics, [2.0, 1.0, 5.0], 1.0),
+    ],
+    ids=["rhs", "jacobian", "reaction_rates", "lyapunov", "simulate"],
+)
+def test_theta_count_must_match_the_state(ex2, call):
+    with pytest.raises(ValueError, match="2 theta maps for a state of 3 species"):
+        call(ex2, generalized_kinetics(abs, 2))
+
+
 def test_lyapunov_examples():
     v, g = lyapunov([1.5, 0.2], [1.5, 0.2])
     assert v == 0.0

@@ -122,6 +122,27 @@ def test_parse_error_reports_line_number():
     assert exc.value.line == 2
 
 
+def test_a_complex_written_twice_is_parsed_once():
+    net = parse_network("A+B -> C ; k=1\nC ->  A + B ; k=2\nD -> A+B ; k=3")
+    spaced = parse_network("A + B -> C ; k=1\nC -> A + B ; k=2\nD -> A + B ; k=3")
+    assert net == spaced
+    assert net.species_names == spaced.species_names == ("A", "B", "C", "D")
+    assert len(net.complexes) == 3
+    # The same stripped text gives the same object, whatever the spacing around it.
+    assert net.reactions[2].product is net.reactions[0].source
+
+
+@pytest.mark.parametrize(
+    "bad, fragment, col",
+    [("$C", "unrecognized token", 10), ("0C", "zero stoichiometric coefficient", 10)],
+)
+def test_a_malformed_complex_written_twice_reports_its_first_line(bad, fragment, col):
+    text = f"A -> B ; k=1\nB -> A + {bad} ; k=1\nB -> A + {bad} ; k=2"
+    with pytest.raises(ParseError, match=fragment) as exc:
+        parse_network(text)
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
 def test_network_invariants_enforced():
     a, b = Species("A", 0), Species("B", 1)
     ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from crncert import (
     MASS_ACTION,
     Complex,
+    RationalBasis,
     Reaction,
     ReactionNetwork,
     Species,
@@ -189,7 +191,18 @@ def test_negative_deficiency_is_impossible_on_fixtures(ex1, ex2, ex3):
 def test_structure_is_built_once_per_network(monkeypatch):
     text = "A <-> B ; kf=1, kr=2\nB <-> C ; kf=3, kr=1"
     net = parse_network(text)
+    rref = ratlin.rref
+    calls = []
+
+    def counted_rref(rows):
+        calls.append(rows)
+        return rref(rows)
+
+    # One elimination gives S and the kernel; one more makes the kernel canonical.
+    monkeypatch.setattr(ratlin, "rref", counted_rref)
     report = structure_report(net)
+    assert len(calls) == 2
+    monkeypatch.undo()
     assert structure_report(net) is report is net.structure
     assert stoichiometric_basis(net) is report.s_basis
     assert conservation_basis(net) is report.conservation_basis
@@ -204,3 +217,29 @@ def test_structure_is_built_once_per_network(monkeypatch):
     monkeypatch.undo()
     # The report lives on the network object, not in a process-wide cache.
     assert parse_network(text).structure is not report
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        ((1, 0, 1), (2, 0, 2)),  # dependent
+        ((0, 1, 1), (1, 0, 1)),  # independent, leading entries out of order
+        ((1, 1, 0), (0, 1, 0)),  # first row nonzero in the second's leading column
+        ((-1, 0, 1),),  # negative leading entry
+        ((2, 0, 2),),  # not primitive
+        ((0, 0, 0),),  # zero row
+        ((1, 0),),  # wrong length
+    ],
+)
+def test_rational_basis_rejects_rows_not_in_canonical_form(vectors):
+    with pytest.raises(ValueError):
+        RationalBasis(3, vectors)
+
+
+def test_rational_basis_check_runs_no_elimination(monkeypatch):
+    def no_rref(rows):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(ratlin, "rref", no_rref)
+    assert len(RationalBasis(3, ())) == 0
+    assert len(RationalBasis(4, ((1, 0, -2, 3), (0, 1, 5, -1)))) == 2
