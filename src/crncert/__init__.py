@@ -22,8 +22,6 @@ from .siphons import (
     EnumerationCapError,
     SiphonCatalog,
     SiphonEntry,
-    all_semi_locking_sets,
-    is_locking,
     is_semi_locking,
     minimal_semi_locking_sets,
 )

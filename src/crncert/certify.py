@@ -160,15 +160,15 @@ def check_empty_all_classes(
     point, farkas = ratlin.solve_le(A, [-1] * len(w))
     if point is not None:
         # A positive rescaling keeps s_W < 0, so combine in integers.
-        alpha = ratlin.integerize(point, keep_sign=True)
-        s = ratlin.integerize(_combine(alpha, vectors, s_basis.dimension), keep_sign=True)
+        alpha = ratlin.integerize(point)
+        s = ratlin.integerize(_combine(alpha, vectors, s_basis.dimension))
         # The point must verify exactly: strictly negative on every W coordinate.
         return False, _verified("feasible", s, all(s[i] < 0 for i in w))
     assert farkas is not None
     y = [0] * s_basis.dimension
     for row_idx, i in enumerate(w):
         y[i] = farkas[row_idx]
-    witness = ratlin.integerize(y, keep_sign=True)
+    witness = tuple(y)
     # The dual must verify exactly: nonnegative, nonzero, orthogonal to S.
     return True, _verified(
         "separating",

@@ -48,10 +48,6 @@ class KineticsSpec:
 
     theta: Optional[tuple[Callable[[float], float], ...]] = None
 
-    @property
-    def is_mass_action(self) -> bool:
-        return self.theta is None
-
 
 MASS_ACTION = KineticsSpec()
 
@@ -213,9 +209,8 @@ def lyapunov(
     xa = _checked(x, xb.size, "x", positive=True)
     log_ub = np.log(_transformed(xb, kinetics))
     grad = np.log(_transformed(xa, kinetics)) - log_ub
-    if kinetics.is_mass_action:
+    if kinetics.theta is None:
         return float(_relative_entropy(xa, xb)), grad
-    assert kinetics.theta is not None
     value = 0.0
     for th, rb, lo, hi in zip(kinetics.theta, log_ub.tolist(), xb.tolist(), xa.tolist()):
         value += _adaptive_simpson(lambda s, th=th, rb=rb: math.log(th(s)) - rb, lo, hi, _QUAD_TOL)
@@ -428,8 +423,9 @@ def simulate(
     straight from ``net.numeric``.  Other steps whose stages or
     proposed state leave the positive orthant are retried at half the step;
     a non-finite error estimate or a singular W aborts the run, as does a
-    step too small to advance t or more than ``MAX_STEPS`` attempts of the
-    two steppers together.  The last step is clipped to end exactly at
+    vector field that overflows at x0 or at an accepted state, a step too
+    small to advance t or more than ``MAX_STEPS`` attempts of the two
+    steppers together.  The last step is clipped to end exactly at
     ``t_end``.  Every accepted state is recorded; once the loop ends, the
     Lyapunov value (when ``x_ref`` is given) and the worst conservation-law
     drift relative to the initial state are computed over the stored states.
@@ -460,91 +456,101 @@ def simulate(
         u = _transformed(state, kinetics)
         return (stoichiometry.T * _fluxes(form, u)) @ form.exponents / u * _slopes(state, kinetics)
 
+    def finite_f(state: np.ndarray, t: float) -> np.ndarray:
+        fs = f(state)
+        if not np.isfinite(fs).all():
+            raise IntegrationError(f"flux overflow at t={t}: the vector field is not finite")
+        return fs
+
     size = x.size
     stages = np.empty((12, size))
     rosenbrock_stages = stages[:6]
-    fx = stages[0] = f(x)
     times = [0.0]
     states = [x]
     t = 0.0
-    h = min(t_end, 0.01 * (1.0 + float(np.max(x))) / (1.0 + float(np.max(np.abs(fx)))))
     steps = rejected_error = rejected_positivity = jacobians = 0
     accepted = [0, 0]  # by stepper: DOP853, Rosenbrock
     stiff = False
     switch_time = None
     jac_x = None  # the Jacobian at x, while the Rosenbrock stepper needs it
-    while t < t_end:
-        if steps >= MAX_STEPS:
-            raise IntegrationError(f"exceeded {MAX_STEPS} steps at t={t}")
-        steps += 1
-        if t + h == t:
-            raise IntegrationError(f"step size underflow at t={t}")
-        remaining = t_end - t
-        h = min(h, remaining)
+    # A flux may overflow at a stage state.  The stage then holds an infinity
+    # or a NaN, which the sign test rejects or the error test reports, so
+    # only f at x0 and at accepted states is checked to be finite.
+    with np.errstate(over="ignore"):
+        fx = stages[0] = finite_f(x, t)
+        h = min(t_end, 0.01 * (1.0 + float(np.max(x))) / (1.0 + float(np.max(np.abs(fx)))))
+        while t < t_end:
+            if steps >= MAX_STEPS:
+                raise IntegrationError(f"exceeded {MAX_STEPS} steps at t={t}")
+            steps += 1
+            if t + h == t:
+                raise IntegrationError(f"step size underflow at t={t}")
+            remaining = t_end - t
+            h = min(h, remaining)
 
-        if not stiff:
-            step = _dop853_step(f, x, h, stages)
-        else:
-            if jac_x is None:
+            if not stiff:
+                step = _dop853_step(f, x, h, stages)
+            else:
+                if jac_x is None:
+                    jac_x = jac(x)
+                    jacobians += 1
+                try:
+                    step = _rosenbrock_step(f, fx, jac_x, x, h, rosenbrock_stages)
+                except np.linalg.LinAlgError:
+                    raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
+            # A NaN in a stage or in x5 passes the sign tests on purpose: it
+            # reaches the error estimate, which is then non-finite.
+            if step is not None:
+                x5 = x + step[0]
+            if step is None or x5.min() <= 0:
+                rejected_positivity += 1
+                factor = 0.5
+            else:
+                scaled = step[1:] / (atol + rtol * np.maximum(x, x5))
+                if stiff:
+                    err = math.sqrt(float(scaled[0] @ scaled[0]) / size)
+                else:
+                    # Hairer's combined norm e5^2 / sqrt(e5^2 + e3^2 / 100): for
+                    # small h it is about 10 e5 * (e5 / e3), of order h^6 * h^2.
+                    n5 = float(scaled[0] @ scaled[0])
+                    n3 = float(scaled[1] @ scaled[1])
+                    err = n5 / math.sqrt((n5 + 0.01 * n3) * size) if n5 else 0.0
+                if not math.isfinite(err):
+                    raise IntegrationError(f"non-finite state at t={t}")
+                # Minus one over the power of h the error estimate scales with.
+                exponent = -0.25 if stiff else -0.125
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**exponent))
+                if err <= 1.0:
+                    # A step clipped to the endpoint lands on it exactly.
+                    t = t_end if h == remaining else t + h
+                    x = x5
+                    times.append(t)
+                    states.append(x)
+                    accepted[stiff] += 1
+                    fx = finite_f(x, t)
+                    if stiff:
+                        jac_x = None
+                    else:
+                        stages[0] = fx
+                    h *= factor
+                    continue
+                rejected_error += 1
+            if not stiff:
+                # A rejected explicit step, for its error or its sign: the largest
+                # absolute row sum of J bounds its spectral radius.
                 jac_x = jac(x)
                 jacobians += 1
-            try:
-                step = _rosenbrock_step(f, fx, jac_x, x, h, rosenbrock_stages)
-            except np.linalg.LinAlgError:
-                raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
-        # A NaN in a stage or in x5 passes the sign tests on purpose: it
-        # reaches the error estimate, which is then non-finite.
-        if step is not None:
-            x5 = x + step[0]
-        if step is None or x5.min() <= 0:
-            rejected_positivity += 1
-            factor = 0.5
-        else:
-            scaled = step[1:] / (atol + rtol * np.maximum(x, x5))
-            if stiff:
-                err = math.sqrt(float(scaled[0] @ scaled[0]) / size)
-            else:
-                # Hairer's combined norm e5^2 / sqrt(e5^2 + e3^2 / 100): for
-                # small h it is about 10 e5 * (e5 / e3), of order h^6 * h^2.
-                n5 = float(scaled[0] @ scaled[0])
-                n3 = float(scaled[1] @ scaled[1])
-                err = n5 / math.sqrt((n5 + 0.01 * n3) * size) if n5 else 0.0
-            if not math.isfinite(err):
-                raise IntegrationError(f"non-finite state at t={t}")
-            # Minus one over the power of h the error estimate scales with.
-            exponent = -0.25 if stiff else -0.125
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**exponent))
-            if err <= 1.0:
-                # A step clipped to the endpoint lands on it exactly.
-                t = t_end if h == remaining else t + h
-                x = x5
-                times.append(t)
-                states.append(x)
-                accepted[stiff] += 1
-                fx = f(x)
-                if stiff:
-                    jac_x = None
-                else:
-                    stages[0] = fx
-                h *= factor
-                continue
-            rejected_error += 1
-        if not stiff:
-            # A rejected explicit step, for its error or its sign: the largest
-            # absolute row sum of J bounds its spectral radius.
-            jac_x = jac(x)
-            jacobians += 1
-            if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
-                stiff = True
-                switch_time = t
-                continue  # retry the same step with the stable stepper
-            jac_x = None
-        h *= factor
+                if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
+                    stiff = True
+                    switch_time = t
+                    continue  # retry the same step with the stable stepper
+                jac_x = None
+            h *= factor
 
     path = np.array(states)
     if ref is None:
         values = None
-    elif kinetics.is_mass_action:
+    elif kinetics.theta is None:
         values = _relative_entropy(path, ref)
     else:
         values = np.array([lyapunov(state, ref, kinetics)[0] for state in path])

@@ -39,14 +39,13 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Species:
+    """A named species; its index is its position in ``ReactionNetwork.species``."""
+
     name: str
-    index: int
 
     def __post_init__(self):
         if not _NAME_RE.match(self.name):
             raise ValueError(f"invalid species name {self.name!r}")
-        if self.index < 0:
-            raise ValueError("species index must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,6 @@ class ReactionNetwork:
         names = [s.name for s in self.species]
         if len(set(names)) != len(names):
             raise ValueError("duplicate species names")
-        if [s.index for s in self.species] != list(range(len(self.species))):
-            raise ValueError("species indices must be contiguous from 0")
         if not self.reactions:
             raise ValueError("network must contain at least one reaction")
         seen: set[tuple[Complex, Complex]] = set()
@@ -302,7 +299,7 @@ def parse_network(text: str) -> ReactionNetwork:
 
     if not reactions:
         raise ParseError("no reactions found", max(1, text.count("\n") + 1))
-    species = tuple(Species(name, i) for i, name in enumerate(index_of))
+    species = tuple(Species(name) for name in index_of)
     return ReactionNetwork(species, tuple(reactions))
 
 

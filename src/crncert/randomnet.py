@@ -24,7 +24,7 @@ def _relabel(raw_reactions: list[tuple[dict[int, int], dict[int, int], float]]) 
         )
         for src, prod, rate in raw_reactions
     )
-    species = tuple(Species(f"S{i}", i) for i in range(len(order)))
+    species = tuple(Species(f"S{i}") for i in range(len(order)))
     return ReactionNetwork(species, reactions)
 
 
@@ -42,7 +42,11 @@ def random_network(
     max_reactions: int = 8,
     allow_empty_complex: bool = False,
 ) -> ReactionNetwork:
-    """One random valid network with small complexes and rates in [0.5, 2]."""
+    """One random valid network with small complexes and rates in [0.5, 2].
+
+    The reactions join complexes of a pool of 2-6 distinct ones, so a
+    network has at most 30 reactions, however large ``max_reactions`` is.
+    """
     for _ in range(1000):
         m = int(rng.integers(2, max_species + 1))
         n_pool = int(rng.integers(2, 7))
@@ -100,12 +104,3 @@ def random_cycle_network(
         except ValueError:
             continue
     raise RuntimeError("failed to generate a valid cycle network")
-
-
-def random_rates(net: ReactionNetwork, rng: np.random.Generator, low: float = 0.5, high: float = 2.0):
-    """Fresh copy of the network with rates drawn uniformly from [low, high]."""
-    rates = rng.uniform(low, high, size=len(net.reactions))
-    reactions = tuple(
-        Reaction(r.source, r.product, float(k)) for r, k in zip(net.reactions, rates)
-    )
-    return ReactionNetwork(net.species, reactions)

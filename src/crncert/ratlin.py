@@ -12,9 +12,8 @@ describe the same subspace iff their canonical bases are equal.  A kernel
 basis is read off a matrix already in that form (``_kernel``), so a caller
 holding the reduced rows of a matrix needs only one more elimination, the
 one that puts the kernel vectors in canonical form.  No computed basis is
-checked again by a further elimination such as :func:`rank`: the
-canonical form can be checked entry by entry, as
-:class:`~crncert.structure.RationalBasis` does.
+checked again by a further elimination: the canonical form can be checked
+entry by entry, as :class:`~crncert.structure.RationalBasis` does.
 
 That form is computed by Gauss-Jordan elimination over the integers: each
 row is scaled to integers once on entry and divided by the gcd of its
@@ -58,20 +57,11 @@ def _eliminate(m: list[list[int]], r: int, c: int) -> None:
             m[i] = _primitive([a * x - b * y for x, y in zip(row, top)])
 
 
-def integerize(vec: Sequence[Scalar], keep_sign: bool = False) -> IntVec:
-    """Scale a rational vector to integer entries with gcd 1.
-
-    The scale factor is always positive when ``keep_sign`` is set; otherwise
-    the sign is chosen so the first nonzero entry is positive.
-    """
+def integerize(vec: Sequence[Scalar]) -> IntVec:
+    """Scale a rational vector by a positive factor to integer entries with gcd 1."""
     fracs = [Fraction(v) for v in vec]
     den_lcm = lcm(*(f.denominator for f in fracs))
-    ints = _primitive([int(f * den_lcm) for f in fracs])
-    if not keep_sign:
-        lead = next((v for v in ints if v != 0), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-    return tuple(ints)
+    return tuple(_primitive([int(f * den_lcm) for f in fracs]))
 
 
 def _int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
@@ -111,10 +101,6 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[IntVec], list[int]]:
         if r == len(m):
             break
     return [tuple(row) for row in m[:r]], pivots
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[1])
 
 
 def canonical_basis(rows: Sequence[Sequence[Scalar]]) -> tuple[IntVec, ...]:

@@ -11,9 +11,8 @@ Martinez, Fages & Soliman, Constraints 2016).  Each node holds a set I of
 species that must be in the set and a set A of species that may be; it is
 pruned with the largest semi-locking set inside A, a greatest fixpoint
 computed in polynomial time.  The search is bounded by ``FIXPOINT_BUDGET``
-fixpoint evaluations, not by the number of species.  The scan over all
-2^m subsets remains only in :func:`all_semi_locking_sets`, a test oracle
-for small networks.
+fixpoint evaluations, not by the number of species.  The test suite
+checks it against a scan of all 2^m subsets of small networks.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .network import ReactionNetwork
 
 SpeciesSet = frozenset[int]
 
-BRUTE_FORCE_LIMIT = 12
 FIXPOINT_BUDGET = 100_000
 
 
@@ -66,25 +64,15 @@ def _largest_siphon(allowed: int, rmasks: list[tuple[int, int]]) -> int:
     return w
 
 
-def _check_members(net: ReactionNetwork, members: Iterable[int]) -> SpeciesSet:
-    w = frozenset(members)
-    if not w:
-        raise ValueError("species set must be nonempty")
-    if any(i < 0 or i >= net.num_species for i in w):
-        raise ValueError("species index out of range")
-    return w
-
-
 def is_semi_locking(net: ReactionNetwork, members: Iterable[int]) -> bool:
     """True iff every reaction producing a member of W also consumes one."""
-    w = _mask(_check_members(net, members))
+    members = frozenset(members)
+    if not members:
+        raise ValueError("species set must be nonempty")
+    if any(i < 0 or i >= net.num_species for i in members):
+        raise ValueError("species index out of range")
+    w = _mask(members)
     return all(src & w for src, prod in _reaction_masks(net) if prod & w)
-
-
-def is_locking(net: ReactionNetwork, members: Iterable[int]) -> bool:
-    """True iff every reaction's source complex meets W."""
-    w = _mask(_check_members(net, members))
-    return all(src & w for src, _ in _reaction_masks(net))
 
 
 @dataclass(frozen=True)
@@ -172,21 +160,3 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
         for w in found
     )
     return SiphonCatalog(entries=entries)
-
-
-def all_semi_locking_sets(net: ReactionNetwork) -> tuple[SpeciesSet, ...]:
-    """Every semi-locking set, by scanning all nonempty subsets (small m only)."""
-    m = net.num_species
-    if m > BRUTE_FORCE_LIMIT:
-        raise EnumerationCapError(
-            f"full catalog limited to {BRUTE_FORCE_LIMIT} species, got {m}"
-        )
-    rmasks = _reaction_masks(net)
-    out = [
-        w
-        for w in range(1, 1 << m)
-        if all(src & w for src, prod in rmasks if prod & w)
-    ]
-    out.sort(key=lambda w: (w.bit_count(), _members(w)))
-    return tuple(frozenset(_members(w)) for w in out)
-

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from crncert import check_discrete, parse_network_file, structure_report
+from crncert import (
+    EnumerationCapError,
+    Reaction,
+    ReactionNetwork,
+    check_discrete,
+    parse_network_file,
+    structure_report,
+)
+from crncert.ratlin import rref
 
 NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "networks"
 
@@ -24,7 +32,7 @@ def ex3():
 
 
 def species_set(net, *names):
-    index = {s.name: s.index for s in net.species}
+    index = {n: i for i, n in enumerate(net.species_names)}
     return frozenset(index[n] for n in names)
 
 
@@ -50,6 +58,56 @@ def face_kernel(basis, members):
 
 def names_of(net, members):
     return frozenset(net.species_names[i] for i in members)
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def random_rates(net, rng, low=0.5, high=2.0):
+    """Fresh copy of the network with rates drawn uniformly from [low, high]."""
+    rates = rng.uniform(low, high, size=len(net.reactions))
+    reactions = tuple(
+        Reaction(r.source, r.product, float(k)) for r, k in zip(net.reactions, rates)
+    )
+    return ReactionNetwork(net.species, reactions)
+
+
+def is_locking(net, members):
+    """True iff every reaction's source complex meets W."""
+    w = frozenset(members)
+    if not w:
+        raise ValueError("species set must be nonempty")
+    if any(i < 0 or i >= net.num_species for i in w):
+        raise ValueError("species index out of range")
+    return all(r.source.indices & w for r in net.reactions)
+
+
+# Species count above which the 2^m scan below refuses to run.
+BRUTE_FORCE_LIMIT = 12
+
+
+def all_semi_locking_sets(net):
+    """Every semi-locking set, by scanning all nonempty subsets (small m only).
+
+    Sorted by size, then by sorted species indices, the order of the
+    minimal catalog.
+    """
+    m = net.num_species
+    if m > BRUTE_FORCE_LIMIT:
+        raise EnumerationCapError(
+            f"full catalog limited to {BRUTE_FORCE_LIMIT} species, got {m}"
+        )
+    rmasks = [
+        (sum(1 << i for i in r.source.indices), sum(1 << i for i in r.product.indices))
+        for r in net.reactions
+    ]
+    semi = [
+        tuple(i for i in range(m) if w >> i & 1)
+        for w in range(1, 1 << m)
+        if all(src & w for src, prod in rmasks if prod & w)
+    ]
+    return tuple(frozenset(ws) for ws in sorted(semi, key=lambda ws: (len(ws), ws)))
 
 
 # k at which the doubling network below exceeds siphons.FIXPOINT_BUDGET:

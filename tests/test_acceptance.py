@@ -26,10 +26,10 @@ from crncert import (
     stoichiometric_basis,
     structure_report,
 )
-from crncert.randomnet import random_network, random_rates
+from crncert.randomnet import random_network
 from crncert.ratlin import canonical_basis
 
-from conftest import face_kernel, names_of, species_set, vec_by_name
+from conftest import face_kernel, names_of, random_rates, species_set, vec_by_name
 
 
 def _report(criterion: int, detail: str = "") -> None:

@@ -16,7 +16,6 @@ from crncert import (
     ReactionNetwork,
     Reaction,
     Species,
-    all_semi_locking_sets,
     certify,
     check_discrete,
     check_empty_all_classes,
@@ -32,6 +31,7 @@ from crncert.ratlin import canonical_basis, dot
 
 from conftest import (
     OVER_BUDGET_K,
+    all_semi_locking_sets,
     doubling_siphons_text,
     face_kernel,
     names_of,
@@ -245,17 +245,16 @@ def test_certificate_json(ex1):
 
 def _permuted(net, perm, rnd):
     """Network with species indices relabeled by perm and reactions shuffled."""
-    species = tuple(
-        Species(net.species[old].name, perm[old]) for old in range(net.num_species)
-    )
-    species = tuple(sorted(species, key=lambda s: s.index))
+    species = [None] * net.num_species
+    for old, s in enumerate(net.species):
+        species[perm[old]] = Species(s.name)
 
     def remap(c):
         return Complex(tuple(sorted((perm[i], k) for i, k in c.terms)))
 
     reactions = [Reaction(remap(r.source), remap(r.product), r.rate) for r in net.reactions]
     rnd.shuffle(reactions)
-    return ReactionNetwork(species, tuple(reactions))
+    return ReactionNetwork(tuple(species), tuple(reactions))
 
 
 @given(st.integers(0, 10_000), st.randoms())

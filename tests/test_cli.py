@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -262,6 +263,30 @@ def test_rates_beyond_the_float_range_exit_1_without_warnings(tmp_path, capsys):
             assert code == 1, argv
             assert out == ""
             assert "float range (rates span 1e-200 to 1e+200)" in err
+
+
+def test_overflowing_stage_fluxes_are_rejected_steps(tmp_path, capsys):
+    # B**2147483647 overflows at every stage state with B > 1; those steps
+    # fail the sign test, and the run settles where B**N = A.
+    n = 2147483647
+    path = tmp_path / "big.crn"
+    path.write_text(f"A <-> {n} B ; kf=1, kr=1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", str(path), "--json", "--t-end", "10")
+    assert code == 0 and err == ""
+    a, b = json.loads(out)["final_state"]
+    assert b - 1.0 == pytest.approx(math.log(a) / n, rel=1e-4)
+
+
+def test_overflowing_flux_at_x0_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.crn"
+    path.write_text("2147483647 A <-> 2147483647 B ; kf=1, kr=1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", str(path), "--json", "--t-end", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: flux overflow at t=0.0"), err
 
 
 def test_equilibrium_refusal(tmp_path, capsys):

@@ -27,7 +27,9 @@ from crncert import (
     stoichiometric_basis,
 )
 from crncert import dynamics
-from crncert.randomnet import random_cycle_network, random_rates
+from crncert.randomnet import random_cycle_network
+
+from conftest import random_rates
 
 
 # Stiff enough that the run switches to the Rosenbrock stepper early.
@@ -485,6 +487,28 @@ def test_blow_up_after_the_switch_is_an_integration_error(monkeypatch):
     with pytest.raises(IntegrationError):
         simulate(net, MASS_ACTION, [2.0, 0.5, 0.1], 20.0)
     assert len(outcomes) > 10
+
+
+def test_flux_overflow_at_an_accepted_state_is_an_integration_error(monkeypatch, ab):
+    # Call 13 is f at the first accepted state: one call at x0, then eleven
+    # stages of a first step that is accepted.
+    calls = 0
+    fluxes = dynamics._fluxes
+
+    def overflow_on_call_13(form, u):
+        nonlocal calls
+        calls += 1
+        out = fluxes(form, u)
+        if calls == 13:
+            out = np.zeros_like(out)
+            out[0] = math.inf
+        return out
+
+    monkeypatch.setattr(dynamics, "_fluxes", overflow_on_call_13)
+    with pytest.raises(IntegrationError, match="flux overflow") as exc:
+        simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
+    assert calls == 13
+    assert float(str(exc.value).split("t=")[1].split(":")[0]) > 0
 
 
 def test_singular_rosenbrock_matrix_is_an_integration_error(monkeypatch):

@@ -25,9 +25,9 @@ from crncert import (
     simulate,
     structure_report,
 )
-from crncert.randomnet import random_cycle_network, random_rates
+from crncert.randomnet import random_cycle_network
 
-from conftest import exact_tree_constants
+from conftest import exact_tree_constants, random_rates
 
 
 def oracle_equilibrium(net, c, start):

@@ -73,7 +73,7 @@ def test_reaction_vector_examples():
         "A + D <-> E ; kf=1, kr=1\n"
         "B + C <-> E ; kf=1, kr=1\n"
     )
-    name = {s.name: s.index for s in net.species}
+    name = {n: i for i, n in enumerate(net.species_names)}
     m = net.num_species
 
     def dense(mapping):
@@ -144,7 +144,7 @@ def test_a_malformed_complex_written_twice_reports_its_first_line(bad, fragment,
 
 
 def test_network_invariants_enforced():
-    a, b = Species("A", 0), Species("B", 1)
+    a, b = Species("A"), Species("B")
     ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
     with pytest.raises(ValueError):
         ReactionNetwork((a, b), ())  # no reactions
@@ -154,7 +154,7 @@ def test_network_invariants_enforced():
         Reaction(Complex(((0, 1),)), Complex(((0, 1),)), 1.0)  # source == product
     with pytest.raises(ValueError):
         Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 0.0)  # nonpositive rate
-    c = Species("C", 2)
+    c = Species("C")
     with pytest.raises(ValueError):
         ReactionNetwork((a, b, c), (ab,))  # C never appears
 

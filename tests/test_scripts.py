@@ -1,10 +1,13 @@
 import importlib
 import importlib.util
+import inspect
 import re
 import subprocess
 import sys
 
 import pytest
+
+import crncert
 
 from conftest import NETWORKS
 
@@ -70,3 +73,27 @@ def test_benchmark_trace_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), name
+
+
+def test_package_public_names():
+    # Test oracles live in tests/conftest.py; a name added here must have a
+    # caller in a command, a script or the benchmark.
+    public = sorted(
+        name
+        for name, value in vars(crncert).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert public == [
+        "Certificate", "Complex", "ConvergenceError", "EnumerationCapError",
+        "EquilibriumResult", "FaceStatus", "FaceVerdict", "HypothesesError",
+        "IntegrationError", "KineticsSpec", "MASS_ACTION", "OverallStatus",
+        "ParseError", "RationalBasis", "Reaction", "ReactionNetwork",
+        "SiphonCatalog", "SiphonEntry", "Species", "StructureReport", "Trajectory",
+        "certify", "check_discrete", "check_empty_all_classes",
+        "complex_balance_residual", "complex_balanced_point", "conservation_basis",
+        "find_equilibrium", "generalized_kinetics", "is_semi_locking", "jacobian",
+        "lyapunov", "minimal_semi_locking_sets", "parse_network",
+        "parse_network_file", "persistence_margin", "reaction_rates",
+        "reaction_vector", "rhs", "serialize_network", "simulate",
+        "stoichiometric_basis", "structure_report", "write_trajectory_csv",
+    ]

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from crncert import (
     EnumerationCapError,
-    all_semi_locking_sets,
-    is_locking,
     is_semi_locking,
     minimal_semi_locking_sets,
     parse_network,
@@ -14,7 +12,14 @@ from crncert import (
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.siphons import FIXPOINT_BUDGET
 
-from conftest import OVER_BUDGET_K, doubling_siphons_text, names_of, species_set
+from conftest import (
+    OVER_BUDGET_K,
+    all_semi_locking_sets,
+    doubling_siphons_text,
+    is_locking,
+    names_of,
+    species_set,
+)
 
 
 def minimal_by_scan(net):

@@ -122,7 +122,7 @@ def _disjoint_union(nets, rng):
             )
             reactions.append(Reaction(source, product, r.rate))
         offset += net.num_species
-    species = tuple(Species(f"S{i}", i) for i in range(offset))
+    species = tuple(Species(f"S{i}") for i in range(offset))
     return ReactionNetwork(species, tuple(reactions[i] for i in rng.permutation(len(reactions))))
 
 @given(st.integers(0, 10_000))
