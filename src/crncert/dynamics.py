@@ -10,7 +10,9 @@ routine has one path, and the Jacobians scale by ``d theta / dx``.
 DOP853 until a rejected step shows that stability, not accuracy, holds the
 step size, and then with the L-stable Rosenbrock pair RODAS4 for the rest of
 the run, so the step grows with the slow time scales once the fast ones have
-settled.
+settled.  Each run compiles the network's vector field once, from
+``net.numeric``, to straight-line code on Python floats, so a stage costs
+the few numpy calls of its tableau row and no array power.
 
 :func:`find_equilibrium` gets a complex-balanced point from tree constants
 that GTH elimination computes to a small relative error, and then the class
@@ -123,6 +125,69 @@ def _fluxes(form: NumericForm, u: np.ndarray) -> np.ndarray:
     return form.rates * np.multiply.reduce(u**form.exponents, axis=1)
 
 
+# Terms per generated statement.  A flux's product and a species' sum are
+# cut into statements of at most this many terms, so no expression nests
+# deeper than this, however many reactions share a species.
+_TERMS_PER_STATEMENT = 16
+
+
+def _statements(target: str, terms: list[str], op: str) -> list[str]:
+    # target = t0 op t1 ..., continued as target op= ... past each chunk.
+    exprs = [
+        op.join(terms[i : i + _TERMS_PER_STATEMENT]).replace(" + -", " - ")
+        for i in range(0, len(terms), _TERMS_PER_STATEMENT)
+    ]
+    return [f"    {target} = {exprs[0]}"] + [f"    {target} {op.strip()}= {e}" for e in exprs[1:]]
+
+
+def _nonzero_rows(matrix: np.ndarray) -> list[list[tuple[int, float]]]:
+    # Each row's nonzero entries as (column, value), found without a dense scan.
+    rows, cols = np.nonzero(matrix)
+    out: list[list[tuple[int, float]]] = [[] for _ in range(len(matrix))]
+    for i, j, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
+        out[i].append((j, v))
+    return out
+
+
+def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
+    """The mass-action vector field of ``form`` as straight-line float code.
+
+    The generated ``field(u)`` maps a list of m floats to the list
+    ``fluxes(u) @ stoichiometry``.  Flux r is its rate times ``u_j**e`` for
+    each species j of its source, by binary powering: the squares
+    ``s{j}_{k} = u_j**(2**k)`` are formed once per species and each flux
+    multiplies those whose bit is set in e, so an exponent p costs O(log p)
+    products.  A float product overflows to inf without raising, where
+    float ``**`` raises ``OverflowError``.  Each derivative sums its nonzero
+    stoichiometric terms.
+    The source holds only integer indices and the reprs of the rates, which
+    ``Reaction`` checks to be finite; no name or input text reaches it.
+    """
+    m = form.stoichiometry.shape[1]
+    sources = [[(j, int(e)) for j, e in row] for row in _nonzero_rows(form.exponents)]
+    bits = [1] * m
+    for row in sources:
+        for j, e in row:
+            bits[j] = max(bits[j], e.bit_length())
+
+    def power(j: int, k: int) -> str:
+        return f"s{j}_{k}" if k else f"u{j}"
+
+    lines = ["def field(u):", "    " + "".join(f"u{j}, " for j in range(m)) + "= u"]
+    for j in range(m):
+        lines += [f"    s{j}_{k} = {power(j, k - 1)} * {power(j, k - 1)}" for k in range(1, bits[j])]
+    for r, (rate, row) in enumerate(zip(form.rates.tolist(), sources)):
+        factors = [power(j, k) for j, e in row for k in range(e.bit_length()) if e >> k & 1]
+        lines += _statements(f"r{r}", [repr(rate)] + factors, " * ")
+    for j, column in enumerate(_nonzero_rows(form.stoichiometry.T)):
+        terms = [f"{'-' * (c < 0)}{'' if abs(c) == 1 else f'{abs(c)!r} * '}r{r}" for r, c in column]
+        lines += _statements(f"d{j}", terms or ["0.0"], " + ")
+    lines.append("    return [" + ", ".join(f"d{j}" for j in range(m)) + "]")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines), "<vector field>", "exec"), namespace)
+    return namespace["field"]
+
+
 def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Per-reaction fluxes at state x (monomials in the transformed state)."""
     arr = _checked(x, net.num_species, "state", positive=False)
@@ -138,23 +203,40 @@ def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.
     return reaction_rates(net, kinetics, x) @ net.numeric.stoichiometry
 
 
+# Floats a block of jacobian columns may hold in one temporary (512 KiB).
+_JACOBIAN_BLOCK = 1 << 16
+
+
 def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Derivative matrix of :func:`rhs` at x.
 
     Exact monomial differentiation in ``u = theta(x)``, valid on the
     boundary, times ``d theta_j / d x_j`` on column j (the chain rule).
+    The columns are built in blocks whose temporaries hold about
+    ``_JACOBIAN_BLOCK`` floats, or one column's r * m, so memory stays
+    O(r m + m^2) however many species there are.
     """
     arr = _checked(x, net.num_species, "state", positive=False)
     u = _transformed(arr, kinetics)
     m = arr.size
     form = net.numeric
     e = form.exponents
-    # factors[r, j] is the monomial of reaction r with u_j**e replaced by
-    # e * u_j**(e - 1); clipping e - 1 at 0 keeps u_j = 0 exact (0**0 == 1).
-    factors = np.repeat((u**e)[:, None, :], m, axis=1)
-    factors[:, range(m), range(m)] = e * u ** np.maximum(e - 1.0, 0.0)
-    grad = np.where(e != 0.0, form.rates[:, None] * np.prod(factors, axis=2), 0.0)
-    jac = np.sum(grad[:, None, :] * form.stoichiometry[:, :, None], axis=0, initial=0.0)
+    powers = u**e
+    # d(u_j**e)/du_j; clipping e - 1 at 0 keeps u_j = 0 exact (0**0 == 1).
+    derivatives = e * u ** np.maximum(e - 1.0, 0.0)
+    jac = np.empty((m, m))
+    width = max(1, _JACOBIAN_BLOCK // powers.size)
+    for start in range(0, m, width):
+        cols = range(start, min(start + width, m))
+        block = slice(start, cols.stop)
+        # Only reactions whose source holds a species of the block have a
+        # nonzero gradient there; factors[i, c] is the monomial of reaction
+        # rows[i] with u_j**e replaced by its derivative, j = cols[c].
+        rows = np.flatnonzero(e[:, block].any(axis=1))
+        factors = np.repeat(powers[rows, None, :], len(cols), axis=1)
+        factors[:, range(len(cols)), cols] = derivatives[rows, block]
+        grad = np.where(e[rows, block] != 0.0, form.rates[rows, None] * np.prod(factors, axis=2), 0.0)
+        jac[:, block] = np.sum(grad[:, None, :] * form.stoichiometry[rows, :, None], axis=0, initial=0.0)
     return jac * _slopes(arr, kinetics)
 
 
@@ -356,24 +438,34 @@ _ROS_B = _frozen(
 MAX_STEPS = 2_000_000
 
 
+def _leaves_orthant(state: list[float]) -> bool:
+    """``np.min(state) < 0``: some entry is negative and none is NaN.
+
+    A NaN stage state passes on purpose: it reaches the error estimate,
+    which is then non-finite.
+    """
+    return min(state) < 0 and not any(map(math.isnan, state))
+
+
 def _dop853_step(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, stages: np.ndarray
+    f: Callable[[list[float]], list[float]], x: np.ndarray, h: float, stages: np.ndarray
 ) -> Optional[np.ndarray]:
     """One DOP853 attempt from x, ``stages[0]`` holding f(x).
 
     Returns the step's increment stacked over its fifth- and third-order
     error estimates, or None when a stage state leaves the orthant.
     """
+    ha = h * _DOP_A
     for s in range(1, 12):
-        xs = x + h * (_DOP_A[s, :s] @ stages[:s])
-        if xs.min() < 0:
+        xs = (x + ha[s, :s] @ stages[:s]).tolist()
+        if _leaves_orthant(xs):
             return None
         stages[s] = f(xs)
     return h * (_DOP_B @ stages)
 
 
 def _rosenbrock_step(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[list[float]], list[float]],
     fx: np.ndarray,
     jac_x: np.ndarray,
     x: np.ndarray,
@@ -387,12 +479,13 @@ def _rosenbrock_step(
     singular.
     """
     w_inv = np.linalg.inv(np.eye(x.size) / (h * _ROS_GAMMA) - jac_x)
+    c_h = _ROS_C / h
     stages[0] = w_inv @ fx
     for s in range(1, 6):
-        xs = x + _ROS_A[s, :s] @ stages[:s]
-        if xs.min() < 0:
+        xs = (x + _ROS_A[s, :s] @ stages[:s]).tolist()
+        if _leaves_orthant(xs):
             return None
-        stages[s] = w_inv @ (f(xs) + (_ROS_C[s, :s] / h) @ stages[:s])
+        stages[s] = w_inv @ (f(xs) + c_h[s, :s] @ stages[:s])
     return _ROS_B @ stages
 
 
@@ -418,9 +511,11 @@ def simulate(
     retries the step with it.  Accepted DOP853 steps cost no Jacobian.  J is
     the exact derivative in ``u = theta(x)`` times the slopes of theta, as
     in :func:`jacobian`.  Each stepper fills the rows of one preallocated
-    stage array and applies its tableau as matrix products.  Inputs are
-    validated once, here; inside the loop the kinetics are evaluated
-    straight from ``net.numeric``.  Other steps whose stages or
+    stage array and applies its tableau as matrix products, the tableau
+    scaled by h once per attempt.  Inputs are validated once, here; the
+    vector field is then compiled once from ``net.numeric`` to
+    straight-line float code (``_compile_field``) and evaluated on lists,
+    through theta for generalized kinetics.  Other steps whose stages or
     proposed state leave the positive orthant are retried at half the step;
     a non-finite error estimate or a singular W aborts the run, as does a
     vector field that overflows at x0 or at an accepted state, a step too
@@ -443,12 +538,15 @@ def simulate(
 
     form = net.numeric
     stoichiometry = form.stoichiometry
+    field = _compile_field(form)
     evaluations = 0
 
-    def f(state: np.ndarray) -> np.ndarray:
+    def f(state: list[float]) -> list[float]:
         nonlocal evaluations
         evaluations += 1
-        return _fluxes(form, _transformed(state, kinetics)) @ stoichiometry
+        if kinetics.theta is None:
+            return field(state)
+        return field(_transformed(np.array(state), kinetics).tolist())
 
     def jac(state: np.ndarray) -> np.ndarray:
         # Exact at a positive state: d flux_r / d u_j = flux_r * e_rj / u_j.
@@ -457,7 +555,7 @@ def simulate(
         return (stoichiometry.T * _fluxes(form, u)) @ form.exponents / u * _slopes(state, kinetics)
 
     def finite_f(state: np.ndarray, t: float) -> np.ndarray:
-        fs = f(state)
+        fs = np.array(f(state.tolist()))
         if not np.isfinite(fs).all():
             raise IntegrationError(f"flux overflow at t={t}: the vector field is not finite")
         return fs

@@ -13,6 +13,7 @@ A reversible arrow expands into two directed reactions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -238,8 +239,12 @@ def _parse_rate(text: str, line_no: int, col_base: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"malformed rate constant {text!r}", line_no, col_base) from None
-    if not (value > 0) or value != value or value == float("inf"):
-        raise ParseError(f"rate must be positive, got {text}", line_no, col_base)
+    if not 0 < value < math.inf:
+        raise ParseError(
+            f"rate must be positive and finite, got {text}, which parses to {value!r}",
+            line_no,
+            col_base,
+        )
     return value
 
 

@@ -489,26 +489,44 @@ def test_blow_up_after_the_switch_is_an_integration_error(monkeypatch):
     assert len(outcomes) > 10
 
 
+def _field_returning(monkeypatch, call, value):
+    # simulate's compiled field returns value on the given call and is
+    # otherwise unchanged; the list returned here collects every call.
+    calls = []
+    compile_field = dynamics._compile_field
+
+    def compiled(form):
+        field = compile_field(form)
+
+        def replaced(u):
+            calls.append(u)
+            return value if len(calls) == call else field(u)
+
+        return replaced
+
+    monkeypatch.setattr(dynamics, "_compile_field", compiled)
+    return calls
+
+
 def test_flux_overflow_at_an_accepted_state_is_an_integration_error(monkeypatch, ab):
     # Call 13 is f at the first accepted state: one call at x0, then eleven
     # stages of a first step that is accepted.
-    calls = 0
-    fluxes = dynamics._fluxes
-
-    def overflow_on_call_13(form, u):
-        nonlocal calls
-        calls += 1
-        out = fluxes(form, u)
-        if calls == 13:
-            out = np.zeros_like(out)
-            out[0] = math.inf
-        return out
-
-    monkeypatch.setattr(dynamics, "_fluxes", overflow_on_call_13)
+    calls = _field_returning(monkeypatch, 13, [-math.inf, math.inf])
     with pytest.raises(IntegrationError, match="flux overflow") as exc:
         simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
-    assert calls == 13
+    assert len(calls) == 13
     assert float(str(exc.value).split("t=")[1].split(":")[0]) > 0
+
+
+def test_stage_state_with_a_nan_and_a_negative_entry_reaches_the_error_estimate(monkeypatch, ab):
+    # Call 2 is stage 1 of the first step, so stage 2's state is about
+    # (-1e298, nan).  np.min of it is nan, so the sign test passes it and the
+    # error estimate, non-finite, ends the run; a min that skipped the NaN
+    # would reject the step and retry it at half the size.
+    calls = _field_returning(monkeypatch, 2, [-1e300, math.nan])
+    with pytest.raises(IntegrationError, match="non-finite state"):
+        simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
+    assert len(calls) == 12
 
 
 def test_singular_rosenbrock_matrix_is_an_integration_error(monkeypatch):

@@ -116,6 +116,19 @@ def test_parse_errors(text, fragment):
     assert exc.value.line >= 1
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e400", "inf"), ("1e-400", "0.0"), ("-2", "-2.0"), ("kf=1e400, kr=1", "inf")],
+)
+def test_rate_error_names_finiteness_and_the_parsed_value(text, value):
+    # 1e400 overflows to inf and 1e-400 underflows to 0 when parsed.
+    rates = text if "=" in text else f"k={text}"
+    arrow = "<->" if "=" in text else "->"
+    with pytest.raises(ParseError, match="rate must be positive and finite") as exc:
+        parse_network(f"A {arrow} B ; {rates}")
+    assert str(exc.value).endswith(f"which parses to {value}")
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_network("A -> B ; k=1\nB -> !C ; k=1\n")

@@ -8,10 +8,15 @@ over the reactions, to a relative tolerance.
 """
 
 import gc
+import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crncert import (
     MASS_ACTION,
@@ -26,6 +31,7 @@ from crncert import (
     simulate,
     structure_report,
 )
+from crncert.dynamics import _compile_field
 from crncert.randomnet import random_cycle_network, random_network
 
 from conftest import exact_tree_constants
@@ -113,6 +119,90 @@ def test_kernels_equal_loop_reference_on_random_networks_and_boundary_states():
         assert np.array_equal(rhs(net, MASS_ACTION, x), loop_rhs(net, x))
         assert np.array_equal(jacobian(net, MASS_ACTION, x), loop_jacobian(net, x))
         assert complex_balance_residual(net, x) == loop_complex_balance_residual(net, x)
+
+
+def _chain(m):
+    return parse_network("\n".join(f"S{i} <-> S{i + 1} ; kf=1.5, kr=0.7" for i in range(m - 1)))
+
+
+def _enzyme(k):
+    return parse_network("\n".join(
+        f"E + S{i} <-> C{i} ; kf=2, kr=0.5\nC{i} <-> E + P{i} ; kf=1.25, kr=0.75" for i in range(k)
+    ))
+
+
+def _assert_field_matches_rhs(net, x):
+    # The field multiplies and sums in another order than rhs, so the two
+    # agree to rounding of the largest terms, not bit for bit.
+    field = _compile_field(net.numeric)
+    got = np.array(field(x.tolist()))
+    terms = reaction_rates(net, MASS_ACTION, x) @ np.abs(net.numeric.stoichiometry)
+    assert np.all(np.abs(got - rhs(net, MASS_ACTION, x)) <= 1e-12 * terms)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_compiled_field_matches_rhs_on_random_networks_and_boundary_states(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_species=6, max_reactions=10, allow_empty_complex=True)
+    for _ in range(4):
+        x = rng.uniform(0.0, 3.0, size=net.num_species)
+        x[rng.random(net.num_species) < 0.35] = 0.0
+        _assert_field_matches_rhs(net, x)
+
+
+def test_compiled_field_matches_rhs_on_high_orders_and_the_origin():
+    rng = np.random.default_rng(5)
+    for x in [np.zeros(4), np.array([0.0, 1.3, 0.0, 2.0])] + list(rng.uniform(0, 3, (8, 4))):
+        _assert_field_matches_rhs(HIGH_ORDER, x)
+
+
+def test_compiled_field_holds_only_indices_and_rates():
+    net = parse_network("os + eval -> 2 print ; k=1e-300\nprint -> 0 ; k=7")
+    code = _compile_field(net.numeric).__code__
+    assert code.co_names == ()
+    assert all(re.fullmatch(r"u\d*|s\d+_\d+|r\d+|d\d+", v) for v in code.co_varnames)
+    assert all(c is None or type(c) is float for c in code.co_consts)
+    assert {1e-300, 7.0} <= set(code.co_consts)
+
+
+def test_a_huge_exponent_compiles_to_log_many_products_and_overflows_to_inf():
+    # B**2147483647 takes the 30 squares of B and 31 products, not 2**31 factors.
+    p = 2147483647
+    net = parse_network(f"A <-> {p} B ; kf=1, kr=1")
+    field = _compile_field(net.numeric)
+    assert len(field.__code__.co_varnames) <= 2 * p.bit_length() + 10
+    assert field([1.0, 2.0]) == [math.inf, -math.inf]
+    assert field([1.0, 0.5]) == [-1.0, float(p)]
+    assert field([1.0, 1.0]) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "net",
+    [_enzyme(150), _chain(400), parse_network("\n".join(f"E <-> S{i} ; kf=1, kr=2" for i in range(1500)))],
+    ids=["enzyme-k150", "chain-m400", "hub-3000"],
+)
+def test_compiled_field_of_a_large_network(net):
+    # E sits in 600 reactions of the enzyme network and in 3000 of the hub:
+    # one expression that long would nest past the compiler's recursion limit.
+    x = np.random.default_rng(3).uniform(0.1, 3.0, net.num_species)
+    _assert_field_matches_rhs(net, x)
+
+
+def test_jacobian_memory_is_linear_in_reactions_times_species():
+    # The former broadcast built two (r, m, m) tensors: about 104 MB here.
+    net = _chain(150)
+    r, m = len(net.reactions), net.num_species
+    x = np.linspace(0.5, 2.0, m)
+    net.numeric
+    tracemalloc.start()
+    try:
+        jac = jacobian(net, MASS_ACTION, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(jac, loop_jacobian(net, x))
+    assert peak <= 8 * 8 * (r * m + m * m)
 
 
 def test_jacobian_exact_at_the_origin():
