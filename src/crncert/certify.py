@@ -6,12 +6,17 @@ provided each boundary face cut out by a semi-locking set W meets the
 classes in a set that is empty or discrete.  Both conditions reduce to
 exact linear algebra on the reaction span S:
 
-* ``DISCRETE``: one exact elimination shows that S has rank dim S on the
-  W coordinates, so a class can meet the face in at most one point.
+* ``DISCRETE``: the basis of S restricted to the W coordinates has rank
+  dim S, an s x |W| elimination, so a class can meet the face in at most
+  one point.
 * ``EMPTY_ALL_CLASSES``: no vector of S is strictly negative on all W
   coordinates, so no positive anchor can reach the face at all.  The
   infeasibility dual is a nonnegative conserved combination supported on
   W, which is reported as the separating witness.
+
+A face that is neither is INCONCLUSIVE.  Only then does the full
+elimination of ``check_discrete`` run, with the W columns first, for the
+kernel witness: a nonzero vector of S that vanishes on W.
 
 Everything here is exact; no verdict depends on a floating-point tolerance.
 """
@@ -121,6 +126,22 @@ def _face_columns(s_basis: RationalBasis, members: Iterable[int]) -> list[int]:
     return w
 
 
+def _spans_on(s_basis: RationalBasis, w: list[int]) -> bool:
+    """True iff the basis of S restricted to the columns ``w`` has rank dim S.
+
+    That takes an elimination of s rows and |W| columns at most.  None runs
+    when |W| < s, nor when W holds every leading column of the canonical
+    basis, on which the basis is diagonal with positive entries.
+    """
+    vectors = s_basis.vectors
+    if len(w) < len(vectors):
+        return False
+    members = set(w)
+    if all(v.index(next(filter(None, v))) in members for v in vectors):
+        return True
+    return len(ratlin.rref([[v[j] for j in w] for v in vectors])[1]) == len(vectors)
+
+
 def check_discrete(
     s_basis: RationalBasis, members: Iterable[int]
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -130,7 +151,9 @@ def check_discrete(
     the W block, r being the rank of S on W.  Its later rows, zero on W, are
     in the original column order the canonical basis of {z in S : z_W = 0}.
     Returns ``(True, None)`` when there is none, else ``(False, witness)``
-    with the first of them.
+    with the first of them.  :func:`certify` decides DISCRETE by the rank on
+    W alone and calls this full elimination only for the witness of an
+    INCONCLUSIVE face.
     """
     w = _face_columns(s_basis, members)
     order = w + sorted(set(range(s_basis.dimension)).difference(w))
@@ -180,14 +203,23 @@ def check_empty_all_classes(
 
 
 def _face_verdict(s_basis: RationalBasis, w: SpeciesSet) -> FaceVerdict:
-    discrete, kernel_witness = check_discrete(s_basis, w)
-    if discrete:
+    """The face's status, decided by the cheapest check that settles it.
+
+    DISCRETE is decided by the rank of S on the W columns alone.  Otherwise
+    the emptiness LP runs, and only a face it leaves INCONCLUSIVE pays for
+    :func:`check_discrete`'s full elimination, whose kernel witness only
+    that status prints.
+    """
+    if _spans_on(s_basis, _face_columns(s_basis, w)):
         return FaceVerdict(species=w, status=FaceStatus.DISCRETE)
     empty, witness = check_empty_all_classes(s_basis, w)
     if empty:
         return FaceVerdict(
             species=w, status=FaceStatus.EMPTY_ALL_CLASSES, separating_witness=witness
         )
+    discrete, kernel_witness = check_discrete(s_basis, w)
+    if discrete:
+        raise ArithmeticError(f"rank of S on {sorted(w)} and the full elimination disagree")
     return FaceVerdict(
         species=w,
         status=FaceStatus.INCONCLUSIVE,

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 MAX_COEFF = 2**31 - 1
+_COEFF_DIGITS = len(str(MAX_COEFF))
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TERM_RE = re.compile(r"\s*(\d+)?\s*([A-Za-z][A-Za-z0-9_]*)\s*$")
 _RATE_ONEWAY_RE = re.compile(r"\s*k\s*=\s*(\S+)\s*$")
 _RATE_TWOWAY_RE = re.compile(r"\s*kf\s*=\s*(\S+?)\s*,\s*kr\s*=\s*(\S+)\s*$")
@@ -45,8 +46,20 @@ class Species:
     name: str
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):
             raise ValueError(f"invalid species name {self.name!r}")
+
+
+def _reject_terms(terms) -> None:
+    """Raise the error for terms that are not sorted, unique and in range."""
+    indices = [i for i, _ in terms]
+    if sorted(set(indices)) != indices:
+        raise ValueError("complex terms must be sorted by species index, without repeats")
+    for i, k in terms:
+        if i < 0:
+            raise ValueError("negative species index")
+        if not 0 < k <= MAX_COEFF:
+            raise ValueError(f"multiplicity {k} out of range")
 
 
 @dataclass(frozen=True)
@@ -56,19 +69,21 @@ class Complex:
     Multiplicities are strictly positive; the empty complex is ``Complex(())``.
     Complexes key the dictionaries and sets that index a network, so the
     hash of ``terms`` is computed once, here, not on every lookup.
+    ``indices``, the species indices as a frozenset, is recorded in the one
+    pass that checks the terms; a failing complex is examined again only to
+    name its first fault.
     """
 
     terms: tuple[tuple[int, int], ...]
+    indices: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indices = [i for i, _ in self.terms]
-        if sorted(set(indices)) != indices:
-            raise ValueError("complex terms must be sorted by species index, without repeats")
+        indices = [-1]  # below every valid index, so the first test needs no branch
         for i, k in self.terms:
-            if i < 0:
-                raise ValueError("negative species index")
-            if not 0 < k <= MAX_COEFF:
-                raise ValueError(f"multiplicity {k} out of range")
+            if i <= indices[-1] or not 0 < k <= MAX_COEFF:
+                _reject_terms(self.terms)
+            indices.append(i)
+        object.__setattr__(self, "indices", frozenset(indices[1:]))
         object.__setattr__(self, "_hash", hash(self.terms))
 
     def __hash__(self) -> int:
@@ -81,10 +96,6 @@ class Complex:
     @property
     def is_empty(self) -> bool:
         return not self.terms
-
-    @cached_property
-    def indices(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.terms)
 
     def format(self, names: tuple[str, ...] | list[str]) -> str:
         if self.is_empty:
@@ -102,7 +113,7 @@ class Reaction:
     def __post_init__(self):
         if self.source == self.product:
             raise ValueError("reaction source and product complexes are identical")
-        if not (self.rate > 0) or self.rate != self.rate or self.rate == float("inf"):
+        if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be a positive finite number, got {self.rate}")
 
 
@@ -123,49 +134,48 @@ class NumericForm(NamedTuple):
 
 @dataclass(frozen=True)
 class ReactionNetwork:
+    """Species and directed reactions, validated on construction.
+
+    The walk over the reactions that checks them also builds the index
+    tables, as plain attributes: ``species_names``; ``complexes``, every
+    source and product complex once, in first-appearance order; and
+    ``complex_index``, each complex's position in ``complexes``.  The float
+    arrays (``numeric``) and the exact structure report (``structure``) are
+    built on first use and kept on the object.
+    """
+
     species: tuple[Species, ...]
     reactions: tuple[Reaction, ...]
+    species_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    complexes: tuple[Complex, ...] = field(init=False, repr=False, compare=False)
+    complex_index: dict[Complex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [s.name for s in self.species]
+        names = tuple(s.name for s in self.species)
         if len(set(names)) != len(names):
             raise ValueError("duplicate species names")
         if not self.reactions:
             raise ValueError("network must contain at least one reaction")
-        seen: set[tuple[Complex, Complex]] = set()
-        used: set[int] = set()
+        pairs: set[tuple[Complex, Complex]] = set()
+        index: dict[Complex, int] = {}
         for r in self.reactions:
-            key = (r.source, r.product)
-            if key in seen:
-                raise ValueError("duplicate reaction")
-            seen.add(key)
-            used |= r.source.indices | r.product.indices
-        if max(used, default=-1) >= len(self.species):
-            raise ValueError("complex references unknown species index")
+            pairs.add((r.source, r.product))
+            index.setdefault(r.source, len(index))
+            index.setdefault(r.product, len(index))
+        if len(pairs) != len(self.reactions):
+            raise ValueError("duplicate reaction")
+        used = frozenset().union(*(c.indices for c in index))
         if used != set(range(len(self.species))):
+            if max(used, default=-1) >= len(self.species):
+                raise ValueError("complex references unknown species index")
             raise ValueError("every species must appear in at least one complex")
+        object.__setattr__(self, "species_names", names)
+        object.__setattr__(self, "complexes", tuple(index))
+        object.__setattr__(self, "complex_index", index)
 
     @property
     def num_species(self) -> int:
         return len(self.species)
-
-    @cached_property
-    def species_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.species)
-
-    @cached_property
-    def complexes(self) -> tuple[Complex, ...]:
-        """All source and product complexes, deduplicated, in first-appearance order."""
-        return tuple(self.complex_index)
-
-    @cached_property
-    def complex_index(self) -> dict[Complex, int]:
-        """Each complex's position in :attr:`complexes`."""
-        index: dict[Complex, int] = {}
-        for r in self.reactions:
-            index.setdefault(r.source, len(index))
-            index.setdefault(r.product, len(index))
-        return index
 
     @cached_property
     def numeric(self) -> NumericForm:
@@ -198,22 +208,33 @@ def reaction_vector(reaction: Reaction, num_species: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _parse_complex(
-    text: str, line_no: int, col_base: int, index_of: dict[str, int], parsed: dict[str, Complex]
-) -> Complex:
-    """The complex ``text`` denotes, parsed once per stripped text into ``parsed``.
+def _coefficient(text: str, line_no: int, col: int) -> int:
+    """The value of a coefficient's digits, refused above ``MAX_COEFF``.
 
-    New species enter ``index_of`` in order of first appearance.  A failed
-    parse raises and is never stored, so every error keeps its position.
+    ``int`` refuses more than 4300 digits with a plain ``ValueError``, so a
+    long coefficient is refused first by its count of significant digits,
+    which the message gives instead of the digits.  ``\\d`` matches the
+    decimal digits of any script, so each digit is read by value before the
+    leading zeros go.
     """
+    if len(text) > _COEFF_DIGITS:
+        text = "".join(str(int(c)) for c in text).lstrip("0") or "0"
+        if len(text) > _COEFF_DIGITS:
+            message = f"stoichiometric coefficient of {len(text)} digits exceeds 32-bit range"
+            raise ParseError(message, line_no, col)
+    value = int(text)
+    if value > MAX_COEFF:
+        raise ParseError(f"stoichiometric coefficient {value} exceeds 32-bit range", line_no, col)
+    return value
+
+
+def _parse_complex(text: str, line_no: int, col_base: int, index_of: dict[str, int]) -> Complex:
+    """The complex ``text`` denotes; new species enter ``index_of`` in order of first appearance."""
     stripped = text.strip()
-    if stripped in parsed:
-        return parsed[stripped]
     if not stripped:
         raise ParseError("missing complex expression", line_no, col_base + 1)
     if stripped == "0":
-        complex_ = parsed[stripped] = Complex(())
-        return complex_
+        return Complex(())
     coeffs: dict[int, int] = {}
     offset = 0
     for part in text.split("+"):
@@ -222,16 +243,13 @@ def _parse_complex(
         if not m:
             raise ParseError(f"unrecognized token {part.strip()!r} in complex", line_no, col + 1)
         coeff_text, name = m.group(1), m.group(2)
-        coeff = int(coeff_text) if coeff_text else 1
+        coeff = _coefficient(coeff_text, line_no, col + 1) if coeff_text else 1
         if coeff == 0:
             raise ParseError("zero stoichiometric coefficient", line_no, col + 1)
-        if coeff > MAX_COEFF:
-            raise ParseError(f"stoichiometric coefficient {coeff} exceeds 32-bit range", line_no, col + 1)
         idx = index_of.setdefault(name, len(index_of))
         coeffs[idx] = coeffs.get(idx, 0) + coeff
         offset += len(part) + 1
-    complex_ = parsed[stripped] = Complex.from_dict(coeffs)
-    return complex_
+    return Complex(tuple(sorted(coeffs.items())))
 
 
 def _parse_rate(text: str, line_no: int, col_base: int) -> float:
@@ -249,32 +267,40 @@ def _parse_rate(text: str, line_no: int, col_base: int) -> float:
 
 
 def parse_network(text: str) -> ReactionNetwork:
-    """Parse network text into a validated :class:`ReactionNetwork`."""
+    """Parse network text into a validated :class:`ReactionNetwork`.
+
+    Each distinct complex text, stripped, is parsed once and then looked up.
+    A failed parse raises and is never stored, so every error keeps its
+    position.
+    """
     index_of: dict[str, int] = {}
     parsed: dict[str, Complex] = {}
     reactions: list[Reaction] = []
     seen_pairs: dict[tuple[Complex, Complex], int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        hash_pos = raw.find("#")
-        line = raw[:hash_pos] if hash_pos >= 0 else raw
-        if not line.strip():
+        line = raw.partition("#")[0]
+        if not line or line.isspace():
             continue
-        semi = line.find(";")
-        if semi < 0:
+        head, semi, rates = line.partition(";")
+        if not semi:
             raise ParseError("missing ';' before rate constants", line_no, len(line.rstrip()) + 1)
-        head, rates = line[:semi], line[semi + 1 :]
+        rate_col = len(head) + 2
         reversible = "<->" in head
         arrow = "<->" if reversible else "->"
-        arrow_pos = head.find(arrow)
-        if arrow_pos < 0:
+        lhs_text, found, rhs_text = head.partition(arrow)
+        if not found:
             raise ParseError("missing reaction arrow '->' or '<->'", line_no, 1)
-        if head.find(arrow, arrow_pos + len(arrow)) >= 0:
-            raise ParseError("more than one reaction arrow on a line", line_no, arrow_pos + len(arrow) + 1)
-        lhs_text = head[:arrow_pos]
-        rhs_text = head[arrow_pos + len(arrow) :]
-        source = _parse_complex(lhs_text, line_no, 0, index_of, parsed)
-        product = _parse_complex(rhs_text, line_no, arrow_pos + len(arrow), index_of, parsed)
+        rhs_col = len(lhs_text) + len(arrow)
+        if arrow in rhs_text:
+            raise ParseError("more than one reaction arrow on a line", line_no, rhs_col + 1)
+        lhs_key, rhs_key = lhs_text.strip(), rhs_text.strip()
+        source = parsed.get(lhs_key)
+        if source is None:
+            source = parsed[lhs_key] = _parse_complex(lhs_text, line_no, 0, index_of)
+        product = parsed.get(rhs_key)
+        if product is None:
+            product = parsed[rhs_key] = _parse_complex(rhs_text, line_no, rhs_col, index_of)
         if source == product:
             raise ParseError("reaction source and product complexes are identical", line_no, 1)
 
@@ -282,24 +308,22 @@ def parse_network(text: str) -> ReactionNetwork:
         if reversible:
             m = _RATE_TWOWAY_RE.match(rates)
             if not m:
-                raise ParseError("reversible reaction needs 'kf=<rate>, kr=<rate>'", line_no, semi + 2)
-            kf = _parse_rate(m.group(1), line_no, semi + 2)
-            kr = _parse_rate(m.group(2), line_no, semi + 2)
+                message = "reversible reaction needs 'kf=<rate>, kr=<rate>'"
+                raise ParseError(message, line_no, rate_col)
+            kf = _parse_rate(m.group(1), line_no, rate_col)
+            kr = _parse_rate(m.group(2), line_no, rate_col)
             pairs = [(source, product, kf), (product, source, kr)]
         else:
             m = _RATE_ONEWAY_RE.match(rates)
             if not m:
-                raise ParseError("reaction needs 'k=<rate>'", line_no, semi + 2)
-            k = _parse_rate(m.group(1), line_no, semi + 2)
-            pairs = [(source, product, k)]
+                raise ParseError("reaction needs 'k=<rate>'", line_no, rate_col)
+            pairs = [(source, product, _parse_rate(m.group(1), line_no, rate_col))]
 
         for src, prod, rate in pairs:
-            key = (src, prod)
-            if key in seen_pairs:
-                raise ParseError(
-                    f"duplicate reaction (already given on line {seen_pairs[key]})", line_no, 1
-                )
-            seen_pairs[key] = line_no
+            # The two directions of one line differ, so only an earlier line can repeat a pair.
+            first = seen_pairs.setdefault((src, prod), line_no)
+            if first != line_no:
+                raise ParseError(f"duplicate reaction (already given on line {first})", line_no, 1)
             reactions.append(Reaction(src, prod, rate))
 
     if not reactions:

@@ -2,10 +2,15 @@
 
 Rates never enter here: linkage classes, weak reversibility, the
 stoichiometric subspace, conservation laws and the deficiency are all
-properties of the graph and of integer reaction vectors, computed by
-exact integer elimination.  One elimination of the reaction vectors gives
-the canonical basis of their span S, and its rows and pivots give the
-kernel, whose canonical form takes a second elimination: two per network.
+properties of the graph and of integer complex vectors, computed by
+exact integer elimination.  Within a linkage class every complex is joined
+to the first one by a path of reactions, so the n - l differences
+y_j - y_first, y_first being the first complex of j's class, span the same
+subspace S as the r reaction vectors; a reversible pair contributes two
+reaction vectors but no extra difference.  One elimination of those
+differences gives the canonical basis of S, and its rows and pivots give
+the kernel, whose canonical form takes a second elimination: two per
+network.
 A :class:`RationalBasis` checks its canonical form entry by entry and runs
 no elimination.
 """
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import ratlin
-from .network import ReactionNetwork, reaction_vector
+from .network import ReactionNetwork
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,18 @@ def _build_report(net: ReactionNetwork) -> StructureReport:
     """Compute the structure report; ``ReactionNetwork.structure`` keeps the result."""
     classes, weakly_reversible = _complex_graph(net)
     m = net.num_species
-    reduced, pivots = ratlin.rref([reaction_vector(r, m) for r in net.reactions])
+    # Each linkage class is connected, so the differences from its first
+    # complex span the same S as its reaction vectors: n - l rows, not r.
+    spanning = []
+    for first, *rest in classes:
+        for j in rest:
+            row = [0] * m
+            for i, k in net.complexes[j].terms:
+                row[i] = k
+            for i, k in net.complexes[first].terms:
+                row[i] -= k
+            spanning.append(row)
+    reduced, pivots = ratlin.rref(spanning)
     s_basis = RationalBasis(m, tuple(reduced))
     cons = RationalBasis(m, ratlin.canonical_basis(ratlin._kernel(reduced, pivots, m)))
     n = len(net.complexes)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from crncert import (
+    Complex,
     EnumerationCapError,
     Reaction,
     ReactionNetwork,
+    Species,
     check_discrete,
     parse_network_file,
     structure_report,
@@ -173,3 +175,51 @@ def exact_tree_constants(net):
         inflow = sum(kappa[a] * q[a][j] for a in range(n) if a != j)
         assert inflow == -kappa[j] * q[j][j] and kappa[j] > 0
     return kappa
+
+
+def cycle_union(rng, shared_species, with_empty):
+    """Union of 2-3 directed cycles of distinct complexes, as constructors build it.
+
+    No complex sits on two cycles, so each cycle is one linkage class and
+    the network is weakly reversible.  The cycles draw their complexes from
+    one pool of species (``shared_species``) or from disjoint pools; with
+    ``with_empty`` the first cycle passes through the empty complex.
+    Species are indexed in order of first appearance.  Returns the network
+    and its number of cycles.
+    """
+    n_cycles = int(rng.integers(2, 4))
+    pool = int(rng.integers(2, 6))
+    taken = set()
+    cycles = []
+    for c in range(n_cycles):
+        first = 0 if shared_species else c * pool
+        cycle = [()] if with_empty and c == 0 else []
+        for _ in range(int(rng.integers(2, 5))):
+            picked = rng.choice(pool, size=int(rng.integers(1, 3)), replace=False)
+            members = sorted(first + int(i) for i in picked)
+            terms = tuple((i, int(rng.integers(1, 3))) for i in members)
+            if terms not in taken and terms not in cycle:
+                cycle.append(terms)
+        k = 3
+        while len(cycle) < 2:
+            if ((first, k),) not in taken:
+                cycle.append(((first, k),))
+            k += 1
+        taken.update(cycle)
+        cycles.append(cycle)
+    order = {}
+    for cycle in cycles:
+        for terms in cycle:
+            for i, _ in terms:
+                order.setdefault(i, len(order))
+
+    def complex_(terms):
+        return Complex(tuple(sorted((order[i], k) for i, k in terms)))
+
+    reactions = tuple(
+        Reaction(complex_(a), complex_(b), float(rng.uniform(0.5, 2.0)))
+        for cycle in cycles
+        for a, b in zip(cycle, cycle[1:] + cycle[:1])
+    )
+    species = tuple(Species(f"S{i}") for i in range(len(order)))
+    return ReactionNetwork(species, reactions), n_cycles

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from crncert.ratlin import canonical_basis, dot
 from conftest import (
     OVER_BUDGET_K,
     all_semi_locking_sets,
+    cycle_union,
     doubling_siphons_text,
     face_kernel,
     names_of,
@@ -170,6 +172,48 @@ def test_inconclusive_face_reports_both_witnesses():
     doc = cert.to_json_dict()
     inconclusive = [v for v in doc["verdicts"] if v["status"] == "INCONCLUSIVE"]
     assert {"kernel", "feasible"} <= set(inconclusive[0]["witness"])
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_face_verdicts_on_several_linkage_classes_match_sympy_rank(seed, shared, with_empty):
+    # DISCRETE is decided by the rank of S on the W columns alone; an
+    # INCONCLUSIVE face still carries check_discrete's kernel witness.
+    net, _ = cycle_union(np.random.default_rng(seed), shared, with_empty)
+    basis = stoichiometric_basis(net)
+    for w in minimal_semi_locking_sets(net).minimal_sets:
+        verdict = _face_verdict(basis, w)
+        rank_on_w = sympy.Matrix([[v[j] for j in sorted(w)] for v in basis.vectors]).rank()
+        assert (verdict.status is FaceStatus.DISCRETE) == (rank_on_w == len(basis))
+        if verdict.status is FaceStatus.INCONCLUSIVE:
+            assert verdict.kernel_witness == check_discrete(basis, w)[1] is not None
+        else:
+            assert verdict.kernel_witness is None
+
+
+def test_full_elimination_runs_only_for_inconclusive_faces(monkeypatch):
+    module = importlib.import_module("crncert.certify")
+    calls = []
+
+    def counted(basis, members):
+        calls.append(members)
+        return check_discrete(basis, members)
+
+    monkeypatch.setattr(module, "check_discrete", counted)
+    expected = []
+    for seed in range(40):
+        net, _ = cycle_union(np.random.default_rng(seed), seed % 2 == 0, seed % 3 == 0)
+        cert = certify(net)
+        expected += [v.species for v in cert.verdicts if v.status is FaceStatus.INCONCLUSIVE]
+    assert expected and calls == expected
+
+
+def test_face_verdict_refuses_a_rank_that_the_full_elimination_contradicts(monkeypatch):
+    net = parse_network("A + B <-> 0 ; kf=1, kr=1\nC <-> 2C ; kf=1, kr=1")
+    module = importlib.import_module("crncert.certify")
+    monkeypatch.setattr(module, "check_discrete", lambda basis, members: (True, None))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        _face_verdict(stoichiometric_basis(net), species_set(net, "C"))
 
 
 def test_disjoint_siphons_get_one_verdict_each():

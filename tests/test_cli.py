@@ -289,6 +289,17 @@ def test_overflowing_flux_at_x0_exits_1(tmp_path, capsys):
     assert err.startswith("error: flux overflow at t=0.0"), err
 
 
+def test_an_overlong_coefficient_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.crn"
+    path.write_text(f"A <-> {'7' * 5000}B ; kf=1, kr=1\n")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 1 and out == ""
+    assert err == (
+        "parse error: line 1, col 7: "
+        "stoichiometric coefficient of 5000 digits exceeds 32-bit range\n"
+    )
+
+
 def test_equilibrium_refusal(tmp_path, capsys):
     path = tmp_path / "oneway.crn"
     path.write_text("A -> B ; k=1\n")

@@ -172,6 +172,79 @@ def test_network_invariants_enforced():
         ReactionNetwork((a, b, c), (ab,))  # C never appears
 
 
+@pytest.mark.parametrize("name", ["A\n", "A ", " A", "", "2A", "A-B", "A\r\n"])
+def test_species_rejects_a_name_the_parser_cannot_read(name):
+    # "$" would also match before a final newline; the whole name must match
+    with pytest.raises(ValueError, match="invalid species name"):
+        Species(name)
+
+
+@st.composite
+def constructed_networks(draw):
+    """Networks built through the constructors from every name they accept."""
+    base = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+    bases = draw(st.lists(base, min_size=1, max_size=4, unique=True))
+    species = []
+    for base in bases:
+        try:
+            species.append(Species(base + draw(st.sampled_from(["", "", "\n", " ", "\t"]))))
+        except ValueError:
+            pass
+    if not species:
+        species = [Species("A")]
+    m = len(species)
+    # A first cycle touches every species; more reactions may follow.
+    cycle = [Complex(((i, draw(st.integers(1, 3))),)) for i in range(m)]
+    if m == 1:
+        cycle.append(Complex(()))
+    pairs = [(cycle[j], cycle[(j + 1) % len(cycle)]) for j in range(len(cycle))]
+    for _ in range(draw(st.integers(0, 3))):
+        picked = draw(st.sets(st.integers(0, m - 1), max_size=m))
+        source = Complex(tuple((i, draw(st.integers(1, 3))) for i in sorted(picked)))
+        product = draw(st.sampled_from(cycle))
+        if source != product and (source, product) not in pairs:
+            pairs.append((source, product))
+    rates = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
+    return ReactionNetwork(tuple(species), tuple(Reaction(s, p, draw(rates)) for s, p in pairs))
+
+
+def _by_name(net):
+    names = net.species_names
+
+    def named(c):
+        return frozenset((names[i], k) for i, k in c.terms)
+
+    return {(named(r.source), named(r.product), r.rate) for r in net.reactions}
+
+
+@given(constructed_networks())
+@settings(max_examples=100)
+def test_serialize_roundtrip_of_constructed_networks(net):
+    # The parser numbers species by first appearance, so compare by name.
+    again = parse_network(serialize_network(net))
+    assert set(again.species_names) == set(net.species_names)
+    assert _by_name(again) == _by_name(net)
+
+
+@pytest.mark.parametrize("digits", ["9" * 11, "1" * 5000])
+def test_an_overlong_coefficient_is_a_parse_error_at_its_term(digits):
+    # int() refuses more than 4300 digits with a plain ValueError and no position
+    message = f"coefficient of {len(digits)} digits exceeds 32-bit range"
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_network(f"A -> B + {digits}C ; k=1")
+    assert (exc.value.line, exc.value.col) == (1, 10)
+    assert len(str(exc.value)) < 100
+
+
+def test_leading_zeros_do_not_count_against_a_coefficient():
+    net = parse_network(f"A -> {'0' * 5000}3B ; k=1")
+    assert net.reactions[0].product == Complex(((1, 3),))
+    with pytest.raises(ParseError, match="zero stoichiometric coefficient"):
+        parse_network(f"A -> {'0' * 5000}B ; k=1")
+    with pytest.raises(ParseError, match="coefficient 2147483648 exceeds 32-bit range"):
+        parse_network(f"A -> {'0' * 5000}2147483648B ; k=1")
+
+
 _names = st.sampled_from(["A", "B", "C", "D", "E_1", "x2"])
 
 

@@ -47,19 +47,28 @@ def test_cert_digest_prints_one_line_per_certificate():
     assert re.fullmatch(rf"{count} certificates sha256 [0-9a-f]{{64}}", lines[-1])
 
 
-def test_cert_digest_matches_the_committed_digest():
-    # Every certificate, witnesses included, stays byte-identical; a change
-    # that moves certificates on purpose regenerates this file with
-    # `scripts/cert_digest.py 200 0`.
+def _committed_digest_matches(count, seed):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "cert_digest.py"), "200", "0"],
+        [sys.executable, str(SCRIPTS / "cert_digest.py"), count, seed],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    expected = (NETWORKS.parent / "tests" / "data" / "cert_digest_200_0.txt").read_text()
-    assert proc.stdout == expected
+    expected = NETWORKS.parent / "tests" / "data" / f"cert_digest_{count}_{seed}.txt"
+    assert proc.stdout == expected.read_text()
+
+
+def test_cert_digest_matches_the_committed_digest():
+    # Every certificate, witnesses included, stays byte-identical; a change
+    # that moves certificates on purpose regenerates this file with
+    # `scripts/cert_digest.py 200 0`.
+    _committed_digest_matches("200", "0")
+
+
+def test_cert_digest_at_seed_11_matches_the_committed_digest():
+    # A second draw of 500 networks; regenerate with `scripts/cert_digest.py 500 11`.
+    _committed_digest_matches("500", "11")
 
 
 def test_benchmark_trace_targets_resolve():

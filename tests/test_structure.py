@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from crncert import ratlin
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import canonical_basis, dot
 
-from conftest import vec_by_name
+from conftest import cycle_union, vec_by_name
 
 def test_linkage_classes_counts(ex1, ex3):
     assert [len(b) for b in structure_report(ex1).linkage_classes] == [4]
@@ -182,6 +183,26 @@ def test_linkage_classes_invariant_under_reaction_permutation(seed, rnd):
         for block in structure_report(permuted).linkage_classes
     }
     assert original == after
+
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_several_linkage_classes_give_the_span_of_all_reaction_vectors(seed, shared, with_empty):
+    # The report eliminates the differences from each class's first complex,
+    # one root per class; the reaction vectors span the same S.
+    net, n_cycles = cycle_union(np.random.default_rng(seed), shared, with_empty)
+    report = structure_report(net)
+    m = net.num_species
+    vectors = [reaction_vector(r, m) for r in net.reactions]
+    stoichiometry = sympy.Matrix(vectors)
+    rank = stoichiometry.rank()
+    kernel = [[Fraction(int(x.p), int(x.q)) for x in v] for v in stoichiometry.nullspace()]
+    assert report.l == n_cycles and report.weakly_reversible
+    assert report.s_basis.vectors == canonical_basis(vectors)
+    assert report.conservation_basis.vectors == canonical_basis(kernel)
+    assert report.s == len(report.s_basis) == rank
+    assert len(report.conservation_basis) == m - rank
+    assert report.deficiency == len(net.complexes) - n_cycles - rank
+
 
 def test_negative_deficiency_is_impossible_on_fixtures(ex1, ex2, ex3):
     for net in (ex1, ex2, ex3):
