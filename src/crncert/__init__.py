@@ -8,7 +8,6 @@ from .network import (
     Species,
     parse_network,
     parse_network_file,
-    reaction_vector,
     serialize_network,
 )
 from .structure import (

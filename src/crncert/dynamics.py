@@ -1,10 +1,10 @@
 """Numerical dynamics: kinetics, Lyapunov monitoring, integration, equilibria.
 
 The structural modules are exact; this one is deliberately floating point.
-Every rate is a monomial in ``u = theta(x)`` (absent species contribute a
-factor 1, i.e. ``0**0 == 1``), ``theta`` being the identity for mass action
-and a per-species monotone map for generalized kinetics.  So each numeric
-routine has one path, and the Jacobians scale by ``d theta / dx``.
+Every rate is a monomial in ``u = theta(x)``, read from the source table of
+``net.numeric``; ``theta`` is the identity for mass action and a per-species
+monotone map for generalized kinetics.  So each numeric routine has one
+path, and one exact Jacobian kernel, scaled by ``d theta / dx``, serves all.
 
 :func:`simulate` integrates with the explicit Dormand-Prince 8(5,3) pair
 DOP853 until a rejected step shows that stability, not accuracy, holds the
@@ -120,11 +120,6 @@ def _checked(x: Sequence[float], m: int, name: str, positive: bool) -> np.ndarra
     return arr
 
 
-def _fluxes(form: NumericForm, u: np.ndarray) -> np.ndarray:
-    # np.multiply.reduce is np.prod without its Python-level dispatch.
-    return form.rates * np.multiply.reduce(u**form.exponents, axis=1)
-
-
 # Terms per generated statement.  A flux's product and a species' sum are
 # cut into statements of at most this many terms, so no expression nests
 # deeper than this, however many reactions share a species.
@@ -138,15 +133,6 @@ def _statements(target: str, terms: list[str], op: str) -> list[str]:
         for i in range(0, len(terms), _TERMS_PER_STATEMENT)
     ]
     return [f"    {target} = {exprs[0]}"] + [f"    {target} {op.strip()}= {e}" for e in exprs[1:]]
-
-
-def _nonzero_rows(matrix: np.ndarray) -> list[list[tuple[int, float]]]:
-    # Each row's nonzero entries as (column, value), found without a dense scan.
-    rows, cols = np.nonzero(matrix)
-    out: list[list[tuple[int, float]]] = [[] for _ in range(len(matrix))]
-    for i, j, v in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()):
-        out[i].append((j, v))
-    return out
 
 
 def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
@@ -164,7 +150,10 @@ def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
     ``Reaction`` checks to be finite; no name or input text reaches it.
     """
     m = form.stoichiometry.shape[1]
-    sources = [[(j, int(e)) for j, e in row] for row in _nonzero_rows(form.exponents)]
+    sources = [
+        [(j, int(e)) for j, e in zip(js, es) if e]
+        for js, es in zip(form.source_species.tolist(), form.source_orders.tolist())
+    ]
     bits = [1] * m
     for row in sources:
         for j, e in row:
@@ -179,7 +168,11 @@ def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
     for r, (rate, row) in enumerate(zip(form.rates.tolist(), sources)):
         factors = [power(j, k) for j, e in row for k in range(e.bit_length()) if e >> k & 1]
         lines += _statements(f"r{r}", [repr(rate)] + factors, " * ")
-    for j, column in enumerate(_nonzero_rows(form.stoichiometry.T)):
+    columns: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    rows, cols = np.nonzero(form.stoichiometry)
+    for r, j, c in zip(rows.tolist(), cols.tolist(), form.stoichiometry[rows, cols].tolist()):
+        columns[j].append((r, c))
+    for j, column in enumerate(columns):
         terms = [f"{'-' * (c < 0)}{'' if abs(c) == 1 else f'{abs(c)!r} * '}r{r}" for r, c in column]
         lines += _statements(f"d{j}", terms or ["0.0"], " + ")
     lines.append("    return [" + ", ".join(f"d{j}" for j in range(m)) + "]")
@@ -190,8 +183,10 @@ def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
 
 def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Per-reaction fluxes at state x (monomials in the transformed state)."""
-    arr = _checked(x, net.num_species, "state", positive=False)
-    return _fluxes(net.numeric, _transformed(arr, kinetics))
+    u = _transformed(_checked(x, net.num_species, "state", positive=False), kinetics)
+    form = net.numeric
+    # np.multiply.reduce is np.prod without its Python-level dispatch.
+    return form.rates * np.multiply.reduce(u[form.source_species] ** form.source_orders, axis=1)
 
 
 def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
@@ -203,41 +198,50 @@ def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.
     return reaction_rates(net, kinetics, x) @ net.numeric.stoichiometry
 
 
-# Floats a block of jacobian columns may hold in one temporary (512 KiB).
-_JACOBIAN_BLOCK = 1 << 16
+def _compile_jacobian(form: NumericForm) -> Callable[[np.ndarray], np.ndarray]:
+    """``u -> d(fluxes(u) @ stoichiometry) / du`` for ``form``, exact on the boundary.
+
+    The derivative of flux r by the species of its slot a is the rate times
+    the monomial with factor a replaced by ``e * u**(e - 1)`` (the exponent
+    clipped at 0, so u = 0 stays exact).  Entry (i, j) adds
+    ``stoichiometry[r, i]`` times it over the reactions in order, as
+    ``np.bincount`` adds its weights, so it equals the per-reaction loop bit
+    for bit.  The tables below depend only on the network: built once here.
+    """
+    species, orders = form.source_species, form.source_orders
+    width, m = orders.shape[1], form.stoichiometry.shape[1]
+    # Row (k, a), for the k-th nonzero stoichiometric entry (r, i) in reaction
+    # order and slot a of r, holds the w + 2 factors of one term of entry
+    # (i, species[r, a]), in the loop's order, as coefficient * u[base]**exponent:
+    # each slot's power, e * u**(e - 1) at slot a, the rate, then N[r, i].
+    reactions, touched = np.nonzero(form.stoichiometry)
+    diagonal = np.eye(width, width + 2, dtype=bool)
+    padded = np.zeros((len(reactions), 1, width + 2))
+    padded[..., :width] = orders[reactions, None, :]
+    exponents = np.maximum(padded - diagonal, 0.0)
+    coefficients = np.where(diagonal, padded, 1.0)
+    coefficients[..., width] = form.rates[reactions, None]
+    coefficients[..., width + 1] = form.stoichiometry[reactions, touched, None]
+    bases = np.zeros(exponents.shape, dtype=np.intp)
+    bases[..., :width] = species[reactions, None, :]
+    targets = (m * touched[:, None] + species[reactions]).ravel()
+
+    def jac(u: np.ndarray) -> np.ndarray:
+        terms = np.multiply.reduce(coefficients * u[bases] ** exponents, axis=2)
+        return np.bincount(targets, terms.ravel(), minlength=m * m).reshape(m, m)
+
+    return jac
 
 
 def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Derivative matrix of :func:`rhs` at x.
 
     Exact monomial differentiation in ``u = theta(x)``, valid on the
-    boundary, times ``d theta_j / d x_j`` on column j (the chain rule).
-    The columns are built in blocks whose temporaries hold about
-    ``_JACOBIAN_BLOCK`` floats, or one column's r * m, so memory stays
-    O(r m + m^2) however many species there are.
+    boundary, times ``d theta_j / d x_j`` on column j (the chain rule).  No
+    temporary holds r * m * m floats, however many species there are.
     """
     arr = _checked(x, net.num_species, "state", positive=False)
-    u = _transformed(arr, kinetics)
-    m = arr.size
-    form = net.numeric
-    e = form.exponents
-    powers = u**e
-    # d(u_j**e)/du_j; clipping e - 1 at 0 keeps u_j = 0 exact (0**0 == 1).
-    derivatives = e * u ** np.maximum(e - 1.0, 0.0)
-    jac = np.empty((m, m))
-    width = max(1, _JACOBIAN_BLOCK // powers.size)
-    for start in range(0, m, width):
-        cols = range(start, min(start + width, m))
-        block = slice(start, cols.stop)
-        # Only reactions whose source holds a species of the block have a
-        # nonzero gradient there; factors[i, c] is the monomial of reaction
-        # rows[i] with u_j**e replaced by its derivative, j = cols[c].
-        rows = np.flatnonzero(e[:, block].any(axis=1))
-        factors = np.repeat(powers[rows, None, :], len(cols), axis=1)
-        factors[:, range(len(cols)), cols] = derivatives[rows, block]
-        grad = np.where(e[rows, block] != 0.0, form.rates[rows, None] * np.prod(factors, axis=2), 0.0)
-        jac[:, block] = np.sum(grad[:, None, :] * form.stoichiometry[rows, :, None], axis=0, initial=0.0)
-    return jac * _slopes(arr, kinetics)
+    return _compile_jacobian(net.numeric)(_transformed(arr, kinetics)) * _slopes(arr, kinetics)
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -509,8 +513,8 @@ def simulate(
     accuracy, and the run switches, once, to the L-stable Rosenbrock pair
     RODAS4, which inverts ``W = I / (h gamma) - J`` once per step, and
     retries the step with it.  Accepted DOP853 steps cost no Jacobian.  J is
-    the exact derivative in ``u = theta(x)`` times the slopes of theta, as
-    in :func:`jacobian`.  Each stepper fills the rows of one preallocated
+    :func:`jacobian` at x, from one kernel whose tables are built once per
+    run.  Each stepper fills the rows of one preallocated
     stage array and applies its tableau as matrix products, the tableau
     scaled by h once per attempt.  Inputs are validated once, here; the
     vector field is then compiled once from ``net.numeric`` to
@@ -536,9 +540,8 @@ def simulate(
         raise ValueError("atol must be positive when rtol is 0")
     ref = None if x_ref is None else _checked(x_ref, x.size, "reference state x_ref", positive=True)
 
-    form = net.numeric
-    stoichiometry = form.stoichiometry
-    field = _compile_field(form)
+    field = _compile_field(net.numeric)
+    jac_u = _compile_jacobian(net.numeric)
     evaluations = 0
 
     def f(state: list[float]) -> list[float]:
@@ -549,10 +552,7 @@ def simulate(
         return field(_transformed(np.array(state), kinetics).tolist())
 
     def jac(state: np.ndarray) -> np.ndarray:
-        # Exact at a positive state: d flux_r / d u_j = flux_r * e_rj / u_j.
-        # Column j is divided by u_j last, so a tiny u_j cannot overflow.
-        u = _transformed(state, kinetics)
-        return (stoichiometry.T * _fluxes(form, u)) @ form.exponents / u * _slopes(state, kinetics)
+        return jac_u(_transformed(state, kinetics)) * _slopes(state, kinetics)
 
     def finite_f(state: np.ndarray, t: float) -> np.ndarray:
         fs = np.array(f(state.tolist()))

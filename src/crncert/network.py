@@ -118,17 +118,21 @@ class Reaction:
 
 
 class NumericForm(NamedTuple):
-    """Float arrays of a network, shared read-only by every numeric routine.
+    """Arrays of a network, shared read-only by every numeric routine.
 
     Rows of ``complex_matrix`` follow ``ReactionNetwork.complexes``; reaction r
-    runs from complex ``source[r]`` to ``product[r]`` at ``rates[r]``.
+    runs from complex ``source[r]`` to ``product[r]`` at ``rates[r]``.  Its
+    source monomial is ``prod_a u[source_species[r, a]] ** source_orders[r, a]``
+    over w slots in species order, w being the size of the widest source; a
+    shorter row is padded with order 0 (``u**0 == 1``) on its last species.
     """
 
     complex_matrix: np.ndarray
     source: np.ndarray
     product: np.ndarray
     rates: np.ndarray
-    exponents: np.ndarray
+    source_species: np.ndarray
+    source_orders: np.ndarray
     stoichiometry: np.ndarray
 
 
@@ -187,7 +191,11 @@ class ReactionNetwork:
         source = np.array([self.complex_index[r.source] for r in self.reactions])
         product = np.array([self.complex_index[r.product] for r in self.reactions])
         rates = np.array([r.rate for r in self.reactions])
-        form = NumericForm(y, source, product, rates, y[source], y[product] - y[source])
+        rows = [r.source.terms for r in self.reactions]
+        width = max(1, *map(len, rows))
+        table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
+        species, orders = table[..., 0].copy(), table[..., 1].astype(float)
+        form = NumericForm(y, source, product, rates, species, orders, y[product] - y[source])
         for a in form:
             a.setflags(write=False)
         return form
@@ -196,16 +204,6 @@ class ReactionNetwork:
     def structure(self) -> StructureReport:
         """The exact structure report, built once per object and freed with it."""
         return _build_report(self)
-
-
-def reaction_vector(reaction: Reaction, num_species: int) -> tuple[int, ...]:
-    """Dense net stoichiometry of one reaction: product minus source."""
-    v = [0] * num_species
-    for i, k in reaction.source.terms:
-        v[i] -= k
-    for i, k in reaction.product.terms:
-        v[i] += k
-    return tuple(v)
 
 
 def _coefficient(text: str, line_no: int, col: int) -> int:
@@ -248,6 +246,9 @@ def _parse_complex(text: str, line_no: int, col_base: int, index_of: dict[str, i
             raise ParseError("zero stoichiometric coefficient", line_no, col + 1)
         idx = index_of.setdefault(name, len(index_of))
         coeffs[idx] = coeffs.get(idx, 0) + coeff
+        if coeffs[idx] > MAX_COEFF:
+            message = f"coefficients of {name} sum to {coeffs[idx]}, which exceeds 32-bit range"
+            raise ParseError(message, line_no, col + 1)
         offset += len(part) + 1
     return Complex(tuple(sorted(coeffs.items())))
 

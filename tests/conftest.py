@@ -38,6 +38,16 @@ def species_set(net, *names):
     return frozenset(index[n] for n in names)
 
 
+def reaction_vector(reaction, num_species):
+    """Dense net stoichiometry of one reaction: product minus source."""
+    v = [0] * num_species
+    for i, k in reaction.source.terms:
+        v[i] -= k
+    for i, k in reaction.product.terms:
+        v[i] += k
+    return tuple(v)
+
+
 def vec_by_name(net, mapping):
     """Dense tuple in the network's species order from a name -> value dict."""
     return tuple(mapping.get(s.name, 0) for s in net.species)

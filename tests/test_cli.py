@@ -348,3 +348,14 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in oracles))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_repeated_species_past_the_coefficient_range_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "sum.crn"
+    path.write_text("2147483647A + A -> B ; k=1\n")
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 1 and out == ""
+    assert err == (
+        "parse error: line 1, col 15: "
+        "coefficients of A sum to 2147483648, which exceeds 32-bit range\n"
+    )

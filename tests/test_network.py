@@ -9,9 +9,10 @@ from crncert import (
     ReactionNetwork,
     Species,
     parse_network,
-    reaction_vector,
     serialize_network,
 )
+
+from conftest import reaction_vector
 
 
 def test_minimal_network():
@@ -127,6 +128,15 @@ def test_rate_error_names_finiteness_and_the_parsed_value(text, value):
     with pytest.raises(ParseError, match="rate must be positive and finite") as exc:
         parse_network(f"A {arrow} B ; {rates}")
     assert str(exc.value).endswith(f"which parses to {value}")
+
+
+def test_a_repeated_species_is_summed_up_to_the_coefficient_range():
+    net = parse_network("2147483646A + A -> B ; k=1")
+    assert net.reactions[0].source == Complex(((0, 2147483647),))
+    with pytest.raises(ParseError, match="coefficients of A sum to 2147483648,") as exc:
+        parse_network("B -> C ; k=1\nD -> 2147483647A + A ; k=1")
+    # The column of the term that pushes the sum past the range.
+    assert (exc.value.line, exc.value.col) == (2, 20)
 
 
 def test_parse_error_reports_line_number():

@@ -2,7 +2,9 @@
 
 The loop functions below are the straightforward per-reaction versions of the
 mass-action kernels.  The array versions keep the same arithmetic in the same
-order, so results must agree exactly, boundary states included.  The
+order, so results must agree exactly, boundary states included.  Powers are
+taken as numpy array powers on both sides: the scalar power differs from the
+array one in the last bit on about one input in twenty.  The
 complex-balanced point is held instead to exact tree constants built by loops
 over the reactions, to a relative tolerance.
 """
@@ -23,18 +25,19 @@ from crncert import (
     complex_balance_residual,
     complex_balanced_point,
     find_equilibrium,
+    generalized_kinetics,
     jacobian,
     parse_network,
     reaction_rates,
-    reaction_vector,
     rhs,
     simulate,
     structure_report,
 )
+from crncert import dynamics
 from crncert.dynamics import _compile_field
 from crncert.randomnet import random_cycle_network, random_network
 
-from conftest import exact_tree_constants
+from conftest import exact_tree_constants, reaction_vector
 
 
 def loop_arrays(net):
@@ -66,10 +69,10 @@ def loop_jacobian(net, x):
     jac = np.zeros((m, m))
     for r_idx in range(src.shape[0]):
         exps = src[r_idx]
+        derivatives = exps * arr ** np.maximum(exps - 1.0, 0.0)
         for j in np.nonzero(exps)[0]:
             factors = arr**exps
-            xj = arr[j]
-            factors[j] = exps[j] * xj ** (exps[j] - 1.0) if exps[j] != 1.0 else exps[j]
+            factors[j] = derivatives[j]
             grad_j = k[r_idx] * np.prod(factors)
             jac[:, j] += grad_j * netv[r_idx]
     return jac
@@ -98,16 +101,21 @@ def loop_complex_balance_residual(net, x):
 HIGH_ORDER = parse_network(
     "3A + B <-> 2C ; kf=1.7, kr=0.3\n0 <-> A ; kf=2, kr=0.5\nC -> 2B + D ; k=0.9\nD -> 0 ; k=1.1"
 )
+# Orders up to 7 and a source of three species, so that a product of three
+# powers other than 1 shows the order in which the kernels multiply.
+HIGHER_ORDER = parse_network(
+    "5E + 4A + 2B <-> 7F ; kf=0.8, kr=1.3\nF -> A + B + E ; k=0.6\n0 <-> E ; kf=1, kr=0.4"
+)
 
 
 def _networks_and_states(seed, count):
     rng = np.random.default_rng(seed)
-    nets = [HIGH_ORDER] + [
-        random_network(rng, max_species=6, max_reactions=10, allow_empty_complex=True)
+    nets = [(HIGH_ORDER, 2000), (HIGHER_ORDER, 2000)] + [
+        (random_network(rng, max_species=6, max_reactions=10, allow_empty_complex=True), 4)
         for _ in range(count)
     ]
-    for net in nets:
-        for _ in range(4):
+    for net, states in nets:
+        for _ in range(states):
             x = rng.uniform(0.0, 3.0, size=net.num_species)
             x[rng.random(net.num_species) < 0.35] = 0.0
             yield net, x
@@ -123,6 +131,10 @@ def test_kernels_equal_loop_reference_on_random_networks_and_boundary_states():
 
 def _chain(m):
     return parse_network("\n".join(f"S{i} <-> S{i + 1} ; kf=1.5, kr=0.7" for i in range(m - 1)))
+
+
+def _hub(k):
+    return parse_network("\n".join(f"E <-> S{i} ; kf=1, kr=2" for i in range(k)))
 
 
 def _enzyme(k):
@@ -179,7 +191,7 @@ def test_a_huge_exponent_compiles_to_log_many_products_and_overflows_to_inf():
 
 @pytest.mark.parametrize(
     "net",
-    [_enzyme(150), _chain(400), parse_network("\n".join(f"E <-> S{i} ; kf=1, kr=2" for i in range(1500)))],
+    [_enzyme(150), _chain(400), _hub(1500)],
     ids=["enzyme-k150", "chain-m400", "hub-3000"],
 )
 def test_compiled_field_of_a_large_network(net):
@@ -203,6 +215,45 @@ def test_jacobian_memory_is_linear_in_reactions_times_species():
         tracemalloc.stop()
     assert np.array_equal(jac, loop_jacobian(net, x))
     assert peak <= 8 * 8 * (r * m + m * m)
+
+
+def test_flux_memory_is_linear_in_the_source_table():
+    # A dense r x m power of the exponents took 36 MB here.
+    net = _hub(1500)
+    r, w = net.numeric.source_orders.shape
+    x = np.random.default_rng(4).uniform(0.5, 2.0, net.num_species)
+    for kernel in (reaction_rates, rhs):
+        tracemalloc.start()
+        try:
+            kernel(net, MASS_ACTION, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * r * (w + 1), kernel.__name__
+
+
+@pytest.mark.parametrize("saturating", [False, True], ids=["mass-action", "saturating"])
+def test_one_kernel_serves_the_stepper_and_jacobian(monkeypatch, saturating):
+    net = parse_network("A <-> B ; kf=2000, kr=3000\nB <-> C ; kf=0.02, kr=0.01")
+    kinetics = generalized_kinetics(lambda s: s / (1.0 + s), 3) if saturating else MASS_ACTION
+    calls, seen = [], []
+    compile_jacobian, rosenbrock_step = dynamics._compile_jacobian, dynamics._rosenbrock_step
+
+    def counted(form):
+        jac_u = compile_jacobian(form)
+        return lambda u: calls.append(u) or jac_u(u)
+
+    def recorded(f, fx, jac_x, x, h, stages):
+        seen.append((x.copy(), jac_x.copy()))
+        return rosenbrock_step(f, fx, jac_x, x, h, stages)
+
+    monkeypatch.setattr(dynamics, "_compile_jacobian", counted)
+    monkeypatch.setattr(dynamics, "_rosenbrock_step", recorded)
+    stats = simulate(net, kinetics, [1.0, 0.5, 0.2], 1.0).stats
+    assert stats.rosenbrock_steps > 0
+    assert len(calls) == stats.jacobian_evaluations
+    for x, jac_x in seen:
+        assert np.array_equal(jac_x, jacobian(net, kinetics, x))
 
 
 def test_jacobian_exact_at_the_origin():

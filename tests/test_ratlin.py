@@ -13,7 +13,6 @@ from crncert import (
     ratlin,
     stoichiometric_basis,
 )
-from crncert.network import reaction_vector
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
     ExactBudgetError,
@@ -25,7 +24,7 @@ from crncert.ratlin import (
     solve_le,
 )
 
-from conftest import face_kernel, rank
+from conftest import face_kernel, rank, reaction_vector
 
 
 def test_rref_and_rank():

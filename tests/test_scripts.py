@@ -103,6 +103,6 @@ def test_package_public_names():
         "find_equilibrium", "generalized_kinetics", "is_semi_locking", "jacobian",
         "lyapunov", "minimal_semi_locking_sets", "parse_network",
         "parse_network_file", "persistence_margin", "reaction_rates",
-        "reaction_vector", "rhs", "serialize_network", "simulate",
+        "rhs", "serialize_network", "simulate",
         "stoichiometric_basis", "structure_report", "write_trajectory_csv",
     ]

@@ -17,7 +17,6 @@ from crncert import (
     conservation_basis,
     find_equilibrium,
     parse_network,
-    reaction_vector,
     simulate,
     stoichiometric_basis,
     structure_report,
@@ -26,7 +25,7 @@ from crncert import ratlin
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import canonical_basis, dot
 
-from conftest import cycle_union, vec_by_name
+from conftest import cycle_union, reaction_vector, vec_by_name
 
 def test_linkage_classes_counts(ex1, ex3):
     assert [len(b) for b in structure_report(ex1).linkage_classes] == [4]
