@@ -175,7 +175,9 @@ def check_empty_all_classes(
     negative on every W coordinate; by homogeneity that is the exact linear
     feasibility of ``s_i <= -1`` for i in W over the basis coefficients.
     Returns ``(True, separating_witness)`` when infeasible and
-    ``(False, feasible_witness)`` otherwise.
+    ``(False, feasible_witness)`` otherwise.  The separating witness is
+    built as zero off W, so its orthogonality to S is checked as the sum
+    over i in W of y_i * v_i for each basis vector v.
     """
     w = _face_columns(s_basis, members)
     vectors = s_basis.vectors
@@ -184,21 +186,21 @@ def check_empty_all_classes(
     if point is not None:
         # A positive rescaling keeps s_W < 0, so combine in integers.
         alpha = ratlin.integerize(point)
-        s = ratlin.integerize(_combine(alpha, vectors, s_basis.dimension))
+        s = tuple(ratlin._primitive(_combine(alpha, vectors, s_basis.dimension)))
         # The point must verify exactly: strictly negative on every W coordinate.
         return False, _verified("feasible", s, all(s[i] < 0 for i in w))
     assert farkas is not None
     y = [0] * s_basis.dimension
     for row_idx, i in enumerate(w):
         y[i] = farkas[row_idx]
-    witness = tuple(y)
     # The dual must verify exactly: nonnegative, nonzero, orthogonal to S.
+    # y is farkas on W and zero elsewhere, so each check runs over W alone.
     return True, _verified(
         "separating",
-        witness,
-        any(witness)
-        and all(v >= 0 for v in witness)
-        and all(ratlin.dot(witness, basis_vec) == 0 for basis_vec in vectors),
+        tuple(y),
+        any(farkas)
+        and min(farkas) >= 0
+        and all(sum(y[i] * v[i] for i in w) == 0 for v in vectors),
     )
 
 

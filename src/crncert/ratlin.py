@@ -142,13 +142,6 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[IntVec, ...
     return canonical_basis(_kernel(reduced, pivots, ncols))
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """Exact inner product; an ``int`` when both vectors are integer."""
-    if len(u) != len(v):
-        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
-
-
 class ExactBudgetError(ArithmeticError):
     """An exact routine stopped at its work bound before deciding."""
 

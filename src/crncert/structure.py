@@ -3,14 +3,16 @@
 Rates never enter here: linkage classes, weak reversibility, the
 stoichiometric subspace, conservation laws and the deficiency are all
 properties of the graph and of integer complex vectors, computed by
-exact integer elimination.  Within a linkage class every complex is joined
-to the first one by a path of reactions, so the n - l differences
-y_j - y_first, y_first being the first complex of j's class, span the same
-subspace S as the r reaction vectors; a reversible pair contributes two
-reaction vectors but no extra difference.  One elimination of those
-differences gives the canonical basis of S, and its rows and pivots give
-the kernel, whose canonical form takes a second elimination: two per
-network.
+exact integer elimination.  The flood fill that finds a linkage class
+walks a spanning tree of it, and the n - l edge differences
+y_j - y_parent(j) of those trees span the same subspace S as the r
+reaction vectors; a reversible pair contributes two reaction vectors but
+one edge at most.  An edge row touches only the species of two adjacent
+complexes, so the elimination fills in little (a star of differences from
+one shared complex would put that complex's species in every row).  One
+elimination of the edges gives the canonical basis of S, and its rows and
+pivots give the kernel, whose canonical form takes a second elimination:
+two per network.
 A :class:`RationalBasis` checks its canonical form entry by entry and runs
 no elimination.
 """
@@ -103,13 +105,19 @@ class StructureReport:
         return tuple(failures)
 
 
-def _complex_graph(net: ReactionNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Linkage classes and weak reversibility, in one flood fill over bit masks.
+def _complex_graph(
+    net: ReactionNetwork,
+) -> tuple[tuple[tuple[int, ...], ...], list[int], bool]:
+    """Linkage classes, a spanning forest and weak reversibility, in one
+    flood fill over bit masks.
 
     Each linkage class is the undirected flood from its lowest complex, so
-    blocks are sorted and ordered by their smallest member.  The network is
-    weakly reversible iff every class is strongly connected, that is iff
-    the forward and the backward flood from each root cover its class.
+    blocks are sorted and ordered by their smallest member.  The flood
+    records the complex from which it first reached each other complex,
+    its parent in a spanning tree of the class; a root is its own parent.
+    The network is weakly reversible iff every class is strongly connected,
+    that is iff the forward and the backward flood from each root cover its
+    class.
     """
     idx = net.complex_index
     n = len(net.complexes)
@@ -121,14 +129,22 @@ def _complex_graph(net: ReactionNetwork) -> tuple[tuple[tuple[int, ...], ...], b
         pred[v] |= 1 << u
     links = [a | b for a, b in zip(succ, pred)]
 
-    def flood(root: int, adj: list[int]) -> int:
+    parent = list(range(n))
+
+    def flood(root: int, adj: list[int], tree: bool = False) -> int:
         seen = frontier = 1 << root
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            new = adj[low.bit_length() - 1] & ~seen
+            u = low.bit_length() - 1
+            new = adj[u] & ~seen
             seen |= new
             frontier |= new
+            if tree:
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    parent[bit.bit_length() - 1] = u
         return seen
 
     classes = []
@@ -136,11 +152,16 @@ def _complex_graph(net: ReactionNetwork) -> tuple[tuple[tuple[int, ...], ...], b
     unplaced = (1 << n) - 1
     while unplaced:
         root = (unplaced & -unplaced).bit_length() - 1
-        block = flood(root, links)
+        block = flood(root, links, tree=True)
         unplaced &= ~block
         weakly_reversible = weakly_reversible and flood(root, succ) == block == flood(root, pred)
-        classes.append(tuple(i for i in range(root, block.bit_length()) if block >> i & 1))
-    return tuple(classes), weakly_reversible
+        members = []
+        while block:
+            low = block & -block
+            members.append(low.bit_length() - 1)
+            block ^= low
+        classes.append(tuple(members))
+    return tuple(classes), parent, weakly_reversible
 
 
 def stoichiometric_basis(net: ReactionNetwork) -> RationalBasis:
@@ -160,17 +181,17 @@ def structure_report(net: ReactionNetwork) -> StructureReport:
 
 def _build_report(net: ReactionNetwork) -> StructureReport:
     """Compute the structure report; ``ReactionNetwork.structure`` keeps the result."""
-    classes, weakly_reversible = _complex_graph(net)
+    classes, parent, weakly_reversible = _complex_graph(net)
     m = net.num_species
-    # Each linkage class is connected, so the differences from its first
-    # complex span the same S as its reaction vectors: n - l rows, not r.
+    # The edges of a spanning tree of each linkage class span the same S as
+    # its reaction vectors: n - l rows, not r.
     spanning = []
-    for first, *rest in classes:
+    for _, *rest in classes:
         for j in rest:
             row = [0] * m
             for i, k in net.complexes[j].terms:
                 row[i] = k
-            for i, k in net.complexes[first].terms:
+            for i, k in net.complexes[parent[j]].terms:
                 row[i] -= k
             spanning.append(row)
     reduced, pivots = ratlin.rref(spanning)

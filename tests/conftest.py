@@ -48,6 +48,13 @@ def reaction_vector(reaction, num_species):
     return tuple(v)
 
 
+def dot(u, v):
+    """Exact inner product; an ``int`` when both vectors are integer."""
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
+
+
 def vec_by_name(net, mapping):
     """Dense tuple in the network's species order from a name -> value dict."""
     return tuple(mapping.get(s.name, 0) for s in net.species)
@@ -120,6 +127,24 @@ def all_semi_locking_sets(net):
         if all(src & w for src, prod in rmasks if prod & w)
     ]
     return tuple(frozenset(ws) for ws in sorted(semi, key=lambda ws: (len(ws), ws)))
+
+
+def largest_siphon_by_rescan(allowed, rmasks):
+    """Mask of the largest semi-locking set inside ``allowed`` (0 if none).
+
+    Greatest fixpoint by rescanning: drop every product of a reaction whose
+    source misses the set, and scan every reaction again until none does.
+    ``rmasks`` holds each reaction's (source, product) species masks.
+    """
+    w = allowed
+    changed = True
+    while changed:
+        changed = False
+        for src, prod in rmasks:
+            if prod & w and not src & w:
+                w &= ~prod
+                changed = True
+    return w
 
 
 # k at which the doubling network below exceeds siphons.FIXPOINT_BUDGET:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from fractions import Fraction
@@ -26,14 +27,15 @@ from crncert import (
 )
 from crncert import ratlin
 from crncert.certify import _face_verdict
-from crncert.cli import main
+from crncert.cli import SCHEMA, main
 from crncert.randomnet import random_network
-from crncert.ratlin import canonical_basis, dot
+from crncert.ratlin import canonical_basis
 
 from conftest import (
     OVER_BUDGET_K,
     all_semi_locking_sets,
     cycle_union,
+    dot,
     doubling_siphons_text,
     face_kernel,
     names_of,
@@ -422,3 +424,35 @@ def test_face_verdicts_transfer_to_supersets(seed):
         else OverallStatus.NOT_CERTIFIED
     )
     assert cert.overall is expected
+
+
+# sha256 of each certificate's crn-cert/2 JSON, as `crn-cert certify` writes
+# it.  The values were recorded with a structure report that eliminated the
+# differences from each class's first complex, a siphon fixpoint that
+# rescanned every reaction and a separating check over all m coordinates,
+# so they pin the bytes across those three implementations.  Each network
+# has more complexes than any network the committed digests cover.
+SCALE_DIGESTS = {
+    "chain-m120": (
+        "\n".join(f"S{i} <-> S{i + 1} ; kf=1, kr=1" for i in range(119)),
+        "6377a4359a84a24c3e381c066583878cca590f02fecccfab1d9db57f691aabfb",
+    ),
+    "pairs-p60": (
+        "\n".join(f"A{i} <-> B{i} ; kf=1, kr=1" for i in range(60)),
+        "a86c55a6b798434c7fe24d0aba41edd3a165d4525f47fca8b9cc4e85d5518b41",
+    ),
+    "enzyme-k30": (
+        "\n".join(f"E + S{i} <-> C{i} ; kf=1, kr=1\nC{i} <-> E + P{i} ; kf=1, kr=1" for i in range(30)),
+        "dfd395bea7e182e5c599fe72d09f8be197229e0f44236467134e71b1a15137a9",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", SCALE_DIGESTS)
+def test_certificates_at_scale_are_byte_identical(label):
+    text, digest = SCALE_DIGESTS[label]
+    cert = certify(parse_network(text))
+    doc = {"schema": SCHEMA, **cert.to_json_dict()}
+    blob = (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+    assert cert.overall is OverallStatus.GLOBALLY_STABLE
+    assert hashlib.sha256(blob).hexdigest() == digest

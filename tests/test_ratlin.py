@@ -17,14 +17,13 @@ from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
     ExactBudgetError,
     canonical_basis,
-    dot,
     integerize,
     nullspace,
     rref,
     solve_le,
 )
 
-from conftest import face_kernel, rank, reaction_vector
+from conftest import dot, face_kernel, rank, reaction_vector
 
 
 def test_rref_and_rank():

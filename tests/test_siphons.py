@@ -10,13 +10,15 @@ from crncert import (
     parse_network,
 )
 from crncert.randomnet import random_cycle_network, random_network
-from crncert.siphons import FIXPOINT_BUDGET
+from crncert.siphons import FIXPOINT_BUDGET, _largest_siphon, _reaction_tables
 
 from conftest import (
     OVER_BUDGET_K,
     all_semi_locking_sets,
+    cycle_union,
     doubling_siphons_text,
     is_locking,
+    largest_siphon_by_rescan,
     names_of,
     species_set,
 )
@@ -125,6 +127,50 @@ def test_synthetic_families_at_scale():
     assert [names_of(enzyme, w) for w in minimal_semi_locking_sets(enzyme).minimal_sets] == [
         frozenset({f"S{i}", f"C{i}", f"P{i}"}) for i in range(20)
     ] + [frozenset({"E"} | {f"C{i}" for i in range(20)})]
+
+
+def _assert_fixpoint_matches_rescan(net, masks):
+    rmasks, consumers = _reaction_tables(net)
+    for allowed in masks:
+        expected = largest_siphon_by_rescan(allowed, rmasks)
+        assert _largest_siphon(allowed, rmasks, consumers) == expected, (net, allowed)
+
+
+def test_fixpoint_equals_rescan_on_every_mask():
+    checked = 0
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            net, _ = cycle_union(rng, seed % 4 == 1, seed % 3 == 0)
+        else:
+            net = random_network(rng, max_species=10, max_reactions=14, allow_empty_complex=seed % 4 == 0)
+        if net.num_species > 10:
+            continue
+        _assert_fixpoint_matches_rescan(net, range(1 << net.num_species))
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\n".join(f"S{i} <-> S{i + 1} ; kf=1, kr=1" for i in range(39)),
+        "\n".join(f"A{i} <-> B{i} ; kf=1, kr=1" for i in range(20)),
+        "\n".join(f"E + S{i} <-> C{i} ; kf=1, kr=1\nC{i} <-> E + P{i} ; kf=1, kr=1" for i in range(13)),
+    ],
+    ids=["chain-m40", "pairs-p20", "enzyme-k13"],
+)
+def test_fixpoint_equals_rescan_on_random_masks_at_scale(text):
+    net = parse_network(text)
+    m = net.num_species
+    rng = np.random.default_rng(m)
+    # Dense masks keep most species, so the propagation runs long.
+    masks = [
+        sum(1 << int(i) for i in np.flatnonzero(rng.random(m) < density))
+        for density in (0.5, 0.9, 0.97, 1.0)
+        for _ in range(100)
+    ]
+    _assert_fixpoint_matches_rescan(net, masks)
 
 
 def test_semi_locking_count(ex2):

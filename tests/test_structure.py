@@ -23,9 +23,9 @@ from crncert import (
 )
 from crncert import ratlin
 from crncert.randomnet import random_cycle_network, random_network
-from crncert.ratlin import canonical_basis, dot
+from crncert.ratlin import canonical_basis
 
-from conftest import cycle_union, reaction_vector, vec_by_name
+from conftest import cycle_union, dot, reaction_vector, vec_by_name
 
 def test_linkage_classes_counts(ex1, ex3):
     assert [len(b) for b in structure_report(ex1).linkage_classes] == [4]
@@ -186,8 +186,8 @@ def test_linkage_classes_invariant_under_reaction_permutation(seed, rnd):
 @given(st.integers(0, 10_000), st.booleans(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_several_linkage_classes_give_the_span_of_all_reaction_vectors(seed, shared, with_empty):
-    # The report eliminates the differences from each class's first complex,
-    # one root per class; the reaction vectors span the same S.
+    # The report eliminates the edges of a spanning tree of each class; the
+    # reaction vectors span the same S.
     net, n_cycles = cycle_union(np.random.default_rng(seed), shared, with_empty)
     report = structure_report(net)
     m = net.num_species
@@ -201,6 +201,31 @@ def test_several_linkage_classes_give_the_span_of_all_reaction_vectors(seed, sha
     assert report.s == len(report.s_basis) == rank
     assert len(report.conservation_basis) == m - rank
     assert report.deficiency == len(net.complexes) - n_cycles - rank
+
+
+def test_chain_report_takes_few_row_updates(monkeypatch):
+    # The edge rows S_i - S_j of a chain's spanning tree keep the elimination
+    # sparse: about 3,700 row updates at m = 400, where differences from one
+    # shared complex put it in every row and take 158,802.  The lines are
+    # shuffled, as the benchmark's generator does: on species numbered along
+    # the chain, Gauss-Jordan elimination updates every earlier row at each
+    # pivot whatever rows it starts from.
+    m = 400
+    lines = [f"S{i} <-> S{i + 1} ; kf=1, kr=1" for i in range(m - 1)]
+    order = np.random.default_rng(0).permutation(m - 1)
+    net = parse_network("\n".join(lines[i] for i in order))
+    eliminate = ratlin._eliminate
+    updates = 0
+
+    def counted_eliminate(rows, r, c):
+        nonlocal updates
+        updates += sum(1 for i, row in enumerate(rows) if i != r and row[c])
+        eliminate(rows, r, c)
+
+    monkeypatch.setattr(ratlin, "_eliminate", counted_eliminate)
+    report = structure_report(net)
+    assert report.s == m - 1 and len(report.conservation_basis) == 1
+    assert updates < 10_000
 
 
 def test_negative_deficiency_is_impossible_on_fixtures(ex1, ex2, ex3):
