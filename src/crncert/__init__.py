@@ -13,8 +13,6 @@ from .network import (
 from .structure import (
     RationalBasis,
     StructureReport,
-    conservation_basis,
-    stoichiometric_basis,
     structure_report,
 )
 from .siphons import (

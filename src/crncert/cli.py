@@ -3,9 +3,12 @@
 Exit codes: 0 success (certified where applicable), 2 valid input whose
 network fails the certification or equilibrium hypotheses, 1 any error,
 a usage error included.
-JSON documents carry ``"schema": "crn-cert/2"``.  A ``certify`` document
-holds one verdict per minimal semi-locking set, and has no ``"siphons"``
-key when a hypothesis fails, since siphons are then not enumerated.
+``analyze``, ``certify`` and ``equilibrium`` always print JSON; ``--json``
+is a ``simulate`` flag that puts a JSON summary in place of the CSV on
+stdout.  JSON documents carry ``"schema": "crn-cert/2"``.  A ``certify``
+document holds one verdict per minimal semi-locking set, and has no
+``"siphons"`` key when a hypothesis fails, since siphons are then not
+enumerated.
 """
 
 from __future__ import annotations
@@ -135,8 +138,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     net = parse_network_file(args.file)
     m = net.num_species
-    if not args.c:
-        raise ValueError("--c (class anchor, comma-separated, positive) is required")
     c = _parse_vector(args.c, m, "--c")
     try:
         result = find_equilibrium(net, c)
@@ -160,12 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input .crn network file")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument(
-            "--json",
-            action="store_true",
-            help="JSON output (default for analyze/certify/equilibrium; "
-            "for simulate, a JSON summary replaces the CSV on stdout)",
-        )
         p.set_defaults(handler=handler)
         return p
 
@@ -173,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("certify", cmd_certify, "global-stability certificate (JSON; exit 0 iff certified)")
 
     p_sim = add("simulate", cmd_simulate, "integrate the ODE and emit a trajectory CSV")
+    p_sim.add_argument("--json", action="store_true", help="a JSON summary replaces the CSV on stdout")
     p_sim.add_argument("--x0", help="initial state, comma-separated positive values")
     p_sim.add_argument("--t-end", type=float, default=50.0, dest="t_end")
     p_sim.add_argument("--rtol", type=float, default=1e-8)
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="seed for a random x0 when --x0 is absent")
 
     p_eq = add("equilibrium", cmd_equilibrium, "class equilibrium for an anchor point (JSON)")
-    p_eq.add_argument("--c", help="class anchor, comma-separated positive values")
+    p_eq.add_argument("--c", required=True, help="class anchor, comma-separated positive values")
 
     return parser
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .network import NumericForm, ReactionNetwork
-from .structure import conservation_basis, structure_report
+from .structure import structure_report
 
 
 class HypothesesError(ValueError):
@@ -652,7 +652,7 @@ def simulate(
         values = _relative_entropy(path, ref)
     else:
         values = np.array([lyapunov(state, ref, kinetics)[0] for state in path])
-    cons = conservation_basis(net)
+    cons = structure_report(net).conservation_basis
     if cons.vectors:
         w_mat = np.array(cons.vectors, dtype=float)
         residuals = np.max(np.abs((path - path[0]) @ w_mat.T), axis=1)
@@ -814,7 +814,7 @@ def find_equilibrium(
     """
     anchor = _checked(c, net.num_species, "class anchor c", positive=True)
     x = complex_balanced_point(net)
-    laws = conservation_basis(net).vectors
+    laws = structure_report(net).conservation_basis.vectors
     cons = np.array(laws, dtype=float).reshape(-1, net.num_species)
     terms = _binary_terms(laws)
     c_list = anchor.tolist()

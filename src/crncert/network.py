@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .structure import StructureReport, _build_report
+
 MAX_COEFF = 2**31 - 1
 _COEFF_DIGITS = len(str(MAX_COEFF))
 
@@ -347,6 +349,3 @@ def serialize_network(net: ReactionNetwork) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-# The structure module imports this one, so it is imported last.
-from .structure import StructureReport, _build_report  # noqa: E402

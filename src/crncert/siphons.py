@@ -8,10 +8,10 @@ why these sets are the only candidate supports for boundary attractors.
 The minimal semi-locking sets are found by a branch-and-bound search over
 species (after Cordone, Ferrarini & Piroddi, IEEE TSMC-A 2005, and Nabli,
 Martinez, Fages & Soliman, Constraints 2016).  Each node holds a set I of
-species that must be in the set and a set A of species that may be; it is
-pruned with the largest semi-locking set inside A, a greatest fixpoint
-computed in time linear in the network's size by Horn propagation (Dowling
-& Gallier, J. Logic Programming 1984).  The search is bounded by
+species that must be in the set and a set A of species that may be, and A
+is always its own largest semi-locking set: a greatest fixpoint computed in
+time linear in the network's size by Horn propagation (Dowling & Gallier,
+J. Logic Programming 1984).  The search is bounded by
 ``FIXPOINT_BUDGET`` fixpoint evaluations, not by the number of species.
 The test suite checks it against a scan of all 2^m subsets of small
 networks, and the fixpoint against one that rescans every reaction.
@@ -129,15 +129,19 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
     """Enumerate all inclusion-minimal semi-locking sets.
 
     Depth-first branch and bound over pairs (I, A) of species masks, I inside
-    A, standing for the sets W with I <= W <= A.  A node first shrinks A to
-    the largest semi-locking set inside it and is pruned when that misses I.
-    Once I contains a semi-locking set, no proper superset of I is minimal,
-    so I is recorded if it is itself minimal and the node ends.  Otherwise
-    some reaction produces a member of I from a source disjoint from I; every
-    W must then contain one of that source's species c_1..c_k in A, and child
-    j takes c_j into I and drops c_1..c_{j-1} from A, so the children split
-    the node's sets disjointly.  Each minimal set is found once; the catalog
-    is sorted by size, then by sorted species indices.
+    A, standing for the sets W with I <= W <= A; every stacked A is already
+    the largest semi-locking set inside itself.  Once I contains a
+    semi-locking set, no proper superset of I is minimal, so I is recorded
+    if it is itself minimal and the node ends.  Otherwise every W must
+    contain one of some species c_1..c_k of A: all of A when I is empty,
+    else those of the source of a reaction that produces a member of I from
+    a source disjoint from I.  Child j takes c_j into I and has A_j, the
+    largest semi-locking set inside A minus c_1..c_{j-1}, so the children
+    split the node's sets disjointly.  A_1 is A itself and takes no
+    evaluation, a child whose A_j lacks c_j holds no set and is not stacked,
+    and the A_j shrink with j, so the first A_j that is empty or misses I
+    ends the branching.  Each minimal set is found once; the catalog is
+    sorted by size, then by sorted species indices.
 
     Raises :class:`EnumerationCapError` once the search would evaluate more
     than ``FIXPOINT_BUDGET`` fixpoints.  Networks with exponentially many
@@ -158,26 +162,24 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
         return _largest_siphon(allowed, rmasks, consumers)
 
     found: list[int] = []
-    stack = [(0, (1 << m) - 1)]
+    stack = [(0, largest((1 << m) - 1))]
     while stack:
         inc, allowed = stack.pop()
-        allowed = largest(allowed)
-        if not allowed or inc & ~allowed:
-            continue
-        if not inc:
-            low = allowed & -allowed
-            stack += [(0, allowed & ~low), (low, allowed)]
-            continue
-        core = largest(inc)
-        if core:
-            if core == inc and not any(largest(inc & ~(1 << i)) for i in _members(inc)):
-                found.append(inc)
-            continue
-        src = next(src for src, prod in rmasks if prod & inc and not src & inc)
-        dropped = 0
-        for c in _members(src & allowed):
-            stack.append((inc | 1 << c, allowed & ~dropped))
-            dropped |= 1 << c
+        todo = allowed
+        if inc:
+            core = largest(inc)
+            if core:
+                if core == inc and not any(largest(inc & ~(1 << i)) for i in _members(inc)):
+                    found.append(inc)
+                continue
+            todo &= next(src for src, prod in rmasks if prod & inc and not src & inc)
+        while todo and not inc & ~allowed:
+            low = todo & -todo
+            stack.append((inc | low, allowed))
+            todo ^= low
+            if todo:
+                allowed = largest(allowed & ~low)
+                todo &= allowed
     found.sort(key=lambda w: (w.bit_count(), _members(w)))
     entries = tuple(
         SiphonEntry(

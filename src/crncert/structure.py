@@ -21,9 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
 from . import ratlin
-from .network import ReactionNetwork
+
+if TYPE_CHECKING:
+    from .network import ReactionNetwork
 
 
 @dataclass(frozen=True)
@@ -162,16 +165,6 @@ def _complex_graph(
             block ^= low
         classes.append(tuple(members))
     return tuple(classes), parent, weakly_reversible
-
-
-def stoichiometric_basis(net: ReactionNetwork) -> RationalBasis:
-    """Canonical exact basis of the span of all reaction vectors."""
-    return net.structure.s_basis
-
-
-def conservation_basis(net: ReactionNetwork) -> RationalBasis:
-    """Canonical exact basis of the orthogonal complement of the reaction span."""
-    return net.structure.conservation_basis
 
 
 def structure_report(net: ReactionNetwork) -> StructureReport:

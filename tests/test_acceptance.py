@@ -23,7 +23,6 @@ from crncert import (
     persistence_margin,
     rhs,
     simulate,
-    stoichiometric_basis,
     structure_report,
 )
 from crncert.randomnet import random_network
@@ -51,7 +50,7 @@ def test_criterion_1_example_1_golden(ex1):
         vec_by_name(ex1, {"B": 1, "D": 2, "E": -2}),
         vec_by_name(ex1, {"C": 1, "D": -2, "E": 1}),
     ]
-    basis = stoichiometric_basis(ex1)
+    basis = structure_report(ex1).s_basis
     assert canonical_basis(expected_span) == basis.vectors
 
     kernel = face_kernel(basis, species_set(ex1, "C", "D", "E"))
@@ -115,7 +114,7 @@ def test_criterion_4_oracle_equivalence():
         brute_minimal = {s for s in semi if not any(o < s for o in semi)}
         assert set(minimal_semi_locking_sets(net).minimal_sets) == brute_minimal
 
-        basis = stoichiometric_basis(net)
+        basis = structure_report(net).s_basis
         for w in semi:
             rows = np.array(
                 [[v[i] for v in basis.vectors] for i in sorted(w)], dtype=float
@@ -133,7 +132,7 @@ def test_criterion_5_dynamics_properties(ex1, ex2, ex3):
         m = net.num_species
         anchor = rng.uniform(0.5, 1.5, size=m)
         x_bar = find_equilibrium(varied, anchor).x_bar
-        span = np.array(stoichiometric_basis(net).vectors, dtype=float).T
+        span = np.array(structure_report(net).s_basis.vectors, dtype=float).T
 
         endpoints = []
         for _ in range(10):

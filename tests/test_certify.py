@@ -23,7 +23,7 @@ from crncert import (
     check_empty_all_classes,
     minimal_semi_locking_sets,
     parse_network,
-    stoichiometric_basis,
+    structure_report,
 )
 from crncert import ratlin
 from crncert.certify import _face_verdict
@@ -45,7 +45,7 @@ from conftest import (
 
 
 def test_check_discrete_golden(ex1, ex2):
-    basis = stoichiometric_basis(ex1)
+    basis = structure_report(ex1).s_basis
     ok, witness = check_discrete(basis, species_set(ex1, "A", "B", "E"))
     assert ok and witness is None
     ok, _ = check_discrete(basis, species_set(ex1, "A", "C", "E"))
@@ -53,12 +53,12 @@ def test_check_discrete_golden(ex1, ex2):
     ok, witness = check_discrete(basis, species_set(ex1, "C", "D", "E"))
     assert not ok
     assert witness == vec_by_name(ex1, {"A": 2, "B": -1})
-    ok, _ = check_discrete(stoichiometric_basis(ex2), species_set(ex2, "A", "B"))
+    ok, _ = check_discrete(structure_report(ex2).s_basis, species_set(ex2, "A", "B"))
     assert ok
 
 
 def test_face_kernel_golden(ex1):
-    basis = stoichiometric_basis(ex1)
+    basis = structure_report(ex1).s_basis
     kernel = face_kernel(basis, species_set(ex1, "C", "D", "E"))
     assert kernel == (vec_by_name(ex1, {"A": 2, "B": -1}),)
     assert face_kernel(basis, species_set(ex1, "A", "B", "E")) == ()
@@ -68,13 +68,13 @@ def test_face_kernel_golden(ex1):
 @pytest.mark.parametrize("members", [set(), {-1}, {0, 2}, {5}])
 def test_face_checks_reject_a_bad_species_set(check, members):
     # W must be a nonempty set of species: no index is wrapped or dropped
-    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1"))
+    basis = structure_report(parse_network("A <-> B ; kf=1, kr=1")).s_basis
     with pytest.raises(ValueError, match="species set"):
         check(basis, members)
 
 
 def test_check_empty_golden(ex1, ex2):
-    basis1 = stoichiometric_basis(ex1)
+    basis1 = structure_report(ex1).s_basis
     w3 = species_set(ex1, "C", "D", "E")
     empty, separating = check_empty_all_classes(basis1, w3)
     assert empty
@@ -86,7 +86,7 @@ def test_check_empty_golden(ex1, ex2):
     for b in basis1.vectors:
         assert dot(separating, b) == Fraction(0)
 
-    basis2 = stoichiometric_basis(ex2)
+    basis2 = structure_report(ex2).s_basis
     w1 = species_set(ex2, "A", "B")
     empty, feasible = check_empty_all_classes(basis2, w1)
     assert not empty
@@ -98,7 +98,7 @@ def test_check_empty_golden(ex1, ex2):
 
 def test_check_empty_trivial_two_species():
     net = parse_network("A <-> B ; kf=1, kr=1")
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     empty, separating = check_empty_all_classes(basis, frozenset({0, 1}))
     assert empty
     assert separating == (1, 1)
@@ -114,7 +114,7 @@ def test_check_empty_on_zero_span_reports_a_witness():
 @pytest.mark.parametrize("farkas", [[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(0)]])
 def test_check_empty_rejects_unverified_separating_witness(monkeypatch, farkas):
     # a negative or non-orthogonal dual from the LP is refused with a typed error
-    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1"))
+    basis = structure_report(parse_network("A <-> B ; kf=1, kr=1")).s_basis
     monkeypatch.setattr(ratlin, "solve_le", lambda A, b: (None, farkas))
     with pytest.raises(ArithmeticError, match="separating witness"):
         check_empty_all_classes(basis, frozenset({0, 1}))
@@ -124,7 +124,7 @@ def test_check_empty_rejects_unverified_separating_witness(monkeypatch, farkas):
 def test_check_discrete_rejects_unverified_kernel_witness(monkeypatch, row):
     # S = span{(1,-1,0,0), (0,0,1,-1)}; a row with its pivot past the W = {A, B}
     # block must be nonzero and zero on W, and these rows are not
-    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1\nC <-> D ; kf=1, kr=1"))
+    basis = structure_report(parse_network("A <-> B ; kf=1, kr=1\nC <-> D ; kf=1, kr=1")).s_basis
     monkeypatch.setattr(ratlin, "rref", lambda rows: ([row], [2]))
     with pytest.raises(ArithmeticError, match="kernel witness"):
         check_discrete(basis, frozenset({0, 1}))
@@ -133,7 +133,7 @@ def test_check_discrete_rejects_unverified_kernel_witness(monkeypatch, row):
 @pytest.mark.parametrize("point", [[Fraction(1, 2)], [Fraction(0)]])
 def test_check_empty_rejects_unverified_feasible_witness(monkeypatch, point):
     # s = alpha * (1, -1) is strictly negative on W = {A} only for alpha < 0
-    basis = stoichiometric_basis(parse_network("A <-> B ; kf=1, kr=1"))
+    basis = structure_report(parse_network("A <-> B ; kf=1, kr=1")).s_basis
     monkeypatch.setattr(ratlin, "solve_le", lambda A, b: (point, None))
     with pytest.raises(ArithmeticError, match="feasible witness"):
         check_empty_all_classes(basis, frozenset({0}))
@@ -182,7 +182,7 @@ def test_face_verdicts_on_several_linkage_classes_match_sympy_rank(seed, shared,
     # DISCRETE is decided by the rank of S on the W columns alone; an
     # INCONCLUSIVE face still carries check_discrete's kernel witness.
     net, _ = cycle_union(np.random.default_rng(seed), shared, with_empty)
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     for w in minimal_semi_locking_sets(net).minimal_sets:
         verdict = _face_verdict(basis, w)
         rank_on_w = sympy.Matrix([[v[j] for j in sorted(w)] for v in basis.vectors]).rank()
@@ -215,7 +215,7 @@ def test_face_verdict_refuses_a_rank_that_the_full_elimination_contradicts(monke
     module = importlib.import_module("crncert.certify")
     monkeypatch.setattr(module, "check_discrete", lambda basis, members: (True, None))
     with pytest.raises(ArithmeticError, match="disagree"):
-        _face_verdict(stoichiometric_basis(net), species_set(net, "C"))
+        _face_verdict(structure_report(net).s_basis, species_set(net, "C"))
 
 
 def test_disjoint_siphons_get_one_verdict_each():
@@ -326,7 +326,7 @@ def test_certify_invariant_under_relabeling(seed, rnd):
 @settings(max_examples=60, deadline=None)
 def test_check_discrete_matches_sympy_and_svd_oracles(seed):
     net = random_network(np.random.default_rng(seed))
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     for w in all_semi_locking_sets(net):
         rows = [[v[i] for v in basis.vectors] for i in sorted(w)]
         ok, witness = check_discrete(basis, w)
@@ -349,7 +349,7 @@ def test_check_discrete_matches_sympy_and_svd_oracles(seed):
 def test_check_empty_matches_grid_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng)
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     siphons = all_semi_locking_sets(net)
     if not siphons or not basis.vectors:
         return
@@ -377,7 +377,7 @@ def test_check_empty_matches_linprog_oracle(seed):
     from scipy.optimize import linprog
 
     net = random_network(np.random.default_rng(seed))
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     if not basis.vectors:
         return
     for w in all_semi_locking_sets(net):
@@ -404,7 +404,7 @@ def test_face_verdicts_transfer_to_supersets(seed):
     from a verdict on every semi-locking face.
     """
     net = random_network(np.random.default_rng(seed))
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     minimal = minimal_semi_locking_sets(net).minimal_sets
     every_face_passes = True
     for w in all_semi_locking_sets(net):

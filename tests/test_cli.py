@@ -181,12 +181,19 @@ def test_nonfinite_and_nonpositive_flags_exit_1(capsys):
         (("simulate", EX2, "--t-end", "abc"), 1),
         (("certify",), 1),
         (("certify", "--help"), 0),
+        (("certify", EX1, "--json"), 1),
+        (("analyze", EX1, "--json"), 1),
+        (("equilibrium", EX2, "--c", "1,1,1", "--json"), 1),
+        (("equilibrium", EX2), 1),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, code):
     # argparse exits 2 on a usage error, which would read as "not certified";
-    # --help still exits 0.
-    assert run(capsys, *argv)[0] == code
+    # --help still exits 0.  Only simulate takes --json (the other commands
+    # always print JSON), and equilibrium needs --c.
+    exit_code, out, _ = run(capsys, *argv)
+    assert exit_code == code
+    assert code == 0 or out == ""
 
 
 def test_simulate_without_hypotheses_has_nan_lyapunov(tmp_path, capsys):

@@ -13,7 +13,6 @@ from crncert import (
     certify,
     complex_balance_residual,
     complex_balanced_point,
-    conservation_basis,
     find_equilibrium,
     generalized_kinetics,
     is_semi_locking,
@@ -24,7 +23,7 @@ from crncert import (
     reaction_rates,
     rhs,
     simulate,
-    stoichiometric_basis,
+    structure_report,
 )
 from crncert import dynamics
 from crncert.randomnet import random_cycle_network
@@ -192,7 +191,7 @@ def test_find_equilibrium_cross_validates_with_integration(ex2):
     rng = np.random.default_rng(21)
     c = np.ones(3)
     x_bar = find_equilibrium(ex2, c).x_bar
-    basis = np.array(stoichiometric_basis(ex2).vectors, dtype=float).T
+    basis = np.array(structure_report(ex2).s_basis.vectors, dtype=float).T
     for _ in range(5):
         while True:
             x0 = c + basis @ rng.uniform(-0.4, 0.4, size=basis.shape[1])
@@ -212,7 +211,7 @@ def test_find_equilibrium_residuals_random_rates(ex1, ex2, ex3):
             assert res.residual_rhs <= 1e-9
             assert res.complex_balance_residual <= 1e-9
             # the equilibrium stays in the anchor's class
-            cons = np.array(conservation_basis(net).vectors, dtype=float)
+            cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float)
             assert np.max(np.abs(cons @ (res.x_bar - c))) < 1e-9
 
 
@@ -234,7 +233,7 @@ def test_find_equilibrium_refuses_bad_networks():
 def test_find_equilibrium_inflow_network_without_conservation():
     # 0 <-> A <-> B: the span is all of R^2, one class covers everything
     net = parse_network("0 <-> A ; kf=1, kr=1\nA <-> B ; kf=3, kr=1")
-    assert len(conservation_basis(net)) == 0
+    assert len(structure_report(net).conservation_basis) == 0
     res = find_equilibrium(net, [1.0, 1.0])
     assert np.max(np.abs(res.x_bar - [1.0, 3.0])) < 1e-10
     traj = simulate(net, MASS_ACTION, [5.0, 0.2], 120.0, x_ref=res.x_bar)
@@ -281,7 +280,7 @@ def test_equilibria_of_two_classes_differ_inside_conservation_space(ex2):
         x1 = find_equilibrium(varied, c1).x_bar
         x2 = find_equilibrium(varied, c2).x_bar
         diff = np.log(x1) - np.log(x2)
-        basis = np.array(stoichiometric_basis(ex2).vectors, dtype=float)
+        basis = np.array(structure_report(ex2).s_basis.vectors, dtype=float)
         q, _ = np.linalg.qr(basis.T)
         # the log-difference has no component inside the reaction span
         assert np.max(np.abs(q.T @ diff)) < 1e-8
@@ -396,7 +395,7 @@ def test_diagnostics_match_per_state_recomputation(ex1, ex2):
     ]
     for net, kinetics, x0, x_ref in runs:
         traj = simulate(net, kinetics, x0, 20.0, x_ref=x_ref)
-        cons = np.array(conservation_basis(net).vectors, dtype=float)
+        cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float)
         assert len(traj.lyapunov) == len(traj.conservation_residual) == len(traj) > 10
         assert traj.conservation_residual[0] == 0.0
         for i, state in enumerate(traj.states):

@@ -19,7 +19,6 @@ from crncert import (
     MASS_ACTION,
     Reaction,
     ReactionNetwork,
-    conservation_basis,
     find_equilibrium,
     parse_network,
     simulate,
@@ -38,7 +37,7 @@ def oracle_equilibrium(net, c, start):
     for row, cx in zip(y, net.complexes):
         for i, k in cx.terms:
             row[i] = k
-    cons = conservation_basis(net).vectors
+    cons = structure_report(net).conservation_basis.vectors
     with mpmath.workdps(50):
         log_kappa = [mpmath.log(k.numerator) - mpmath.log(k.denominator) for k in kappa]
         lin_rows, lin_rhs = [], []

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from crncert import (
     check_discrete,
-    conservation_basis,
     ratlin,
-    stoichiometric_basis,
+    structure_report,
 )
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
@@ -347,9 +346,9 @@ def test_face_kernels_match_fraction_reference_on_random_networks():
             net = random_network(rng, max_species=7, max_reactions=9, allow_empty_complex=True)
         m = net.num_species
         vectors = [reaction_vector(r, m) for r in net.reactions]
-        basis = stoichiometric_basis(net)
+        basis = structure_report(net).s_basis
         assert basis.vectors == reference_canonical(vectors)
-        assert conservation_basis(net).vectors == reference_nullspace(vectors, m)
+        assert structure_report(net).conservation_basis.vectors == reference_nullspace(vectors, m)
         subsets = [{i} for i in range(m)] + [
             set(np.flatnonzero(rng.random(m) < 0.5).tolist()) or {0} for _ in range(3)
         ]

@@ -99,10 +99,10 @@ def test_package_public_names():
         "ParseError", "RationalBasis", "Reaction", "ReactionNetwork",
         "SiphonCatalog", "SiphonEntry", "Species", "StructureReport", "Trajectory",
         "certify", "check_discrete", "check_empty_all_classes",
-        "complex_balance_residual", "complex_balanced_point", "conservation_basis",
+        "complex_balance_residual", "complex_balanced_point",
         "find_equilibrium", "generalized_kinetics", "is_semi_locking", "jacobian",
         "lyapunov", "minimal_semi_locking_sets", "parse_network",
         "parse_network_file", "persistence_margin", "reaction_rates",
         "rhs", "serialize_network", "simulate",
-        "stoichiometric_basis", "structure_report", "write_trajectory_csv",
+        "structure_report", "write_trajectory_csv",
     ]

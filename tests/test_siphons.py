@@ -9,6 +9,7 @@ from crncert import (
     minimal_semi_locking_sets,
     parse_network,
 )
+from crncert import siphons
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.siphons import FIXPOINT_BUDGET, _largest_siphon, _reaction_tables
 
@@ -113,20 +114,47 @@ def test_minimal_sets_equal_scan_oracle():
         assert [e.locking for e in entries] == [is_locking(net, w) for w in expected], seed
 
 
+PAIRS_TEXT = "\n".join(f"A{i} <-> B{i} ; kf=1, kr=1" for i in range(30))
+CHAIN_TEXT = "\n".join(f"S{i} <-> S{i + 1} ; kf=1, kr=1" for i in range(59))
+ENZYME_TEXT = "\n".join(
+    f"E + S{i} <-> C{i} ; kf=1, kr=1\nC{i} <-> E + P{i} ; kf=1, kr=1" for i in range(20)
+)
+
+
 def test_synthetic_families_at_scale():
-    pairs = parse_network("\n".join(f"A{i} <-> B{i} ; kf=1, kr=1" for i in range(30)))
+    pairs = parse_network(PAIRS_TEXT)
     assert [names_of(pairs, w) for w in minimal_semi_locking_sets(pairs).minimal_sets] == [
         frozenset({f"A{i}", f"B{i}"}) for i in range(30)
     ]
-    chain = parse_network("\n".join(f"S{i} <-> S{i + 1} ; kf=1, kr=1" for i in range(59)))
+    chain = parse_network(CHAIN_TEXT)
     assert minimal_semi_locking_sets(chain).minimal_sets == (frozenset(range(60)),)
-    enzyme = parse_network(
-        "\n".join(f"E + S{i} <-> C{i} ; kf=1, kr=1\nC{i} <-> E + P{i} ; kf=1, kr=1" for i in range(20))
-    )
+    enzyme = parse_network(ENZYME_TEXT)
     assert enzyme.num_species == 61
     assert [names_of(enzyme, w) for w in minimal_semi_locking_sets(enzyme).minimal_sets] == [
         frozenset({f"S{i}", f"C{i}", f"P{i}"}) for i in range(20)
     ] + [frozenset({"E"} | {f"C{i}" for i in range(20)})]
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [(PAIRS_TEXT, 211), (CHAIN_TEXT, 182), (ENZYME_TEXT, 265), (doubling_siphons_text(10), 26_620)],
+    ids=["pairs-30", "chain-60", "enzyme-20", "doubling-10"],
+)
+def test_fixpoint_evaluations_on_the_scale_families(monkeypatch, text, bound):
+    # Every stacked A is already a fixpoint, so neither a popped node nor a
+    # first child evaluates it again.  The bounds are the counts of a search
+    # that did; this one takes 151, 122, 184 and 24,574.
+    net = parse_network(text)
+    evaluations = 0
+
+    def counted_largest(allowed, rmasks, consumers):
+        nonlocal evaluations
+        evaluations += 1
+        return _largest_siphon(allowed, rmasks, consumers)
+
+    monkeypatch.setattr(siphons, "_largest_siphon", counted_largest)
+    minimal_semi_locking_sets(net)
+    assert evaluations < bound
 
 
 def _assert_fixpoint_matches_rescan(net, masks):

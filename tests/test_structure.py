@@ -14,11 +14,9 @@ from crncert import (
     Reaction,
     ReactionNetwork,
     Species,
-    conservation_basis,
     find_equilibrium,
     parse_network,
     simulate,
-    stoichiometric_basis,
     structure_report,
 )
 from crncert import ratlin
@@ -46,7 +44,7 @@ def test_weak_reversibility(ex2):
     assert not weakly_reversible(tail)
 
 def test_stoichiometric_basis_golden(ex1, ex2):
-    basis = stoichiometric_basis(ex1)
+    basis = structure_report(ex1).s_basis
     assert len(basis) == 3
     expected_rows = [
         vec_by_name(ex1, {"A": 1, "D": 1, "E": -1}),
@@ -54,18 +52,18 @@ def test_stoichiometric_basis_golden(ex1, ex2):
         vec_by_name(ex1, {"C": 1, "D": -2, "E": 1}),
     ]
     assert canonical_basis(expected_rows) == basis.vectors
-    assert len(stoichiometric_basis(ex2)) == 2
+    assert len(structure_report(ex2).s_basis) == 2
 
 def test_stoichiometric_basis_trivial():
     net = parse_network("A <-> B ; kf=1, kr=1")
-    basis = stoichiometric_basis(net)
+    basis = structure_report(net).s_basis
     assert basis.vectors == ((1, -1),)
 
 def test_conservation_basis_golden(ex2, ex3):
-    assert conservation_basis(ex2).vectors == ((1, 1, 1),)
-    assert conservation_basis(ex3).vectors == ((1, 1, 1),)
+    assert structure_report(ex2).conservation_basis.vectors == ((1, 1, 1),)
+    assert structure_report(ex3).conservation_basis.vectors == ((1, 1, 1),)
     net = parse_network("A <-> B ; kf=1, kr=1")
-    assert conservation_basis(net).vectors == ((1, 1),)
+    assert structure_report(net).conservation_basis.vectors == ((1, 1),)
 
 def test_structure_report_golden(ex1, ex2, ex3):
     for net, expected in ((ex1, (4, 1, 3)), (ex2, (3, 1, 2)), (ex3, (4, 2, 2))):
@@ -87,8 +85,8 @@ def test_report_json_fields(ex1):
 def test_basis_orthogonality_and_dimension(seed):
     net = random_network(np.random.default_rng(seed))
     m = net.num_species
-    s_basis = stoichiometric_basis(net)
-    cons = conservation_basis(net)
+    s_basis = structure_report(net).s_basis
+    cons = structure_report(net).conservation_basis
     assert len(s_basis) + len(cons) == m
     for u in s_basis.vectors:
         for w in cons.vectors:
@@ -109,7 +107,7 @@ def test_exact_rank_matches_svd_oracle(seed):
     )
     svals = np.linalg.svd(vectors, compute_uv=False)
     float_rank = int(np.sum(svals > 1e-9))
-    assert len(stoichiometric_basis(net)) == float_rank
+    assert len(structure_report(net).s_basis) == float_rank
 
 def _disjoint_union(nets, rng):
     """The parts on disjoint species, reactions shuffled so classes interleave."""
@@ -249,8 +247,6 @@ def test_structure_is_built_once_per_network(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     assert structure_report(net) is report is net.structure
-    assert stoichiometric_basis(net) is report.s_basis
-    assert conservation_basis(net) is report.conservation_basis
 
     def no_rref(rows):
         raise AssertionError("exact elimination ran again")
