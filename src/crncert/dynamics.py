@@ -11,8 +11,9 @@ DOP853 until a rejected step shows that stability, not accuracy, holds the
 step size, and then with the L-stable Rosenbrock pair RODAS4 for the rest of
 the run, so the step grows with the slow time scales once the fast ones have
 settled.  Each run compiles the network's vector field once, from
-``net.numeric``, to straight-line code on Python floats, so a stage costs
-the few numpy calls of its tableau row and no array power.
+``net.numeric``, to straight-line code on Python floats, and the DOP853
+step, generated once from its tableau, runs on those floats too: an
+explicit step and its acceptance test make no numpy call.
 
 :func:`find_equilibrium` gets a complex-balanced point from tree constants
 that GTH elimination computes to a small relative error, and then the class
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -451,21 +453,46 @@ def _leaves_orthant(state: list[float]) -> bool:
     return min(state) < 0 and not any(map(math.isnan, state))
 
 
-def _dop853_step(
-    f: Callable[[list[float]], list[float]], x: np.ndarray, h: float, stages: np.ndarray
-) -> Optional[np.ndarray]:
-    """One DOP853 attempt from x, ``stages[0]`` holding f(x).
+def _combination(row: list[float]) -> tuple[str, str, str]:
+    # The sum over the nonzero entries a_j of a tableau row of a_j * c_j, with
+    # the names c_j of the stage entries it reads and the names k_j of the stages.
+    used = [j for j, a in enumerate(row) if a]
+    terms = " + ".join(f"{row[j]!r} * c{j}" for j in used)
+    return terms, ", ".join(f"c{j}" for j in used), ", ".join(f"k{j}" for j in used)
 
-    Returns the step's increment stacked over its fifth- and third-order
-    error estimates, or None when a stage state leaves the orthant.
-    """
-    ha = h * _DOP_A
-    for s in range(1, 12):
-        xs = (x + ha[s, :s] @ stages[:s]).tolist()
-        if _leaves_orthant(xs):
-            return None
-        stages[s] = f(xs)
-    return h * (_DOP_B @ stages)
+
+def _generated_dop853_step() -> tuple[str, Callable]:
+    """``_dop853_step`` and its source: _DOP_A and _DOP_B unrolled into list comprehensions."""
+    lines = [
+        "def _dop853_step(f, x, h, k0):",
+        '    """One DOP853 attempt from x, k0 holding f(x).',
+        "",
+        "    Returns the step's increment and its fifth- and third-order error",
+        "    estimates, three lists, or None when a stage state leaves the orthant.",
+        '    """',
+    ]
+    for s, row in enumerate(_DOP_A.tolist()[1:], start=1):
+        terms, entries, stages = _combination(row)
+        lines += [
+            f"    x{s} = [xi + h * ({terms}) for xi, {entries} in zip(x, {stages})]",
+            f"    if _leaves_orthant(x{s}):",
+            "        return None",
+            f"    k{s} = f(x{s})",
+        ]
+    rows = [
+        "[h * ({}) for {} in zip({})]".format(*_combination(row)) for row in _DOP_B.tolist()
+    ]
+    lines.append(f"    return {', '.join(rows)}")
+    source = "\n".join(lines)
+    namespace: dict = {"_leaves_orthant": _leaves_orthant}
+    exec(compile(source, "<DOP853 step>", "exec"), namespace)
+    return source, namespace["_dop853_step"]
+
+
+# Stage s of one attempt is x + h * (_DOP_A[s, :s] @ K[:s]) and the three
+# returned lists are h * (_DOP_B @ K), each entry a float sum over the
+# nonzero coefficients; the attempt makes no numpy call.
+_DOP853_SOURCE, _dop853_step = _generated_dop853_step()
 
 
 def _rosenbrock_step(
@@ -514,11 +541,13 @@ def simulate(
     RODAS4, which inverts ``W = I / (h gamma) - J`` once per step, and
     retries the step with it.  Accepted DOP853 steps cost no Jacobian.  J is
     :func:`jacobian` at x, from one kernel whose tables are built once per
-    run.  Each stepper fills the rows of one preallocated
-    stage array and applies its tableau as matrix products, the tableau
-    scaled by h once per attempt.  Inputs are validated once, here; the
-    vector field is then compiled once from ``net.numeric`` to
-    straight-line float code (``_compile_field``) and evaluated on lists,
+    run.  The state, the stages and the error norm are lists of Python
+    floats: each DOP853 stage is one list comprehension with a term per
+    nonzero tableau coefficient (``_dop853_step``, generated at import);
+    only the RODAS4 attempt, which needs the inverse of W, makes arrays,
+    filling one stage array allocated at the switch.  Inputs are validated
+    once, here; the vector field is then compiled once from ``net.numeric``
+    to straight-line float code (``_compile_field``) and evaluated on lists,
     through theta for generalized kinetics.  Other steps whose stages or
     proposed state leave the positive orthant are retried at half the step;
     a non-finite error estimate or a singular W aborts the run, as does a
@@ -530,7 +559,7 @@ def simulate(
     drift relative to the initial state are computed over the stored states.
     ``Trajectory.stats`` counts the run's steps, rejections and evaluations.
     """
-    x = _checked(x0, net.num_species, "initial state x0", positive=True)
+    x = _checked(x0, net.num_species, "initial state x0", positive=True).tolist()
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     for name, tol in (("rtol", rtol), ("atol", atol)):
@@ -538,7 +567,8 @@ def simulate(
             raise ValueError(f"{name} must be nonnegative and finite")
     if rtol == atol == 0:
         raise ValueError("atol must be positive when rtol is 0")
-    ref = None if x_ref is None else _checked(x_ref, x.size, "reference state x_ref", positive=True)
+    size = len(x)
+    ref = None if x_ref is None else _checked(x_ref, size, "reference state x_ref", positive=True)
 
     field = _compile_field(net.numeric)
     jac_u = _compile_jacobian(net.numeric)
@@ -554,15 +584,12 @@ def simulate(
     def jac(state: np.ndarray) -> np.ndarray:
         return jac_u(_transformed(state, kinetics)) * _slopes(state, kinetics)
 
-    def finite_f(state: np.ndarray, t: float) -> np.ndarray:
-        fs = np.array(f(state.tolist()))
-        if not np.isfinite(fs).all():
+    def finite_f(state: list[float], t: float) -> list[float]:
+        fs = f(state)
+        if not all(map(math.isfinite, fs)):
             raise IntegrationError(f"flux overflow at t={t}: the vector field is not finite")
         return fs
 
-    size = x.size
-    stages = np.empty((12, size))
-    rosenbrock_stages = stages[:6]
     times = [0.0]
     states = [x]
     t = 0.0
@@ -575,8 +602,8 @@ def simulate(
     # or a NaN, which the sign test rejects or the error test reports, so
     # only f at x0 and at accepted states is checked to be finite.
     with np.errstate(over="ignore"):
-        fx = stages[0] = finite_f(x, t)
-        h = min(t_end, 0.01 * (1.0 + float(np.max(x))) / (1.0 + float(np.max(np.abs(fx)))))
+        fx = finite_f(x, t)
+        h = min(t_end, 0.01 * (1.0 + max(x)) / (1.0 + max(map(abs, fx))))
         while t < t_end:
             if steps >= MAX_STEPS:
                 raise IntegrationError(f"exceeded {MAX_STEPS} steps at t={t}")
@@ -587,31 +614,40 @@ def simulate(
             h = min(h, remaining)
 
             if not stiff:
-                step = _dop853_step(f, x, h, stages)
+                step = _dop853_step(f, x, h, fx)
             else:
+                x_array = np.array(x)
                 if jac_x is None:
-                    jac_x = jac(x)
+                    jac_x = jac(x_array)
                     jacobians += 1
                 try:
-                    step = _rosenbrock_step(f, fx, jac_x, x, h, rosenbrock_stages)
+                    step = _rosenbrock_step(f, fx, jac_x, x_array, h, rosenbrock_stages)
                 except np.linalg.LinAlgError:
                     raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
-            # A NaN in a stage or in x5 passes the sign tests on purpose: it
-            # reaches the error estimate, which is then non-finite.
+                if step is not None:
+                    step = step.tolist()
+            # A NaN in a stage or in x5 passes the sign tests on purpose, as
+            # under np.min: it reaches the error estimate, which is then
+            # non-finite.  Python's min skips a NaN that is not first.
             if step is not None:
-                x5 = x + step[0]
-            if step is None or x5.min() <= 0:
+                increment, *estimates = step
+                x5 = [a + b for a, b in zip(x, increment)]
+            if step is None or (min(x5) <= 0 and not any(map(math.isnan, x5))):
                 rejected_positivity += 1
                 factor = 0.5
             else:
-                scaled = step[1:] / (atol + rtol * np.maximum(x, x5))
+                # x is never NaN, so b wins on a NaN, as under np.maximum.
+                scale = [atol + rtol * (a if a > b else b) for a, b in zip(x, x5)]
+                try:
+                    squares = [sum([v * v for v in map(truediv, e, scale)]) for e in estimates]
+                except ZeroDivisionError:  # atol is 0 and rtol * x underflowed
+                    squares = [math.nan, math.nan]
                 if stiff:
-                    err = math.sqrt(float(scaled[0] @ scaled[0]) / size)
+                    err = math.sqrt(squares[0] / size)
                 else:
                     # Hairer's combined norm e5^2 / sqrt(e5^2 + e3^2 / 100): for
                     # small h it is about 10 e5 * (e5 / e3), of order h^6 * h^2.
-                    n5 = float(scaled[0] @ scaled[0])
-                    n3 = float(scaled[1] @ scaled[1])
+                    n5, n3 = squares
                     err = n5 / math.sqrt((n5 + 0.01 * n3) * size) if n5 else 0.0
                 if not math.isfinite(err):
                     raise IntegrationError(f"non-finite state at t={t}")
@@ -626,21 +662,19 @@ def simulate(
                     states.append(x)
                     accepted[stiff] += 1
                     fx = finite_f(x, t)
-                    if stiff:
-                        jac_x = None
-                    else:
-                        stages[0] = fx
+                    jac_x = None
                     h *= factor
                     continue
                 rejected_error += 1
             if not stiff:
                 # A rejected explicit step, for its error or its sign: the largest
                 # absolute row sum of J bounds its spectral radius.
-                jac_x = jac(x)
+                jac_x = jac(np.array(x))
                 jacobians += 1
                 if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
                     stiff = True
                     switch_time = t
+                    rosenbrock_stages = np.empty((6, size))
                     continue  # retry the same step with the stable stepper
                 jac_x = None
             h *= factor

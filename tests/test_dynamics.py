@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,11 +428,12 @@ def _step_outcomes(monkeypatch, stepper="_rosenbrock_step"):
 
     def recording(*args):
         result = step(*args)
-        x = args[-3]  # both steppers take (..., x, h, stages)
+        x = args[-3]  # both steppers take (..., x, h, stage 0 or stages)
         if result is None:
             outcomes.append("stage")
         else:
-            outcomes.append("proposal" if (x + result[0]).min() <= 0 else "ok")
+            proposal = np.asarray(x) + np.asarray(result[0])
+            outcomes.append("proposal" if proposal.min() <= 0 else "ok")
         return result
 
     monkeypatch.setattr(dynamics, stepper, recording)
@@ -526,6 +528,36 @@ def test_stage_state_with_a_nan_and_a_negative_entry_reaches_the_error_estimate(
     with pytest.raises(IntegrationError, match="non-finite state"):
         simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
     assert len(calls) == 12
+
+
+def test_proposal_with_a_nan_and_a_negative_entry_reaches_the_error_estimate(monkeypatch, ab):
+    # The first step's increment is replaced by (-1e300, nan), so its proposal
+    # is about (-1e300, nan).  As under np.min, the NaN lets it pass the sign
+    # test and the non-finite error estimate ends the run; a min that skipped
+    # the NaN would count a positivity rejection and retry at half the step.
+    attempts = []
+    step = dynamics._dop853_step
+
+    def poisoned(*args):
+        result = step(*args)
+        attempts.append(result)
+        if len(attempts) == 1:
+            result[0][0], result[0][1] = -1e300, math.nan
+        return result
+
+    monkeypatch.setattr(dynamics, "_dop853_step", poisoned)
+    with pytest.raises(IntegrationError, match="non-finite state"):
+        simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
+    assert len(attempts) == 1
+
+
+def test_error_scale_that_underflows_to_zero_is_an_integration_error():
+    # With atol = 0 the error of the decaying A is scaled by rtol * 5e-324,
+    # which rounds to 0: the scaled error is non-finite, a typed error and no
+    # ZeroDivisionError.
+    net = parse_network("A -> B ; k=1")
+    with pytest.raises(IntegrationError, match="non-finite state"):
+        simulate(net, MASS_ACTION, [5e-324, 1.0], 1.0, rtol=1e-3, atol=0.0)
 
 
 def test_singular_rosenbrock_matrix_is_an_integration_error(monkeypatch):
@@ -719,6 +751,39 @@ def test_dop853_tableau():
     for k in range(8):
         assert abs(weights @ c**k - 1 / (k + 1)) < 1e-14
     assert abs(e5.sum()) < 1e-15 and abs(e3.sum()) < 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 4, 40])
+def test_generated_dop853_step_matches_the_tableau(m):
+    # The generated step against the tableau as matrix products, on random
+    # positive stages that the stand-in for f hands out in order.
+    rng = np.random.default_rng(m)
+    stages = rng.uniform(0.5, 1.5, (12, m))
+    x, h = rng.uniform(1.0, 2.0, m), 1e-3
+    seen = []
+
+    def f(state):
+        seen.append(state)
+        return stages[len(seen)].tolist()
+
+    result = dynamics._dop853_step(f, x.tolist(), h, stages[0].tolist())
+    assert len(seen) == 11
+    a, b = dynamics._DOP_A, dynamics._DOP_B
+    for s, state in enumerate(seen, start=1):
+        expected = x + h * (a[s, :s] @ stages[:s])
+        assert np.allclose(state, expected, rtol=1e-14, atol=0.0)
+    # Relative to the sum of the terms' magnitudes, as the error rows cancel.
+    assert np.all(np.abs(np.array(result) - h * (b @ stages)) <= 1e-14 * h * (np.abs(b) @ stages))
+
+
+def test_generated_dop853_step_has_one_term_per_coefficient():
+    lines = dynamics._DOP853_SOURCE.splitlines()
+    rows = [line for line in lines if line.startswith("    x")]
+    rows += re.findall(r"\[h \* \((.*?)\) for", lines[-1])
+    assert len(rows) == 11 + 3
+    for line, row in zip(rows, [*dynamics._DOP_A[1:], *dynamics._DOP_B]):
+        terms = [(float(a), int(j)) for a, j in re.findall(r"([-+.e\d]+) \* c(\d+)", line)]
+        assert terms == [(a, j) for j, a in enumerate(row.tolist()) if a]
 
 
 def _rosenbrock_tableau():
