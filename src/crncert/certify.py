@@ -184,9 +184,8 @@ def check_empty_all_classes(
     A = [[v[i] for v in vectors] for i in w]
     point, farkas = ratlin.solve_le(A, [-1] * len(w))
     if point is not None:
-        # A positive rescaling keeps s_W < 0, so combine in integers.
-        alpha = ratlin.integerize(point)
-        s = tuple(ratlin._primitive(_combine(alpha, vectors, s_basis.dimension)))
+        # The numerators are a positive multiple of the point, which keeps s_W < 0.
+        s = tuple(ratlin._primitive(_combine(point[0], vectors, s_basis.dimension)))
         # The point must verify exactly: strictly negative on every W coordinate.
         return False, _verified("feasible", s, all(s[i] < 0 for i in w))
     assert farkas is not None

@@ -36,6 +36,21 @@ def _random_complex(rng: np.random.Generator, m: int, allow_empty: bool) -> dict
     return {int(i): int(rng.integers(1, 3)) for i in members}
 
 
+def _complex_pool(
+    rng: np.random.Generator, m: int, draws: int, allow_empty: bool
+) -> list[dict[int, int]]:
+    """The distinct complexes among ``draws`` random ones, in draw order."""
+    pool: list[dict[int, int]] = []
+    seen: set[tuple] = set()
+    for _ in range(draws):
+        c = _random_complex(rng, m, allow_empty)
+        key = tuple(sorted(c.items()))
+        if key not in seen:
+            seen.add(key)
+            pool.append(c)
+    return pool
+
+
 def random_network(
     rng: np.random.Generator,
     max_species: int = 6,
@@ -49,15 +64,7 @@ def random_network(
     """
     for _ in range(1000):
         m = int(rng.integers(2, max_species + 1))
-        n_pool = int(rng.integers(2, 7))
-        pool: list[dict[int, int]] = []
-        seen: set[tuple] = set()
-        for _ in range(n_pool):
-            c = _random_complex(rng, m, allow_empty_complex)
-            key = tuple(sorted(c.items()))
-            if key not in seen:
-                seen.add(key)
-                pool.append(c)
+        pool = _complex_pool(rng, m, int(rng.integers(2, 7)), allow_empty_complex)
         if len(pool) < 2:
             continue
         n_rxn = int(rng.integers(1, max_reactions + 1))
@@ -84,15 +91,7 @@ def random_cycle_network(
     """Weakly reversible single-linkage-class network: complexes on one directed cycle."""
     for _ in range(1000):
         m = int(rng.integers(2, max_species + 1))
-        n_cx = int(rng.integers(2, max_complexes + 1))
-        pool: list[dict[int, int]] = []
-        seen: set[tuple] = set()
-        for _ in range(n_cx):
-            c = _random_complex(rng, m, allow_empty=False)
-            key = tuple(sorted(c.items()))
-            if key not in seen:
-                seen.add(key)
-                pool.append(c)
+        pool = _complex_pool(rng, m, int(rng.integers(2, max_complexes + 1)), allow_empty=False)
         if len(pool) < 2:
             continue
         raw = [

@@ -1,9 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer data.
 
 Everything that feeds a certificate must be tolerance-free, so ranks, row
 spaces, kernels and linear feasibility are decided here exactly.  Vectors
-are tuples, matrices are sequences of row vectors; entries may be ``int``
-or ``Fraction``.
+are tuples, matrices are sequences of row vectors.  Entries are integers:
+each is read through :func:`operator.index`, so a numpy integer becomes a
+Python ``int`` (and cannot overflow), while a rational or a float entry
+raises ``TypeError``.  A caller holding rational rows scales each row to
+integers first; that changes no row space, kernel or feasible set.
 
 Canonical form used throughout the package: a subspace is represented by
 the reduced row echelon form of a spanning set, with every row scaled to
@@ -16,21 +19,19 @@ checked again by a further elimination: the canonical form can be checked
 entry by entry, as :class:`~crncert.structure.RationalBasis` does.
 
 That form is computed by Gauss-Jordan elimination over the integers: each
-row is scaled to integers once on entry and divided by the gcd of its
-entries after every update, so no rational is ever formed and entries stay
-within the Hadamard bound of the input.  ``solve_le`` pivots an integer
-simplex tableau with the same row update, bounded by ``PIVOT_BUDGET``
-pivots; ``Fraction`` appears only in :func:`integerize` and in the
-feasible point that ``solve_le`` returns.
+row is divided by the gcd of its entries after every update, so no
+rational is ever formed and entries stay within the Hadamard bound of the
+input.  ``solve_le`` pivots an integer simplex tableau with the same row
+update, bounded by ``PIVOT_BUDGET`` pivots, and returns its feasible point
+as integer numerators over one positive denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
 
-Scalar = Fraction | int
 IntVec = tuple[int, ...]
 
 PIVOT_BUDGET = 10_000
@@ -57,29 +58,22 @@ def _eliminate(m: list[list[int]], r: int, c: int) -> None:
             m[i] = _primitive([a * x - b * y for x, y in zip(row, top)])
 
 
-def integerize(vec: Sequence[Scalar]) -> IntVec:
-    """Scale a rational vector by a positive factor to integer entries with gcd 1."""
-    fracs = [Fraction(v) for v in vec]
-    den_lcm = lcm(*(f.denominator for f in fracs))
-    return tuple(_primitive([int(f * den_lcm) for f in fracs]))
-
-
-def _int_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Each row times a nonzero factor that makes it integer; rejects ragged rows."""
+def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows as lists of Python ints; rejects ragged rows and non-integer entries."""
     out = []
     for row in rows:
         if len(row) != len(rows[0]):
             raise ValueError(f"row of length {len(row)} in a matrix of {len(rows[0])} columns")
-        out.append(list(row) if set(map(type, row)) <= {int} else list(integerize(row)))
+        out.append(list(map(index, row)))
     return out
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[IntVec], list[int]]:
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[int]]:
     """Canonical reduced row echelon form.  Returns (nonzero rows, pivot columns).
 
     Each returned row is the reduced row echelon row scaled to integer
     entries of gcd 1 with a positive pivot.  Rows of unequal length raise
-    ``ValueError``.
+    ``ValueError``, and an entry that is not an integer ``TypeError``.
     """
     m = [row for row in _int_rows(rows) if any(row)]
     if not m:
@@ -103,7 +97,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[IntVec], list[int]]:
     return [tuple(row) for row in m[:r]], pivots
 
 
-def canonical_basis(rows: Sequence[Sequence[Scalar]]) -> tuple[IntVec, ...]:
+def canonical_basis(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     """Canonical integer basis of the row space of ``rows``."""
     return tuple(rref(rows)[0])
 
@@ -130,7 +124,7 @@ def _kernel(reduced: Sequence[IntVec], pivots: Sequence[int], ncols: int) -> lis
     return vectors
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[IntVec, ...]:
+def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> tuple[IntVec, ...]:
     """Canonical integer basis of the right kernel {x : rows @ x = 0}.
 
     Every row must have exactly ``ncols`` entries.
@@ -147,14 +141,16 @@ class ExactBudgetError(ArithmeticError):
 
 
 def solve_le(
-    A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
-) -> tuple[Optional[list[Fraction]], Optional[list[int]]]:
+    A: Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[Optional[tuple[list[int], int]], Optional[list[int]]]:
     """Decide feasibility of A x <= b, x free, by an exact phase-1 simplex.
 
     Returns ``(point, farkas)`` where exactly one entry is not None.
-    ``point`` is a feasible rational vector.  ``farkas`` is a nonnegative
+    ``point`` is ``(numerators, denominator)``: integer numerators over a
+    positive denominator, the lcm of the free variables' pivot entries, so
+    ``A @ numerators <= denominator * b``.  ``farkas`` is a nonnegative
     integer vector y with gcd 1, y A = 0 and y . b < 0, an exact witness of
-    infeasibility.
+    infeasibility.  Entries are read as in :func:`rref`.
 
     Each row becomes ``A_i x + s_i = b_i`` with a slack s_i >= 0.  The free
     variables are eliminated first, each into a row of its own that stays
@@ -170,25 +166,21 @@ def solve_le(
 
     The objective row is a combination of the input rows whose weights are
     its slack entries, and it is zero on the free columns; so when no slack
-    can enter and the objective is still positive, minus those weights are
-    the infeasibility multipliers.  Raises :class:`ExactBudgetError` past
-    ``PIVOT_BUDGET`` simplex pivots.
+    can enter and the objective is still positive, minus those weights,
+    made primitive, are the infeasibility multipliers.  Raises
+    :class:`ExactBudgetError` past ``PIVOT_BUDGET`` simplex pivots.
     """
     if len(A) != len(b):
         raise ValueError(f"{len(A)} rows but {len(b)} right-hand sides")
     m = len(A)
     n = len(A[0]) if m else 0
     tableau: list[list[int]] = []
-    scales: list[int] = []
     for i, (a_row, rhs) in enumerate(zip(A, b)):
         if len(a_row) != n:
             raise ValueError(f"row of length {len(a_row)} in a system of {n} variables")
-        d = lcm(*(v.denominator for v in (*a_row, rhs)))
-        *coeffs, beta = (int(v * d) for v in (*a_row, rhs))
-        row = coeffs + [0] * m + [beta]
+        row = [*map(index, a_row)] + [0] * m + [index(rhs)]
         row[n + i] = 1
         tableau.append(row)
-        scales.append(d)
     # basis[r] is a column index, or r - m for row r's artificial; every row
     # starts with its own slack, column n + r.
     basis = [n + r for r in range(m)]
@@ -217,7 +209,7 @@ def solve_le(
         objective = tableau[m]
         entering = next((c for c in range(n, n + m) if objective[c] > 0), None)
         if entering is None:
-            return None, _primitive([-objective[n + i] * scales[i] for i in range(m)])
+            return None, _primitive([-v for v in objective[n : n + m]])
         # Ratio test by cross-multiplication: the phase-1 objective is
         # bounded below, so some entry of the entering column is positive.
         candidates = [r for r in bounded if tableau[r][entering] > 0]
@@ -235,7 +227,9 @@ def solve_le(
         pivots += 1
         _eliminate(tableau, leaving, entering)
         basis[leaving] = entering
-    point = [Fraction(0)] * n
+    # Free row r reads pivot * x_basis[r] = rhs with every nonbasic variable at zero.
+    denominator = lcm(*(tableau[r][basis[r]] for r in free))
+    numerators = [0] * n
     for r in free:
-        point[basis[r]] = Fraction(tableau[r][-1], tableau[r][basis[r]])
-    return point, None
+        numerators[basis[r]] = tableau[r][-1] * (denominator // tableau[r][basis[r]])
+    return (numerators, denominator), None

@@ -1,5 +1,6 @@
 import pathlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -53,6 +54,20 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
     return sum(a * b for a, b in zip(u, v))
+
+
+def integer_rows(rows):
+    """Each row of ints and Fractions times the lcm of its denominators.
+
+    The package reads integer entries only; scaling a row by a positive
+    factor keeps its row space, its kernel and its half-space.
+    """
+    out = []
+    for row in rows:
+        fracs = [Fraction(v) for v in row]
+        scale = lcm(*(f.denominator for f in fracs))
+        out.append([int(f * scale) for f in fracs])
+    return out
 
 
 def vec_by_name(net, mapping):

@@ -16,13 +16,12 @@ from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
     ExactBudgetError,
     canonical_basis,
-    integerize,
     nullspace,
     rref,
     solve_le,
 )
 
-from conftest import dot, face_kernel, rank, reaction_vector
+from conftest import dot, face_kernel, integer_rows, rank, reaction_vector
 
 
 def test_rref_and_rank():
@@ -60,12 +59,6 @@ def test_dot_is_an_exact_int_on_integers():
     assert dot((Fraction(1, 2),), (3,)) == Fraction(3, 2)
 
 
-def test_integerize():
-    assert integerize([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
-    assert integerize([Fraction(-1, 2), Fraction(1, 4)]) == (-2, 1)
-    assert integerize([0, 0]) == (0, 0)
-
-
 def test_canonical_basis_is_row_space_invariant():
     a = [(1, 0, 1), (0, 1, 1)]
     b = [(1, 1, 2), (1, -1, 0)]
@@ -94,16 +87,16 @@ def test_nullspace_is_orthogonal_and_complementary(rows):
 
 def test_solve_le_feasible_simple():
     # x <= 2, -x <= -1  =>  1 <= x <= 2
-    point, farkas = solve_le([(1,), (-1,)], [2, -1])
+    (p, d), farkas = solve_le([(1,), (-1,)], [2, -1])
     assert farkas is None
-    assert Fraction(1) <= point[0] <= Fraction(2)
+    assert d > 0 and d <= p[0] <= 2 * d
 
 
 def test_solve_le_infeasible_simple():
     # x <= 1 and -x <= -2 cannot both hold
     point, farkas = solve_le([(1,), (-1,)], [1, -2])
     assert point is None
-    assert farkas == [Fraction(1), Fraction(1)]
+    assert farkas == [1, 1]
 
 
 def test_solve_le_stops_at_pivot_budget(monkeypatch):
@@ -111,7 +104,7 @@ def test_solve_le_stops_at_pivot_budget(monkeypatch):
     # an artificial, and driving each out takes one pivot
     A, b = [(1,), (1,), (1,)], [0, -1, -2]
     monkeypatch.setattr(ratlin, "PIVOT_BUDGET", 2)
-    assert solve_le(A, b) == ([-2], None)
+    assert solve_le(A, b) == (([-2], 1), None)
     monkeypatch.setattr(ratlin, "PIVOT_BUDGET", 1)
     with pytest.raises(ExactBudgetError, match="budget of 1 pivots"):
         solve_le(A, b)
@@ -120,18 +113,21 @@ def test_solve_le_stops_at_pivot_budget(monkeypatch):
 
 def test_solve_le_unbounded_direction():
     # x + y <= -5 alone is feasible (take x very negative)
-    point, farkas = solve_le([(1, 1)], [-5])
+    (p, d), farkas = solve_le([(1, 1)], [-5])
     assert farkas is None
-    assert point[0] + point[1] <= -5
+    assert d > 0 and p[0] + p[1] <= -5 * d
 
 
 def assert_certified(A, b, result):
-    """The point satisfies A x <= b, or the multipliers prove it infeasible."""
+    """The point p / d satisfies A x <= b, or the multipliers prove it infeasible."""
     point, farkas = result
     assert (point is None) != (farkas is None)
     if point is not None:
+        p, d = point
+        assert type(d) is int and d > 0
+        assert all(type(v) is int for v in p)
         for row, rhs in zip(A, b):
-            assert dot(row, point) <= rhs
+            assert dot(row, p) <= d * rhs
     else:
         assert all(type(y) is int and y >= 0 for y in farkas)
         for j in range(len(A[0])):
@@ -154,12 +150,37 @@ def test_solve_le_is_self_certifying(nvars, nrows, data):
     assert_certified(A, b, solve_le(A, b))
 
 
-def test_solve_le_takes_rational_rows():
-    # x/2 <= 1/3 and -x <= -1: the multipliers refer to the rows as given
-    A, b = [(Fraction(1, 2),), (-1,)], [Fraction(1, 3), -1]
-    point, farkas = solve_le(A, b)
-    assert point is None and farkas == [2, 1]
-    assert_certified(A, [1, -1], solve_le(A, [1, -1]))
+def test_rational_and_float_entries_raise_type_error():
+    # entries are read through operator.index: a caller scales rational rows first
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            rref([(1, 0), (bad, 1)])
+        with pytest.raises(TypeError):
+            solve_le([(bad,), (-1,)], [1, -1])
+        with pytest.raises(TypeError):
+            solve_le([(1,), (-1,)], [bad, -1])
+
+
+def test_numpy_integer_entries_give_the_python_int_results():
+    # entries near 3e9 with products past 2**63, where int64 arithmetic wraps
+    rng = np.random.default_rng(3)
+    big = rng.integers(3_050_000_000, 3_100_000_000, size=(4, 5))
+    big *= rng.choice(np.array([-1, 1]), size=(4, 5))
+    assert big.dtype == np.int64 and abs(int(big[0, 0]) * int(big[1, 0])) > 2**63
+    rows = big.tolist()
+    reduced, pivots = rref(big)
+    assert (reduced, pivots) == rref(rows)
+    assert all(type(v) is int for row in reduced for v in row)
+    assert nullspace(big, 5) == nullspace(rows, 5)
+    A, b = big[:, :3], big[:, 3]
+    result = solve_le(A, b)
+    assert result == solve_le(A.tolist(), b.tolist())
+    assert_certified(A.tolist(), b.tolist(), result)
+    # a_1 x <= -b_1 and -a_1 x <= -b_3 cannot both hold
+    A, b = np.vstack([big[:2, :2], -big[:2, :2]]), -np.abs(big[:, 4])
+    result = solve_le(A, b)
+    assert result[0] is None and result == solve_le(A.tolist(), b.tolist())
+    assert_certified(A.tolist(), b.tolist(), result)
 
 
 @pytest.mark.parametrize("level, feasible", [(-5, True), (-6, False)])
@@ -185,7 +206,8 @@ def test_solve_le_terminates_on_beales_example(level, feasible):
     result = solve_le(A, b)
     assert_certified(A, b, result)
     if feasible:
-        assert result[0] == [Fraction(1, 4), 0, Fraction(1, 2), 0]
+        p, d = result[0]
+        assert [Fraction(v, d) for v in p] == [Fraction(1, 4), 0, Fraction(1, 2), 0]
     else:
         assert result[0] is None
 
@@ -313,7 +335,8 @@ def _matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_fraction_reference_and_sympy(matrix):
     ncols, rows = matrix
-    reduced, pivots = rref(rows)
+    ints = integer_rows(rows)
+    reduced, pivots = rref(ints)
     ref_reduced, ref_pivots = reference_rref(rows)
     assert pivots == ref_pivots
     assert all(type(v) is int for row in reduced for v in row)
@@ -321,9 +344,9 @@ def test_kernel_matches_fraction_reference_and_sympy(matrix):
         assert row[pc] > 0
         assert tuple(Fraction(v, row[pc]) for v in row) == ref_row
     assert len(reduced) == len(ref_reduced)
-    assert canonical_basis(rows) == tuple(reduced) == reference_canonical(rows)
-    assert rank(rows) == len(ref_pivots)
-    kernel = nullspace(rows, ncols)
+    assert canonical_basis(ints) == tuple(reduced) == reference_canonical(rows)
+    assert rank(ints) == len(ref_pivots)
+    kernel = nullspace(ints, ncols)
     assert kernel == reference_nullspace(rows, ncols)
     assert all(dot(row, z) == 0 for row in rows for z in kernel)
     if rows and ncols:

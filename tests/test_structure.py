@@ -23,7 +23,7 @@ from crncert import ratlin
 from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import canonical_basis
 
-from conftest import cycle_union, dot, reaction_vector, vec_by_name
+from conftest import cycle_union, dot, integer_rows, reaction_vector, vec_by_name
 
 def test_linkage_classes_counts(ex1, ex3):
     assert [len(b) for b in structure_report(ex1).linkage_classes] == [4]
@@ -192,7 +192,9 @@ def test_several_linkage_classes_give_the_span_of_all_reaction_vectors(seed, sha
     vectors = [reaction_vector(r, m) for r in net.reactions]
     stoichiometry = sympy.Matrix(vectors)
     rank = stoichiometry.rank()
-    kernel = [[Fraction(int(x.p), int(x.q)) for x in v] for v in stoichiometry.nullspace()]
+    kernel = integer_rows(
+        [[Fraction(int(x.p), int(x.q)) for x in v] for v in stoichiometry.nullspace()]
+    )
     assert report.l == n_cycles and report.weakly_reversible
     assert report.s_basis.vectors == canonical_basis(vectors)
     assert report.conservation_basis.vectors == canonical_basis(kernel)
