@@ -27,6 +27,8 @@ from .dynamics import (
     HypothesesError,
     IntegrationError,
     ConvergenceError,
+    _check_run,
+    _checked,
     find_equilibrium,
     lyapunov,
     persistence_margin,
@@ -58,14 +60,10 @@ def _json_text(doc: dict) -> str:
 
 def _parse_vector(text: str, m: int, flag: str) -> np.ndarray:
     try:
-        values = np.array([float(v) for v in text.split(",")])
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated list of numbers") from None
-    if values.shape != (m,):
-        raise ValueError(f"{flag} has {values.size} entries, network has {m} species")
-    if not (values.min() > 0 and values.max() < math.inf):
-        raise ValueError(f"{flag} must be entrywise positive and finite")
-    return values
+    return _checked(values, m, flag, positive=True)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -92,13 +90,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     net = parse_network_file(args.file)
     m = net.num_species
-    if not 0 < args.t_end < math.inf:
-        raise ValueError("--t-end must be positive and finite")
-    for flag, tol in (("--rtol", args.rtol), ("--atol", args.atol)):
-        if not 0 <= tol < math.inf:
-            raise ValueError(f"{flag} must be nonnegative and finite")
-    if args.rtol == args.atol == 0:
-        raise ValueError("--atol must be positive when --rtol is 0")
+    _check_run(args.t_end, args.rtol, args.atol, ("--t-end", "--rtol", "--atol"))
     if args.x0 is not None:
         x0 = _parse_vector(args.x0, m, "--x0")
     else:
@@ -107,8 +99,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     try:
         x_ref = find_equilibrium(net, x0).x_bar
-    except HypothesesError:
-        x_ref = None  # V is only defined against a complex-balanced reference
+    except (HypothesesError, ConvergenceError):
+        # V needs a complex-balanced reference; without one, or without one in
+        # floats, the run goes on and V is nan.
+        x_ref = None
     traj = simulate(net, MASS_ACTION, x0, args.t_end, rtol=args.rtol, atol=args.atol, x_ref=x_ref)
 
     final_v = float(traj.lyapunov[-1]) if traj.lyapunov is not None else float("nan")

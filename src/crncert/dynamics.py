@@ -118,8 +118,26 @@ def _checked(x: Sequence[float], m: int, name: str, positive: bool) -> np.ndarra
     low = arr > 0 if positive else arr >= 0
     if arr.shape != (m,) or not np.all(low & (arr < math.inf)):
         sign = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be entrywise {sign} and finite, one entry per species ({m})")
+        raise ValueError(f"{name} must be entrywise {sign} and finite, one entry each for {m} species")
     return arr
+
+
+def _check_run(
+    t_end: float, rtol: float, atol: float, names: Sequence[str] = ("t_end", "rtol", "atol")
+) -> None:
+    """Refuse run settings :func:`simulate` cannot honour, naming each by ``names``.
+
+    ``t_end`` must be positive and finite; each tolerance nonnegative and
+    finite, and not both 0.
+    """
+    t_name, rtol_name, atol_name = names
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"{t_name} must be positive and finite")
+    for name, tol in ((rtol_name, rtol), (atol_name, atol)):
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite")
+    if rtol == atol == 0:
+        raise ValueError(f"{atol_name} must be positive when {rtol_name} is 0")
 
 
 # Terms per generated statement.  A flux's product and a species' sum are
@@ -560,13 +578,7 @@ def simulate(
     ``Trajectory.stats`` counts the run's steps, rejections and evaluations.
     """
     x = _checked(x0, net.num_species, "initial state x0", positive=True).tolist()
-    if not 0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not 0 <= tol < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite")
-    if rtol == atol == 0:
-        raise ValueError("atol must be positive when rtol is 0")
+    _check_run(t_end, rtol, atol)
     size = len(x)
     ref = None if x_ref is None else _checked(x_ref, size, "reference state x_ref", positive=True)
 

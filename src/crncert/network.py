@@ -91,10 +91,6 @@ class Complex:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def from_dict(cls, coeffs: dict[int, int]) -> "Complex":
-        return cls(tuple(sorted((i, k) for i, k in coeffs.items() if k != 0)))
-
     @property
     def is_empty(self) -> bool:
         return not self.terms

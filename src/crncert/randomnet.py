@@ -1,31 +1,33 @@
-"""Seeded random network generation for fuzzing and oracle sweeps."""
+"""Seeded random network generation for fuzzing and oracle sweeps.
+
+The generators draw reactions between random complexes, write them as
+``.crn`` lines over species ``S0, S1, ...`` and return the parsed network,
+so every generated network passes through :func:`parse_network`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import Complex, Reaction, ReactionNetwork, Species
+from .network import ReactionNetwork, parse_network
 
 
 def _relabel(raw_reactions: list[tuple[dict[int, int], dict[int, int], float]]) -> ReactionNetwork:
-    # Reindex species contiguously in first-appearance order and validate.
-    order: list[int] = []
+    # Name species S0, S1, ... in first-appearance order.  Each complex is
+    # written in the order its species were named in, so the parser, which
+    # indexes species by first appearance, gives S<j> the index j.
+    names: dict[int, str] = {}
     for src, prod, _ in raw_reactions:
         for c in (src, prod):
             for i in sorted(c):
-                if i not in order:
-                    order.append(i)
-    remap = {old: new for new, old in enumerate(order)}
-    reactions = tuple(
-        Reaction(
-            Complex.from_dict({remap[i]: k for i, k in src.items()}),
-            Complex.from_dict({remap[i]: k for i, k in prod.items()}),
-            rate,
-        )
-        for src, prod, rate in raw_reactions
-    )
-    species = tuple(Species(f"S{i}") for i in range(len(order)))
-    return ReactionNetwork(species, reactions)
+                names.setdefault(i, f"S{len(names)}")
+
+    def text(c: dict[int, int]) -> str:
+        terms = [f"{k}{names[i]}" if k > 1 else names[i] for i, k in sorted(c.items())]
+        return " + ".join(terms) or "0"
+
+    lines = [f"{text(src)} -> {text(prod)} ; k={rate!r}" for src, prod, rate in raw_reactions]
+    return parse_network("\n".join(lines))
 
 
 def _random_complex(rng: np.random.Generator, m: int, allow_empty: bool) -> dict[int, int]:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from crncert import MASS_ACTION, find_equilibrium, parse_network_file, simulate
 from crncert.cli import main
 
 from conftest import NETWORKS, OVER_BUDGET_K, doubling_siphons_text
@@ -197,20 +198,74 @@ def test_usage_errors_exit_1(capsys, argv, code):
 
 
 def test_simulate_without_hypotheses_has_nan_lyapunov(tmp_path, capsys):
-    path = tmp_path / "oneway.crn"
-    path.write_text("A -> B ; k=1\n")
-    code, out, err = run(capsys, "simulate", str(path), "--x0", "1,1", "--t-end", "1")
-    assert code == 0
-    rows = out.strip().splitlines()[1:]
-    assert rows and all(row.split(",")[-2] == "nan" for row in rows)
-    assert err.endswith("final_V=nan\n")
-
+    # V needs the class equilibrium; when it is refused, or cannot be computed
+    # in floats, the run still completes, with V nan in the CSV and null in JSON.
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")
 
-    code, out, _ = run(capsys, "simulate", str(path), "--x0", "1,1", "--t-end", "1", "--json")
-    assert code == 0
-    assert json.loads(out, parse_constant=reject)["final_V"] is None
+    path = tmp_path / "net.crn"
+    for text, x0 in (
+        ("A -> B ; k=1\n", "1,1"),
+        # Both certify GLOBALLY_STABLE, but find_equilibrium raises ConvergenceError:
+        # Newton stalls on the first, the complex-balanced point overflows on the second.
+        ("A <-> B ; kf=1e160, kr=1\nB + C <-> D ; kf=1, kr=1\n", "1,1,1,1"),
+        ("A <-> B ; kf=1e-170, kr=1e170\nB + C <-> D ; kf=1, kr=1\n", "1,1,1,1"),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "simulate", str(path), "--x0", x0, "--t-end", "1")
+        assert code == 0, err
+        rows = out.strip().splitlines()[1:]
+        assert rows and all(row.split(",")[-2] == "nan" for row in rows)
+        assert err.endswith("final_V=nan\n")
+
+        code, out, _ = run(capsys, "simulate", str(path), "--x0", x0, "--t-end", "1", "--json")
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["final_V"] is None
+
+
+BAD_RUNS = [  # (t_end, rtol, atol) and the setting the refusal names
+    ((0.0, 1e-8, 1e-10), "t_end"),
+    ((-1.0, 1e-8, 1e-10), "t_end"),
+    ((math.inf, 1e-8, 1e-10), "t_end"),
+    ((math.nan, 1e-8, 1e-10), "t_end"),
+    ((1.0, -1.0, 1e-10), "rtol"),
+    ((1.0, math.inf, 1e-10), "rtol"),
+    ((1.0, math.nan, 1e-10), "rtol"),
+    ((1.0, 1e-8, -1.0), "atol"),
+    ((1.0, 1e-8, math.inf), "atol"),
+    ((1.0, 1e-8, math.nan), "atol"),
+    ((1.0, 0.0, 0.0), "atol"),
+]
+FLAGS = {"t_end": "--t-end", "rtol": "--rtol", "atol": "--atol"}
+
+
+@pytest.mark.parametrize("settings, name", BAD_RUNS)
+def test_run_settings_refused_by_library_and_cli(capsys, settings, name):
+    # One rule, two callers: each names the setting in its own terms.
+    t_end, rtol, atol = settings
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        simulate(parse_network_file(EX2), MASS_ACTION, [1.0] * 3, t_end, rtol=rtol, atol=atol)
+    argv = ("--x0", "1,1,1", "--t-end", repr(t_end), "--rtol", repr(rtol), "--atol", repr(atol))
+    code, out, err = run(capsys, "simulate", EX2, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {FLAGS[name]} must be"), err
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [[0.0, 1.0, 1.0], [1.0, -1.0, 1.0], [math.nan, 1.0, 1.0], [1.0, 1.0, math.inf]],
+)
+def test_state_vectors_refused_by_library_and_cli(capsys, vector):
+    net = parse_network_file(EX2)
+    with pytest.raises(ValueError, match="^initial state x0 must be"):
+        simulate(net, MASS_ACTION, vector, 1.0)
+    with pytest.raises(ValueError, match="^class anchor c must be"):
+        find_equilibrium(net, vector)
+    text = ",".join(map(repr, vector))
+    for command, flag in (("simulate", "--x0"), ("equilibrium", "--c")):
+        code, out, err = run(capsys, command, EX2, flag, text)
+        assert (code, out) == (1, ""), command
+        assert err.startswith(f"error: {flag} must be"), err
 
 
 def test_simulate_rejects_dimension_mismatch(capsys):
@@ -262,14 +317,16 @@ def test_rates_beyond_the_float_range_exit_1_without_warnings(tmp_path, capsys):
     path.write_text("A <-> B ; kf=1e200, kr=1e-200\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for argv in (
-            ("equilibrium", str(path), "--c", "1,1"),
-            ("simulate", str(path), "--x0", "1,1"),
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == 1, argv
-            assert out == ""
-            assert "float range (rates span 1e-200 to 1e+200)" in err
+        code, out, err = run(capsys, "equilibrium", str(path), "--c", "1,1")
+        assert code == 1
+        assert out == ""
+        assert "float range (rates span 1e-200 to 1e+200)" in err
+        # simulate only loses V; the horizon is short because A, driven
+        # towards 2e-400, soon sits at the smallest float (ROADMAP item 5).
+        argv = ("--x0", "1,1", "--t-end", "1e-198", "--json")
+        code, out, err = run(capsys, "simulate", str(path), *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["final_V"] is None
 
 
 def test_overflowing_stage_fluxes_are_rejected_steps(tmp_path, capsys):
