@@ -2,10 +2,11 @@
 """Per-certificate and total sha256 over a fixed, seeded set of networks.
 
 Certifies networks/ex*.crn and ``count`` seeded random networks (even draws
-from ``random_network``, odd draws from ``random_cycle_network``) and renders
-each certificate as the ``crn-cert certify`` JSON.  Prints one line per
-certificate (its index, overall verdict and sha256), then a last line with
-the number of certificates and one sha256 over all of them.  Running the
+from ``random_network``, odd draws from ``random_cycle_network``, the test
+generators in ``tests/randomnet.py``) and renders each certificate as the
+``crn-cert certify`` JSON.  Prints one line per certificate (its index,
+overall verdict and sha256), then a last line with the number of
+certificates and one sha256 over all of them.  Running the
 same command in two checkouts shows whether a change keeps every
 certificate byte-identical, witnesses included; ``diff`` of the two outputs
 names the certificates that moved.
@@ -20,13 +21,14 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crncert import certify, parse_network_file  # noqa: E402
 from crncert.cli import SCHEMA  # noqa: E402
-from crncert.randomnet import random_cycle_network, random_network  # noqa: E402
+from randomnet import random_cycle_network, random_network  # noqa: E402
 
-NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "networks"
+NETWORKS = ROOT / "networks"
 
 
 def main() -> int:

@@ -8,7 +8,6 @@ from .network import (
     Species,
     parse_network,
     parse_network_file,
-    serialize_network,
 )
 from .structure import (
     RationalBasis,
@@ -19,7 +18,6 @@ from .siphons import (
     EnumerationCapError,
     SiphonCatalog,
     SiphonEntry,
-    is_semi_locking,
     minimal_semi_locking_sets,
 )
 from .certify import (
@@ -39,14 +37,12 @@ from .dynamics import (
     IntegrationError,
     KineticsSpec,
     Trajectory,
-    complex_balance_residual,
     complex_balanced_point,
     find_equilibrium,
     generalized_kinetics,
     jacobian,
     lyapunov,
     persistence_margin,
-    reaction_rates,
     rhs,
     simulate,
     write_trajectory_csv,

@@ -88,13 +88,6 @@ class Certificate:
     overall: OverallStatus
     reasons: tuple[str, ...]
 
-    def verdict_for(self, members: Iterable[int]) -> Optional[FaceVerdict]:
-        w = frozenset(members)
-        for v in self.verdicts:
-            if v.species == w:
-                return v
-        return None
-
     def to_json_dict(self) -> dict:
         names = self.structure.species_names
         doc: dict = {"structure": self.structure.to_json_dict()}

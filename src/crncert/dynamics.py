@@ -856,7 +856,8 @@ def find_equilibrium(
     step down to rounding.  The gap is summed exactly: a float sum
     rounds each law on its own, by up to eps times its largest term, and
     where laws cancel large species against each other that noise lands on
-    the small ones.
+    the small ones.  A gap that is not a finite float (a conservation total
+    of the class past the float range) raises ``ConvergenceError``.
     """
     anchor = _checked(c, net.num_species, "class anchor c", positive=True)
     x = complex_balanced_point(net)
@@ -867,9 +868,15 @@ def find_equilibrium(
     log_x = np.log(x)
     for iterations in range(_NEWTON_ITERATIONS + 1):
         x_list = x.tolist()
-        gap = np.array([
-            math.fsum([v for j, m in law for v in (x_list[j] * m, -c_list[j] * m)]) for law in terms
-        ])
+        try:
+            gap = np.array([
+                math.fsum([v for j, m in law for v in (x_list[j] * m, -c_list[j] * m)])
+                for law in terms
+            ])
+        except (OverflowError, ValueError):  # the sum overflows, or meets inf - inf
+            gap = np.array([math.inf])
+        if not np.all(np.isfinite(gap)):
+            raise ConvergenceError("a conservation total of the class leaves the float range")
         if np.all(np.abs(gap) <= 1e-12 * (np.abs(cons) @ (anchor + x))):
             break
         if iterations == _NEWTON_ITERATIONS:

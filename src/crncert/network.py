@@ -332,16 +332,5 @@ def parse_network(text: str) -> ReactionNetwork:
 
 
 def parse_network_file(path) -> ReactionNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
         return parse_network(fh.read())
-
-
-def serialize_network(net: ReactionNetwork) -> str:
-    """Render the network in the ``.crn`` format, one directed reaction per line."""
-    names = net.species_names
-    lines = [
-        f"{r.source.format(names)} -> {r.product.format(names)} ; k={r.rate!r}"
-        for r in net.reactions
-    ]
-    return "\n".join(lines) + "\n"
-

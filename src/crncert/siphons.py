@@ -91,17 +91,6 @@ def _largest_siphon(allowed: int, rmasks: ReactionMasks, consumers: list[Reactio
     return w
 
 
-def is_semi_locking(net: ReactionNetwork, members: Iterable[int]) -> bool:
-    """True iff every reaction producing a member of W also consumes one."""
-    members = frozenset(members)
-    if not members:
-        raise ValueError("species set must be nonempty")
-    if any(i < 0 or i >= net.num_species for i in members):
-        raise ValueError("species index out of range")
-    w = _mask(members)
-    return all(src & w for src, prod in _reaction_tables(net)[0] if prod & w)
-
-
 @dataclass(frozen=True)
 class SiphonEntry:
     species: SpeciesSet

@@ -107,13 +107,40 @@ def random_rates(net, rng, low=0.5, high=2.0):
     return ReactionNetwork(net.species, reactions)
 
 
-def is_locking(net, members):
-    """True iff every reaction's source complex meets W."""
+def serialize_network(net):
+    """Render the network in the ``.crn`` format, one directed reaction per line."""
+    names = net.species_names
+    lines = [
+        f"{r.source.format(names)} -> {r.product.format(names)} ; k={r.rate!r}"
+        for r in net.reactions
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def verdict_for(cert, members):
+    """The certificate's verdict on the face of W, or None if it has none."""
+    w = frozenset(members)
+    return next((v for v in cert.verdicts if v.species == w), None)
+
+
+def _species_set(net, members):
     w = frozenset(members)
     if not w:
         raise ValueError("species set must be nonempty")
     if any(i < 0 or i >= net.num_species for i in w):
         raise ValueError("species index out of range")
+    return w
+
+
+def is_semi_locking(net, members):
+    """True iff every reaction producing a member of W also consumes one."""
+    w = _species_set(net, members)
+    return all(r.source.indices & w for r in net.reactions if r.product.indices & w)
+
+
+def is_locking(net, members):
+    """True iff every reaction's source complex meets W."""
+    w = _species_set(net, members)
     return all(r.source.indices & w for r in net.reactions)
 
 

@@ -1,15 +1,18 @@
-"""Seeded random network generation for fuzzing and oracle sweeps.
+"""Seeded random network generation for the tests and ``scripts/cert_digest.py``.
 
 The generators draw reactions between random complexes, write them as
 ``.crn`` lines over species ``S0, S1, ...`` and return the parsed network,
-so every generated network passes through :func:`parse_network`.
+so every generated network passes through :func:`crncert.parse_network`.
+They live beside the tests, not in the package: no command calls them.
+Test modules import them as ``from randomnet import ...``; the script puts
+this directory on its path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import ReactionNetwork, parse_network
+from crncert import ReactionNetwork, parse_network
 
 
 def _relabel(raw_reactions: list[tuple[dict[int, int], dict[int, int], float]]) -> ReactionNetwork:

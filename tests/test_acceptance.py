@@ -15,7 +15,6 @@ from crncert import (
     complex_balanced_point,
     find_equilibrium,
     generalized_kinetics,
-    is_semi_locking,
     jacobian,
     lyapunov,
     minimal_semi_locking_sets,
@@ -25,10 +24,18 @@ from crncert import (
     simulate,
     structure_report,
 )
-from crncert.randomnet import random_network
 from crncert.ratlin import canonical_basis
 
-from conftest import face_kernel, names_of, random_rates, species_set, vec_by_name
+from conftest import (
+    face_kernel,
+    is_semi_locking,
+    names_of,
+    random_rates,
+    species_set,
+    vec_by_name,
+    verdict_for,
+)
+from randomnet import random_network
 
 
 def _report(criterion: int, detail: str = "") -> None:
@@ -58,10 +65,10 @@ def test_criterion_1_example_1_golden(ex1):
 
     cert = certify(ex1)
     assert cert.overall is OverallStatus.GLOBALLY_STABLE
-    assert cert.verdict_for(species_set(ex1, "A", "B", "E")).status is FaceStatus.DISCRETE
-    assert cert.verdict_for(species_set(ex1, "A", "C", "E")).status is FaceStatus.DISCRETE
+    assert verdict_for(cert, species_set(ex1, "A", "B", "E")).status is FaceStatus.DISCRETE
+    assert verdict_for(cert, species_set(ex1, "A", "C", "E")).status is FaceStatus.DISCRETE
     assert (
-        cert.verdict_for(species_set(ex1, "C", "D", "E")).status
+        verdict_for(cert, species_set(ex1, "C", "D", "E")).status
         is FaceStatus.EMPTY_ALL_CLASSES
     )
     _report(1, "(example 1 golden, exact)")
@@ -73,7 +80,7 @@ def test_criterion_2_example_2_golden(ex2):
 
     cert = certify(ex2)
     for pair in (("A", "B"), ("A", "C")):
-        assert cert.verdict_for(species_set(ex2, *pair)).status is FaceStatus.DISCRETE
+        assert verdict_for(cert, species_set(ex2, *pair)).status is FaceStatus.DISCRETE
     assert {names_of(ex2, e.species) for e in cert.catalog.entries} == {
         frozenset("AB"), frozenset("AC"),
     }

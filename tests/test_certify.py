@@ -28,7 +28,6 @@ from crncert import (
 from crncert import ratlin
 from crncert.certify import _face_verdict
 from crncert.cli import SCHEMA, main
-from crncert.randomnet import random_network
 from crncert.ratlin import canonical_basis
 
 from conftest import (
@@ -41,7 +40,9 @@ from conftest import (
     names_of,
     species_set,
     vec_by_name,
+    verdict_for,
 )
+from randomnet import random_network
 
 
 def test_check_discrete_golden(ex1, ex2):
@@ -142,20 +143,20 @@ def test_check_empty_rejects_unverified_feasible_witness(monkeypatch, point):
 def test_certificates_golden(ex1, ex2, ex3):
     cert1 = certify(ex1)
     assert cert1.overall is OverallStatus.GLOBALLY_STABLE
-    assert cert1.verdict_for(species_set(ex1, "A", "B", "E")).status is FaceStatus.DISCRETE
-    assert cert1.verdict_for(species_set(ex1, "A", "C", "E")).status is FaceStatus.DISCRETE
-    w3 = cert1.verdict_for(species_set(ex1, "C", "D", "E"))
+    assert verdict_for(cert1, species_set(ex1, "A", "B", "E")).status is FaceStatus.DISCRETE
+    assert verdict_for(cert1, species_set(ex1, "A", "C", "E")).status is FaceStatus.DISCRETE
+    w3 = verdict_for(cert1, species_set(ex1, "C", "D", "E"))
     assert w3.status is FaceStatus.EMPTY_ALL_CLASSES
     assert w3.separating_witness is not None
 
     cert2 = certify(ex2)
     assert cert2.overall is OverallStatus.GLOBALLY_STABLE
     for pair in (("A", "B"), ("A", "C")):
-        assert cert2.verdict_for(species_set(ex2, *pair)).status is FaceStatus.DISCRETE
+        assert verdict_for(cert2, species_set(ex2, *pair)).status is FaceStatus.DISCRETE
 
     cert3 = certify(ex3)
     assert cert3.overall is OverallStatus.GLOBALLY_STABLE
-    assert cert3.verdict_for(species_set(ex3, "A", "B")).status is FaceStatus.DISCRETE
+    assert verdict_for(cert3, species_set(ex3, "A", "B")).status is FaceStatus.DISCRETE
 
 
 def test_inconclusive_face_reports_both_witnesses():
@@ -166,7 +167,7 @@ def test_inconclusive_face_reports_both_witnesses():
     assert cert.structure.deficiency == 0
     assert cert.structure.weakly_reversible
     assert cert.overall is OverallStatus.NOT_CERTIFIED
-    verdict = cert.verdict_for(species_set(net, "C"))
+    verdict = verdict_for(cert, species_set(net, "C"))
     assert verdict.status is FaceStatus.INCONCLUSIVE
     assert verdict.kernel_witness == vec_by_name(net, {"A": 1, "B": 1})
     assert verdict.feasible_witness[net.species_names.index("C")] < 0

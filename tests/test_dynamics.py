@@ -7,29 +7,28 @@ import pytest
 
 from crncert import (
     MASS_ACTION,
+    ConvergenceError,
     HypothesesError,
     IntegrationError,
     OverallStatus,
     Trajectory,
     certify,
-    complex_balance_residual,
     complex_balanced_point,
     find_equilibrium,
     generalized_kinetics,
-    is_semi_locking,
     jacobian,
     lyapunov,
     parse_network,
     persistence_margin,
-    reaction_rates,
     rhs,
     simulate,
     structure_report,
 )
 from crncert import dynamics
-from crncert.randomnet import random_cycle_network
+from crncert.dynamics import complex_balance_residual, reaction_rates
 
-from conftest import random_rates
+from conftest import is_semi_locking, random_rates
+from randomnet import random_cycle_network
 
 
 # Stiff enough that the run switches to the Rosenbrock stepper early.
@@ -229,6 +228,19 @@ def test_find_equilibrium_refuses_bad_networks():
         with pytest.raises(ValueError, match="anchor c must be entrywise positive") as info:
             find_equilibrium(ok, anchor)
         assert not isinstance(info.value, HypothesesError)
+
+
+@pytest.mark.parametrize(
+    "text, anchor",
+    [
+        ("A <-> B ; kf=1, kr=1", [1e308, 1e308]),  # A + B overflows inside the sum
+        ("2A <-> B ; kf=1, kr=1", [1.0, 1e308]),  # A + 2B rounds to inf
+    ],
+)
+def test_find_equilibrium_refuses_class_total_out_of_float_range(text, anchor):
+    # The suite turns warnings into errors, so an overflow warning fails here too.
+    with pytest.raises(ConvergenceError, match="conservation total of the class leaves"):
+        find_equilibrium(parse_network(text), anchor)
 
 
 def test_find_equilibrium_inflow_network_without_conservation():

@@ -24,9 +24,9 @@ from crncert import (
     simulate,
     structure_report,
 )
-from crncert.randomnet import random_cycle_network
 
 from conftest import exact_tree_constants, random_rates
+from randomnet import random_cycle_network
 
 
 def oracle_equilibrium(net, c, start):

@@ -9,10 +9,10 @@ from crncert import (
     ReactionNetwork,
     Species,
     parse_network,
-    serialize_network,
+    parse_network_file,
 )
 
-from conftest import reaction_vector
+from conftest import reaction_vector, serialize_network
 
 
 def test_minimal_network():
@@ -60,6 +60,14 @@ def test_comments_and_blank_lines():
     net = parse_network("# header\n\nA -> B ; k=2 # trailing\n")
     assert len(net.reactions) == 1
     assert net.reactions[0].rate == 2.0
+
+
+def test_a_file_with_a_byte_order_mark_and_crlf_lines_parses(tmp_path):
+    # Windows editors write a UTF-8 BOM and CRLF line ends.
+    text = "A <-> B ; kf=1, kr=1\nB + C -> 2A ; k=0.5\n"
+    path = tmp_path / "bom.crn"
+    path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    assert parse_network_file(path) == parse_network(text)
 
 
 def test_repeated_species_in_complex_sums():

@@ -22,22 +22,20 @@ from hypothesis import strategies as st
 
 from crncert import (
     MASS_ACTION,
-    complex_balance_residual,
     complex_balanced_point,
     find_equilibrium,
     generalized_kinetics,
     jacobian,
     parse_network,
-    reaction_rates,
     rhs,
     simulate,
     structure_report,
 )
 from crncert import dynamics
-from crncert.dynamics import _compile_field
-from crncert.randomnet import random_cycle_network, random_network
+from crncert.dynamics import _compile_field, complex_balance_residual, reaction_rates
 
 from conftest import exact_tree_constants, reaction_vector
+from randomnet import random_cycle_network, random_network
 
 
 def loop_arrays(net):

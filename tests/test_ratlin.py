@@ -12,7 +12,6 @@ from crncert import (
     ratlin,
     structure_report,
 )
-from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import (
     ExactBudgetError,
     canonical_basis,
@@ -22,6 +21,7 @@ from crncert.ratlin import (
 )
 
 from conftest import dot, face_kernel, integer_rows, rank, reaction_vector
+from randomnet import random_cycle_network, random_network
 
 
 def test_rref_and_rank():

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import subprocess
 import sys
@@ -29,6 +30,27 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_package_runs_without_tests_or_scripts_on_the_path(tmp_path):
+    # Only src/ on the path: certify runs, and no test helper ships in the package.
+    code = (
+        "import importlib.util\n"
+        "from crncert.cli import main\n"
+        f"assert main(['certify', {str(NETWORKS / 'ex1.crn')!r}]) == 0\n"
+        "assert importlib.util.find_spec('crncert.randomnet') is None\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(NETWORKS.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "GLOBALLY_STABLE" in proc.stdout
 
 
 def test_cert_digest_prints_one_line_per_certificate():
@@ -84,9 +106,18 @@ def test_benchmark_trace_targets_resolve():
         assert callable(owner), name
 
 
+# Public names no command, script or benchmark file calls: the result types a
+# caller receives, and generalized kinetics (acceptance criterion 7).
+UNCALLED_PUBLIC_NAMES = {
+    "EquilibriumResult", "FaceStatus", "FaceVerdict", "RationalBasis",
+    "ReactionNetwork", "SiphonCatalog", "SiphonEntry", "StructureReport",
+    "Trajectory", "KineticsSpec", "generalized_kinetics",
+}
+
+
 def test_package_public_names():
-    # Test oracles live in tests/conftest.py; a name added here must have a
-    # caller in a command, a script or the benchmark.
+    # Test oracles and generators live in tests/; a public name must have a
+    # caller in a command, a script or the benchmark, or be listed above.
     public = sorted(
         name
         for name, value in vars(crncert).items()
@@ -99,10 +130,16 @@ def test_package_public_names():
         "ParseError", "RationalBasis", "Reaction", "ReactionNetwork",
         "SiphonCatalog", "SiphonEntry", "Species", "StructureReport", "Trajectory",
         "certify", "check_discrete", "check_empty_all_classes",
-        "complex_balance_residual", "complex_balanced_point",
-        "find_equilibrium", "generalized_kinetics", "is_semi_locking", "jacobian",
-        "lyapunov", "minimal_semi_locking_sets", "parse_network",
-        "parse_network_file", "persistence_margin", "reaction_rates",
-        "rhs", "serialize_network", "simulate",
+        "complex_balanced_point", "find_equilibrium", "generalized_kinetics",
+        "jacobian", "lyapunov", "minimal_semi_locking_sets", "parse_network",
+        "parse_network_file", "persistence_margin", "rhs", "simulate",
         "structure_report", "write_trajectory_csv",
     ]
+    callers = [
+        NETWORKS.parent / "src" / "crncert" / "cli.py",
+        *SCRIPTS.glob("*.py"),
+        *TRACING.parent.glob("*.py"),
+    ]
+    text = "\n".join(path.read_text() for path in callers)
+    uncalled = {name for name in public if not re.search(rf"\b{name}\b", text)}
+    assert uncalled == UNCALLED_PUBLIC_NAMES

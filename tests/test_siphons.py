@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from crncert import (
     EnumerationCapError,
-    is_semi_locking,
     minimal_semi_locking_sets,
     parse_network,
 )
 from crncert import siphons
-from crncert.randomnet import random_cycle_network, random_network
 from crncert.siphons import FIXPOINT_BUDGET, _largest_siphon, _reaction_tables
 
 from conftest import (
@@ -19,10 +17,12 @@ from conftest import (
     cycle_union,
     doubling_siphons_text,
     is_locking,
+    is_semi_locking,
     largest_siphon_by_rescan,
     names_of,
     species_set,
 )
+from randomnet import random_cycle_network, random_network
 
 
 def minimal_by_scan(net):

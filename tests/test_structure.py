@@ -20,10 +20,11 @@ from crncert import (
     structure_report,
 )
 from crncert import ratlin
-from crncert.randomnet import random_cycle_network, random_network
 from crncert.ratlin import canonical_basis
 
 from conftest import cycle_union, dot, integer_rows, reaction_vector, vec_by_name
+from randomnet import random_cycle_network, random_network
+
 
 def test_linkage_classes_counts(ex1, ex3):
     assert [len(b) for b in structure_report(ex1).linkage_classes] == [4]
