@@ -10,10 +10,11 @@ path, and one exact Jacobian kernel, scaled by ``d theta / dx``, serves all.
 DOP853 until a rejected step shows that stability, not accuracy, holds the
 step size, and then with the L-stable Rosenbrock pair RODAS4 for the rest of
 the run, so the step grows with the slow time scales once the fast ones have
-settled.  Each run compiles the network's vector field once, from
-``net.numeric``, to straight-line code on Python floats, and the DOP853
-step, generated once from its tableau, runs on those floats too: an
-explicit step and its acceptance test make no numpy call.
+settled.  ``net.numeric`` compiles each network's vector field once, to
+straight-line code on Python floats, and :func:`rhs` and every run
+evaluate that one field; the DOP853 step, generated once from its tableau,
+runs on those floats too: an explicit step and its acceptance test make no
+numpy call.
 
 :func:`find_equilibrium` gets a complex-balanced point from tree constants
 that GTH elimination computes to a small relative error, and then the class
@@ -26,12 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import truediv
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .network import NumericForm, ReactionNetwork
 from .structure import structure_report
+
+if TYPE_CHECKING:
+    from .network import NumericForm, ReactionNetwork
 
 
 class HypothesesError(ValueError):
@@ -155,21 +158,21 @@ def _statements(target: str, terms: list[str], op: str) -> list[str]:
     return [f"    {target} = {exprs[0]}"] + [f"    {target} {op.strip()}= {e}" for e in exprs[1:]]
 
 
-def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
-    """The mass-action vector field of ``form`` as straight-line float code.
+def _compile_field(form: NumericForm, changes: list, m: int) -> Callable[[list[float]], list[float]]:
+    """The mass-action vector field of ``form``'s arrays as straight-line float code.
 
-    The generated ``field(u)`` maps a list of m floats to the list
-    ``fluxes(u) @ stoichiometry``.  Flux r is its rate times ``u_j**e`` for
-    each species j of its source, by binary powering: the squares
-    ``s{j}_{k} = u_j**(2**k)`` are formed once per species and each flux
-    multiplies those whose bit is set in e, so an exponent p costs O(log p)
-    products.  A float product overflows to inf without raising, where
-    float ``**`` raises ``OverflowError``.  Each derivative sums its nonzero
-    stoichiometric terms.
+    ``changes`` lists the nonzero net stoichiometric changes
+    ``(r, i, N[r, i])`` in reaction order, species ascending.  The generated
+    ``field(u)`` maps a list of m floats to the list ``fluxes(u) @ N``.
+    Flux r is its rate times ``u_j**e`` for each species j of its source, by
+    binary powering: the squares ``s{j}_{k} = u_j**(2**k)`` are formed once
+    per species and each flux multiplies those whose bit is set in e, so an
+    exponent p costs O(log p) products.  A float product overflows to inf
+    without raising, where float ``**`` raises ``OverflowError``.  Each
+    derivative sums its nonzero stoichiometric terms.
     The source holds only integer indices and the reprs of the rates, which
     ``Reaction`` checks to be finite; no name or input text reaches it.
     """
-    m = form.stoichiometry.shape[1]
     sources = [
         [(j, int(e)) for j, e in zip(js, es) if e]
         for js, es in zip(form.source_species.tolist(), form.source_orders.tolist())
@@ -189,8 +192,7 @@ def _compile_field(form: NumericForm) -> Callable[[list[float]], list[float]]:
         factors = [power(j, k) for j, e in row for k in range(e.bit_length()) if e >> k & 1]
         lines += _statements(f"r{r}", [repr(rate)] + factors, " * ")
     columns: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    rows, cols = np.nonzero(form.stoichiometry)
-    for r, j, c in zip(rows.tolist(), cols.tolist(), form.stoichiometry[rows, cols].tolist()):
+    for r, j, c in changes:
         columns[j].append((r, c))
     for j, column in enumerate(columns):
         terms = [f"{'-' * (c < 0)}{'' if abs(c) == 1 else f'{abs(c)!r} * '}r{r}" for r, c in column]
@@ -212,36 +214,39 @@ def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[flo
 def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Species time derivative: sum of flux times net stoichiometry.
 
-    Boundary states are allowed; a flux with any required input at zero is
-    zero, and species absent from a source contribute a factor 1.
+    This is the compiled field of ``net.numeric`` at ``theta(x)``, the one
+    :func:`simulate` integrates.  Boundary states are allowed; a flux with
+    any required input at zero is zero, and species absent from a source
+    contribute a factor 1.
     """
-    return reaction_rates(net, kinetics, x) @ net.numeric.stoichiometry
+    u = _transformed(_checked(x, net.num_species, "state", positive=False), kinetics)
+    return np.array(net.numeric.field(u.tolist()))
 
 
-def _compile_jacobian(form: NumericForm) -> Callable[[np.ndarray], np.ndarray]:
-    """``u -> d(fluxes(u) @ stoichiometry) / du`` for ``form``, exact on the boundary.
+def _compile_jacobian(form: NumericForm, changes: list, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``u -> d(fluxes(u) @ N) / du``, exact on the boundary, from ``_compile_field``'s arguments.
 
     The derivative of flux r by the species of its slot a is the rate times
     the monomial with factor a replaced by ``e * u**(e - 1)`` (the exponent
-    clipped at 0, so u = 0 stays exact).  Entry (i, j) adds
-    ``stoichiometry[r, i]`` times it over the reactions in order, as
-    ``np.bincount`` adds its weights, so it equals the per-reaction loop bit
-    for bit.  The tables below depend only on the network: built once here.
+    clipped at 0, so u = 0 stays exact).  Entry (i, j) adds ``N[r, i]``
+    times it over the reactions in order, as ``np.bincount`` adds its
+    weights, so it equals the per-reaction loop bit for bit.  The tables
+    below depend only on the network: built once here.
     """
     species, orders = form.source_species, form.source_orders
-    width, m = orders.shape[1], form.stoichiometry.shape[1]
+    width = orders.shape[1]
     # Row (k, a), for the k-th nonzero stoichiometric entry (r, i) in reaction
     # order and slot a of r, holds the w + 2 factors of one term of entry
     # (i, species[r, a]), in the loop's order, as coefficient * u[base]**exponent:
     # each slot's power, e * u**(e - 1) at slot a, the rate, then N[r, i].
-    reactions, touched = np.nonzero(form.stoichiometry)
+    reactions, touched, values = (np.array(column) for column in zip(*changes))
     diagonal = np.eye(width, width + 2, dtype=bool)
     padded = np.zeros((len(reactions), 1, width + 2))
     padded[..., :width] = orders[reactions, None, :]
     exponents = np.maximum(padded - diagonal, 0.0)
     coefficients = np.where(diagonal, padded, 1.0)
     coefficients[..., width] = form.rates[reactions, None]
-    coefficients[..., width + 1] = form.stoichiometry[reactions, touched, None]
+    coefficients[..., width + 1] = values[:, None]
     bases = np.zeros(exponents.shape, dtype=np.intp)
     bases[..., :width] = species[reactions, None, :]
     targets = (m * touched[:, None] + species[reactions]).ravel()
@@ -261,7 +266,7 @@ def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -
     temporary holds r * m * m floats, however many species there are.
     """
     arr = _checked(x, net.num_species, "state", positive=False)
-    return _compile_jacobian(net.numeric)(_transformed(arr, kinetics)) * _slopes(arr, kinetics)
+    return net.numeric.jacobian(_transformed(arr, kinetics)) * _slopes(arr, kinetics)
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -558,20 +563,19 @@ def simulate(
     accuracy, and the run switches, once, to the L-stable Rosenbrock pair
     RODAS4, which inverts ``W = I / (h gamma) - J`` once per step, and
     retries the step with it.  Accepted DOP853 steps cost no Jacobian.  J is
-    :func:`jacobian` at x, from one kernel whose tables are built once per
-    run.  The state, the stages and the error norm are lists of Python
-    floats: each DOP853 stage is one list comprehension with a term per
-    nonzero tableau coefficient (``_dop853_step``, generated at import);
-    only the RODAS4 attempt, which needs the inverse of W, makes arrays,
-    filling one stage array allocated at the switch.  Inputs are validated
-    once, here; the vector field is then compiled once from ``net.numeric``
-    to straight-line float code (``_compile_field``) and evaluated on lists,
-    through theta for generalized kinetics.  Other steps whose stages or
-    proposed state leave the positive orthant are retried at half the step;
-    a non-finite error estimate or a singular W aborts the run, as does a
-    vector field that overflows at x0 or at an accepted state, a step too
-    small to advance t or more than ``MAX_STEPS`` attempts of the two
-    steppers together.  The last step is clipped to end exactly at
+    :func:`jacobian` at x, from the kernel ``net.numeric`` compiled.  The
+    state, the stages and the error norm are lists of Python floats: each
+    DOP853 stage is one list comprehension with a term per nonzero tableau
+    coefficient (``_dop853_step``, generated at import); only the RODAS4
+    attempt, which needs the inverse of W, makes arrays, filling one stage
+    array allocated at the switch.  Inputs are validated once, here; the
+    vector field is the straight-line float code of ``net.numeric``,
+    evaluated on lists, through theta for generalized kinetics.  Other steps
+    whose stages or proposed state leave the positive orthant are retried at
+    half the step; a non-finite error estimate or a singular W aborts the
+    run, as does a vector field that overflows at x0 or at an accepted
+    state, a step too small to advance t or more than ``MAX_STEPS`` attempts
+    of the two steppers together.  The last step is clipped to end exactly at
     ``t_end``.  Every accepted state is recorded; once the loop ends, the
     Lyapunov value (when ``x_ref`` is given) and the worst conservation-law
     drift relative to the initial state are computed over the stored states.
@@ -582,8 +586,7 @@ def simulate(
     size = len(x)
     ref = None if x_ref is None else _checked(x_ref, size, "reference state x_ref", positive=True)
 
-    field = _compile_field(net.numeric)
-    jac_u = _compile_jacobian(net.numeric)
+    field, jac_u = net.numeric.field, net.numeric.jacobian
     evaluations = 0
 
     def f(state: list[float]) -> list[float]:
@@ -764,22 +767,26 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
     if report.hypothesis_failures:
         raise HypothesesError("; ".join(report.hypothesis_failures))
     form = net.numeric
-    n = len(net.complexes)
+    n, m = len(net.complexes), net.num_species
     q = np.zeros((n, n))
     np.add.at(q, (form.source, form.product), form.rates)
     kappa = np.zeros(n)
-    indicator = np.zeros((n, len(report.linkage_classes)))
+    # Row i of [Y | -indicator]: complex i's species multiplicities, then -1
+    # in the column of its linkage class.
+    system = np.zeros((n, m + len(report.linkage_classes)))
+    for row, c in enumerate(net.complexes):
+        for i, k in c.terms:
+            system[row, i] = k
     # Out of the float range the elimination gives inf, 0 or nan and exp
     # gives inf or 0; the check below turns each into a typed error.
     with np.errstate(all="ignore"):
         for b_idx, block in enumerate(report.linkage_classes):
             kappa[list(block)] = _tree_constants(q[np.ix_(block, block)])
-            indicator[list(block), b_idx] = 1.0
+            system[list(block), m + b_idx] = -1.0
         x_star = kappa
         if kappa.min() > 0 and kappa.max() < math.inf:
-            system = np.hstack([form.complex_matrix, -indicator])
             solution, *_ = np.linalg.lstsq(system, np.log(kappa), rcond=None)
-            x_star = np.exp(solution[: net.num_species])
+            x_star = np.exp(solution[:m])
     if not (x_star.min() > 0 and x_star.max() < math.inf):
         raise ConvergenceError(
             "the complex-balanced point leaves the float range "
@@ -833,6 +840,19 @@ def _binary_terms(laws: Sequence[Sequence[int]]) -> list[list[tuple[int, float]]
     ]
 
 
+def _newton_move(cons: np.ndarray, x: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The Newton step in log x: ``C^T d`` where ``(C diag(x) C^T) d = -gap``.
+
+    The matrix is singular in floats once a species exceeds the others in a
+    conservation law by about 1 / eps, as their sum then rounds to the larger;
+    that is a ``ConvergenceError``.
+    """
+    try:
+        return cons.T @ np.linalg.solve((cons * x) @ cons.T, -gap)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(f"singular Newton system (x in [{x.min():.3g}, {x.max():.3g}])") from None
+
+
 def find_equilibrium(
     net: ReactionNetwork,
     c: Sequence[float],
@@ -857,7 +877,8 @@ def find_equilibrium(
     rounds each law on its own, by up to eps times its largest term, and
     where laws cancel large species against each other that noise lands on
     the small ones.  A gap that is not a finite float (a conservation total
-    of the class past the float range) raises ``ConvergenceError``.
+    of the class past the float range) raises ``ConvergenceError``, as does
+    a singular Newton system.
     """
     anchor = _checked(c, net.num_species, "class anchor c", positive=True)
     x = complex_balanced_point(net)
@@ -884,11 +905,11 @@ def find_equilibrium(
                 f"Newton did not converge in {_NEWTON_ITERATIONS} iterations "
                 f"(conservation residual {np.max(np.abs(gap)):.3e})"
             )
-        move = cons.T @ np.linalg.solve((cons * x) @ cons.T, -gap)
+        move = _newton_move(cons, x, gap)
         log_x += min(1.0, 1.0 / float(np.max(np.abs(move)))) * move
         x = np.exp(log_x)
     if len(cons):
-        log_x += cons.T @ np.linalg.solve((cons * x) @ cons.T, -gap)
+        log_x += _newton_move(cons, x, gap)
         x = np.exp(log_x)
 
     residual = float(np.max(np.abs(rhs(net, MASS_ACTION, x))))

@@ -17,10 +17,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .dynamics import _compile_field, _compile_jacobian
 from .structure import StructureReport, _build_report
 
 MAX_COEFF = 2**31 - 1
@@ -116,22 +117,25 @@ class Reaction:
 
 
 class NumericForm(NamedTuple):
-    """Arrays of a network, shared read-only by every numeric routine.
+    """A network compiled for numeric work, shared read-only by every routine.
 
-    Rows of ``complex_matrix`` follow ``ReactionNetwork.complexes``; reaction r
-    runs from complex ``source[r]`` to ``product[r]`` at ``rates[r]``.  Its
-    source monomial is ``prod_a u[source_species[r, a]] ** source_orders[r, a]``
-    over w slots in species order, w being the size of the widest source; a
-    shorter row is padded with order 0 (``u**0 == 1``) on its last species.
+    Reaction r runs from complex ``source[r]`` to ``product[r]`` (positions in
+    ``ReactionNetwork.complexes``) at ``rates[r]``.  Its source monomial is
+    ``prod_a u[source_species[r, a]] ** source_orders[r, a]`` over w slots in
+    species order, w being the size of the widest source; a shorter row is
+    padded with order 0 (``u**0 == 1``) on its last species.  ``field`` maps
+    a list of m floats u to the list of species derivatives, and
+    ``jacobian`` maps an array u to their derivative matrix in u; both are
+    compiled once, here, so no routine compiles or holds an r x m array.
     """
 
-    complex_matrix: np.ndarray
     source: np.ndarray
     product: np.ndarray
     rates: np.ndarray
     source_species: np.ndarray
     source_orders: np.ndarray
-    stoichiometry: np.ndarray
+    field: Callable[[list[float]], list[float]]
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,9 @@ class ReactionNetwork:
     The walk over the reactions that checks them also builds the index
     tables, as plain attributes: ``species_names``; ``complexes``, every
     source and product complex once, in first-appearance order; and
-    ``complex_index``, each complex's position in ``complexes``.  The float
-    arrays (``numeric``) and the exact structure report (``structure``) are
-    built on first use and kept on the object.
+    ``complex_index``, each complex's position in ``complexes``.  The
+    compiled numeric form (``numeric``) and the exact structure report
+    (``structure``) are built on first use and kept on the object.
     """
 
     species: tuple[Species, ...]
@@ -181,11 +185,7 @@ class ReactionNetwork:
 
     @cached_property
     def numeric(self) -> NumericForm:
-        """The network as float arrays, built once per object and freed with it."""
-        y = np.zeros((len(self.complexes), self.num_species))
-        for row, c in enumerate(self.complexes):
-            for i, k in c.terms:
-                y[row, i] = k
+        """The network's compiled numeric form, built once per object and freed with it."""
         source = np.array([self.complex_index[r.source] for r in self.reactions])
         product = np.array([self.complex_index[r.product] for r in self.reactions])
         rates = np.array([r.rate for r in self.reactions])
@@ -193,10 +193,20 @@ class ReactionNetwork:
         width = max(1, *map(len, rows))
         table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
         species, orders = table[..., 0].copy(), table[..., 1].astype(float)
-        form = NumericForm(y, source, product, rates, species, orders, y[product] - y[source])
-        for a in form:
+        form = NumericForm(source, product, rates, species, orders, None, None)
+        for a in form[:5]:
             a.setflags(write=False)
-        return form
+        # The nonzero net stoichiometric changes (reaction, species, change),
+        # in reaction order and species order within a reaction.
+        changes = []
+        for row, r in enumerate(self.reactions):
+            delta = dict(r.product.terms)
+            delta.update((i, delta.get(i, 0) - k) for i, k in r.source.terms)
+            changes += [(row, i, float(d)) for i, d in sorted(delta.items()) if d]
+        m = self.num_species
+        return form._replace(
+            field=_compile_field(form, changes, m), jacobian=_compile_jacobian(form, changes, m)
+        )
 
     @cached_property
     def structure(self) -> StructureReport:

@@ -212,6 +212,8 @@ def test_simulate_without_hypotheses_has_nan_lyapunov(tmp_path, capsys):
         ("A <-> B ; kf=1e-170, kr=1e170\nB + C <-> D ; kf=1, kr=1\n", "1,1,1,1"),
         # The class total A + B is out of the float range.
         ("A <-> B ; kf=1, kr=1\n", "1e308,1e308"),
+        # Newton's system is singular in floats.
+        ("A + B <-> C ; kf=1, kr=1\n", "1e33,1e33,1"),
     ):
         path.write_text(text)
         code, out, err = run(capsys, "simulate", str(path), "--x0", x0, "--t-end", "1")

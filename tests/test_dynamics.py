@@ -243,6 +243,14 @@ def test_find_equilibrium_refuses_class_total_out_of_float_range(text, anchor):
         find_equilibrium(parse_network(text), anchor)
 
 
+def test_find_equilibrium_refuses_a_singular_newton_system():
+    # x_C reaches about 1e33 while x_A = x_B stay near 3e16, so x_A + x_C
+    # rounds to x_C and C diag(x) C^T is singular in floats.
+    net = parse_network("A + B <-> C ; kf=1, kr=1")
+    with pytest.raises(ConvergenceError, match="singular Newton system"):
+        find_equilibrium(net, [1e33, 1e33, 1.0])
+
+
 def test_find_equilibrium_inflow_network_without_conservation():
     # 0 <-> A <-> B: the span is all of R^2, one class covers everything
     net = parse_network("0 <-> A ; kf=1, kr=1\nA <-> B ; kf=3, kr=1")
@@ -502,43 +510,39 @@ def test_blow_up_after_the_switch_is_an_integration_error(monkeypatch):
     assert len(outcomes) > 10
 
 
-def _field_returning(monkeypatch, call, value):
-    # simulate's compiled field returns value on the given call and is
-    # otherwise unchanged; the list returned here collects every call.
+def _field_returning(call, value):
+    # A fresh copy of ``ab`` whose compiled field returns value on the given
+    # call and is otherwise unchanged, and the list that collects every call.
+    net = parse_network("A -> B ; k=1\nB -> A ; k=2")
     calls = []
-    compile_field = dynamics._compile_field
+    field = net.numeric.field
 
-    def compiled(form):
-        field = compile_field(form)
+    def replaced(u):
+        calls.append(u)
+        return value if len(calls) == call else field(u)
 
-        def replaced(u):
-            calls.append(u)
-            return value if len(calls) == call else field(u)
-
-        return replaced
-
-    monkeypatch.setattr(dynamics, "_compile_field", compiled)
-    return calls
+    net.__dict__["numeric"] = net.numeric._replace(field=replaced)  # the cached form
+    return net, calls
 
 
-def test_flux_overflow_at_an_accepted_state_is_an_integration_error(monkeypatch, ab):
+def test_flux_overflow_at_an_accepted_state_is_an_integration_error():
     # Call 13 is f at the first accepted state: one call at x0, then eleven
     # stages of a first step that is accepted.
-    calls = _field_returning(monkeypatch, 13, [-math.inf, math.inf])
+    net, calls = _field_returning(13, [-math.inf, math.inf])
     with pytest.raises(IntegrationError, match="flux overflow") as exc:
-        simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
+        simulate(net, MASS_ACTION, [1.0, 1.0], 1.0)
     assert len(calls) == 13
     assert float(str(exc.value).split("t=")[1].split(":")[0]) > 0
 
 
-def test_stage_state_with_a_nan_and_a_negative_entry_reaches_the_error_estimate(monkeypatch, ab):
+def test_stage_state_with_a_nan_and_a_negative_entry_reaches_the_error_estimate():
     # Call 2 is stage 1 of the first step, so stage 2's state is about
     # (-1e298, nan).  np.min of it is nan, so the sign test passes it and the
     # error estimate, non-finite, ends the run; a min that skipped the NaN
     # would reject the step and retry it at half the size.
-    calls = _field_returning(monkeypatch, 2, [-1e300, math.nan])
+    net, calls = _field_returning(2, [-1e300, math.nan])
     with pytest.raises(IntegrationError, match="non-finite state"):
-        simulate(ab, MASS_ACTION, [1.0, 1.0], 1.0)
+        simulate(net, MASS_ACTION, [1.0, 1.0], 1.0)
     assert len(calls) == 12
 
 

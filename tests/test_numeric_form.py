@@ -9,6 +9,7 @@ complex-balanced point is held instead to exact tree constants built by loops
 over the reactions, to a relative tolerance.
 """
 
+import collections
 import gc
 import math
 import re
@@ -31,8 +32,8 @@ from crncert import (
     simulate,
     structure_report,
 )
-from crncert import dynamics
-from crncert.dynamics import _compile_field, complex_balance_residual, reaction_rates
+from crncert import dynamics, network
+from crncert.dynamics import complex_balance_residual, reaction_rates
 
 from conftest import exact_tree_constants, reaction_vector
 from randomnet import random_cycle_network, random_network
@@ -119,10 +120,17 @@ def _networks_and_states(seed, count):
             yield net, x
 
 
+def _assert_rhs_matches_loop(net, x):
+    # rhs, the compiled field, multiplies and sums in another order than the
+    # loop, so the two agree to rounding of the largest terms, not bit for bit.
+    bound = 1e-12 * (loop_reaction_rates(net, x) @ np.abs(loop_arrays(net)[1]))
+    assert np.all(np.abs(rhs(net, MASS_ACTION, x) - loop_rhs(net, x)) <= bound)
+
+
 def test_kernels_equal_loop_reference_on_random_networks_and_boundary_states():
     for net, x in _networks_and_states(seed=17, count=150):
         assert np.array_equal(reaction_rates(net, MASS_ACTION, x), loop_reaction_rates(net, x))
-        assert np.array_equal(rhs(net, MASS_ACTION, x), loop_rhs(net, x))
+        _assert_rhs_matches_loop(net, x)
         assert np.array_equal(jacobian(net, MASS_ACTION, x), loop_jacobian(net, x))
         assert complex_balance_residual(net, x) == loop_complex_balance_residual(net, x)
 
@@ -141,15 +149,6 @@ def _enzyme(k):
     ))
 
 
-def _assert_field_matches_rhs(net, x):
-    # The field multiplies and sums in another order than rhs, so the two
-    # agree to rounding of the largest terms, not bit for bit.
-    field = _compile_field(net.numeric)
-    got = np.array(field(x.tolist()))
-    terms = reaction_rates(net, MASS_ACTION, x) @ np.abs(net.numeric.stoichiometry)
-    assert np.all(np.abs(got - rhs(net, MASS_ACTION, x)) <= 1e-12 * terms)
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_compiled_field_matches_rhs_on_random_networks_and_boundary_states(seed):
@@ -158,18 +157,18 @@ def test_compiled_field_matches_rhs_on_random_networks_and_boundary_states(seed)
     for _ in range(4):
         x = rng.uniform(0.0, 3.0, size=net.num_species)
         x[rng.random(net.num_species) < 0.35] = 0.0
-        _assert_field_matches_rhs(net, x)
+        _assert_rhs_matches_loop(net, x)
 
 
 def test_compiled_field_matches_rhs_on_high_orders_and_the_origin():
     rng = np.random.default_rng(5)
     for x in [np.zeros(4), np.array([0.0, 1.3, 0.0, 2.0])] + list(rng.uniform(0, 3, (8, 4))):
-        _assert_field_matches_rhs(HIGH_ORDER, x)
+        _assert_rhs_matches_loop(HIGH_ORDER, x)
 
 
 def test_compiled_field_holds_only_indices_and_rates():
     net = parse_network("os + eval -> 2 print ; k=1e-300\nprint -> 0 ; k=7")
-    code = _compile_field(net.numeric).__code__
+    code = net.numeric.field.__code__
     assert code.co_names == ()
     assert all(re.fullmatch(r"u\d*|s\d+_\d+|r\d+|d\d+", v) for v in code.co_varnames)
     assert all(c is None or type(c) is float for c in code.co_consts)
@@ -180,7 +179,7 @@ def test_a_huge_exponent_compiles_to_log_many_products_and_overflows_to_inf():
     # B**2147483647 takes the 30 squares of B and 31 products, not 2**31 factors.
     p = 2147483647
     net = parse_network(f"A <-> {p} B ; kf=1, kr=1")
-    field = _compile_field(net.numeric)
+    field = net.numeric.field
     assert len(field.__code__.co_varnames) <= 2 * p.bit_length() + 10
     assert field([1.0, 2.0]) == [math.inf, -math.inf]
     assert field([1.0, 0.5]) == [-1.0, float(p)]
@@ -196,7 +195,7 @@ def test_compiled_field_of_a_large_network(net):
     # E sits in 600 reactions of the enzyme network and in 3000 of the hub:
     # one expression that long would nest past the compiler's recursion limit.
     x = np.random.default_rng(3).uniform(0.1, 3.0, net.num_species)
-    _assert_field_matches_rhs(net, x)
+    _assert_rhs_matches_loop(net, x)
 
 
 def test_jacobian_memory_is_linear_in_reactions_times_species():
@@ -235,17 +234,14 @@ def test_one_kernel_serves_the_stepper_and_jacobian(monkeypatch, saturating):
     net = parse_network("A <-> B ; kf=2000, kr=3000\nB <-> C ; kf=0.02, kr=0.01")
     kinetics = generalized_kinetics(lambda s: s / (1.0 + s), 3) if saturating else MASS_ACTION
     calls, seen = [], []
-    compile_jacobian, rosenbrock_step = dynamics._compile_jacobian, dynamics._rosenbrock_step
-
-    def counted(form):
-        jac_u = compile_jacobian(form)
-        return lambda u: calls.append(u) or jac_u(u)
+    jac_u, rosenbrock_step = net.numeric.jacobian, dynamics._rosenbrock_step
 
     def recorded(f, fx, jac_x, x, h, stages):
         seen.append((x.copy(), jac_x.copy()))
         return rosenbrock_step(f, fx, jac_x, x, h, stages)
 
-    monkeypatch.setattr(dynamics, "_compile_jacobian", counted)
+    # The form is cached on this fresh network: its kernel now counts its calls.
+    net.__dict__["numeric"] = net.numeric._replace(jacobian=lambda u: calls.append(u) or jac_u(u))
     monkeypatch.setattr(dynamics, "_rosenbrock_step", recorded)
     stats = simulate(net, kinetics, [1.0, 0.5, 0.2], 1.0).stats
     assert stats.rosenbrock_steps > 0
@@ -286,12 +282,44 @@ def test_complex_balanced_point_matches_exact_tree_constants():
 def test_numeric_form_is_built_once_and_read_only(ex1):
     form = ex1.numeric
     assert ex1.numeric is form
-    assert form.complex_matrix.shape == (len(ex1.complexes), ex1.num_species)
-    assert np.array_equal(form.stoichiometry, loop_arrays(ex1)[1])
-    for array in form:
+    for array in (form.source, form.product, form.rates, form.source_species, form.source_orders):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_each_network_is_compiled_once(monkeypatch):
+    # Stiff, so the runs evaluate the Jacobian too; every routine reads the
+    # kernels of the one form.
+    net = parse_network("A <-> B ; kf=2000, kr=3000\nB <-> C ; kf=0.02, kr=0.01")
+    counts = collections.Counter()
+    for name in ("_compile_field", "_compile_jacobian"):
+
+        def counted(*args, name=name, compile_kernel=getattr(dynamics, name)):
+            counts[name] += 1
+            return compile_kernel(*args)
+
+        for module in (dynamics, network):  # wherever a caller reads the name
+            monkeypatch.setattr(module, name, counted, raising=False)
+    x_ref = find_equilibrium(net, [1.0, 0.5, 0.2]).x_bar
+    for _ in range(2):
+        stats = simulate(net, MASS_ACTION, [1.0, 0.5, 0.2], 1.0, x_ref=x_ref).stats
+        assert stats.jacobian_evaluations > 0
+    rhs(net, MASS_ACTION, x_ref)
+    jacobian(net, MASS_ACTION, x_ref)
+    assert counts == {"_compile_field": 1, "_compile_jacobian": 1}
+
+
+def test_numeric_form_memory_is_linear_in_the_network():
+    # The dense n x m and r x m arrays and their temporaries peaked at about 90 MB here.
+    net = _hub(1500)
+    tracemalloc.start()
+    try:
+        net.numeric
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_network_is_freed_after_simulation():
