@@ -91,6 +91,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     net = parse_network_file(args.file)
     m = net.num_species
     _check_run(args.t_end, args.rtol, args.atol, ("--t-end", "--rtol", "--atol"))
+    if args.seed < 0:
+        raise ValueError("--seed must be a nonnegative integer")
     if args.x0 is not None:
         x0 = _parse_vector(args.x0, m, "--x0")
     else:
@@ -105,7 +107,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         x_ref = None
     traj = simulate(net, MASS_ACTION, x0, args.t_end, rtol=args.rtol, atol=args.atol, x_ref=x_ref)
 
-    final_v = float(traj.lyapunov[-1]) if traj.lyapunov is not None else float("nan")
+    final_v = float(traj.lyapunov[-1])
     margin = persistence_margin(traj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -34,7 +34,7 @@ import numpy as np
 from .structure import structure_report
 
 if TYPE_CHECKING:
-    from .network import NumericForm, ReactionNetwork
+    from .network import Reaction, ReactionNetwork
 
 
 class HypothesesError(ValueError):
@@ -49,21 +49,18 @@ class ConvergenceError(RuntimeError):
     """Equilibrium iteration did not converge; message carries diagnostics."""
 
 
-@dataclass(frozen=True)
-class KineticsSpec:
-    """Kinetics selector: plain monomials (no ``theta``) or theta-transformed monomials."""
+# A kinetics: ``None`` for mass action, or one map theta_j per species, each
+# rate then a monomial in u = theta(x).
+KineticsSpec = Optional[tuple[Callable[[float], float], ...]]
 
-    theta: Optional[tuple[Callable[[float], float], ...]] = None
-
-
-MASS_ACTION = KineticsSpec()
+MASS_ACTION: KineticsSpec = None
 
 
 def generalized_kinetics(
     theta: Callable[[float], float] | Sequence[Callable[[float], float]],
     num_species: int,
 ) -> KineticsSpec:
-    """Build a generalized kinetics spec and spot-check admissibility.
+    """The tuple of one theta map per species, after a spot check of admissibility.
 
     Each map must vanish at zero and be strictly increasing; this is checked
     on a sample grid at construction (a full verification is up to the
@@ -82,31 +79,26 @@ def generalized_kinetics(
         values = [th(g) for g in grid]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"theta[{i}] is not strictly increasing on the sample grid")
-    return KineticsSpec(thetas)
+    return thetas
 
 
 def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
-    """u = theta(x); ``ValueError`` unless theta holds one map per entry of x."""
-    if kinetics.theta is None:
+    """u = theta(x); ``ValueError`` unless kinetics holds one map per entry of x."""
+    if kinetics is None:
         return x
-    if len(kinetics.theta) != x.size:
-        raise ValueError(
-            f"kinetics has {len(kinetics.theta)} theta maps for a state of {x.size} species"
-        )
-    return np.array([th(float(v)) for th, v in zip(kinetics.theta, x)])
+    if len(kinetics) != x.size:
+        raise ValueError(f"kinetics has {len(kinetics)} theta maps for a state of {x.size} species")
+    return np.array([th(float(v)) for th, v in zip(kinetics, x)])
 
 
-def _slopes(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray | float:
+def _slopes(x: np.ndarray, thetas: tuple[Callable[[float], float], ...]) -> np.ndarray:
     """``d theta_j / d x_j`` at x, by which the chain rule scales column j.
 
-    Mass action gives 1.0, which changes no bit; generalized kinetics take
-    central quotients with ``h = 1e-6 max(1, |x_j|)``, forward ones where
+    Central quotients with ``h = 1e-6 max(1, |x_j|)``, forward ones where
     ``x_j - h < 0``, so theta never sees a negative argument.
     """
-    if kinetics.theta is None:
-        return 1.0
     slopes = np.empty(x.size)
-    for j, (th, v) in enumerate(zip(kinetics.theta, x.tolist())):
+    for j, (th, v) in enumerate(zip(thetas, x.tolist())):
         h = 1e-6 * max(1.0, abs(v))
         if v - h >= 0:
             slopes[j] = (th(v + h) - th(v - h)) / (2 * h)
@@ -158,8 +150,8 @@ def _statements(target: str, terms: list[str], op: str) -> list[str]:
     return [f"    {target} = {exprs[0]}"] + [f"    {target} {op.strip()}= {e}" for e in exprs[1:]]
 
 
-def _compile_field(form: NumericForm, changes: list, m: int) -> Callable[[list[float]], list[float]]:
-    """The mass-action vector field of ``form``'s arrays as straight-line float code.
+def _compile_field(reactions: Sequence[Reaction], changes: list, m: int) -> Callable[[list], list]:
+    """The mass-action vector field of ``reactions`` as straight-line float code.
 
     ``changes`` lists the nonzero net stoichiometric changes
     ``(r, i, N[r, i])`` in reaction order, species ascending.  The generated
@@ -173,13 +165,9 @@ def _compile_field(form: NumericForm, changes: list, m: int) -> Callable[[list[f
     The source holds only integer indices and the reprs of the rates, which
     ``Reaction`` checks to be finite; no name or input text reaches it.
     """
-    sources = [
-        [(j, int(e)) for j, e in zip(js, es) if e]
-        for js, es in zip(form.source_species.tolist(), form.source_orders.tolist())
-    ]
     bits = [1] * m
-    for row in sources:
-        for j, e in row:
+    for r in reactions:
+        for j, e in r.source.terms:
             bits[j] = max(bits[j], e.bit_length())
 
     def power(j: int, k: int) -> str:
@@ -188,9 +176,10 @@ def _compile_field(form: NumericForm, changes: list, m: int) -> Callable[[list[f
     lines = ["def field(u):", "    " + "".join(f"u{j}, " for j in range(m)) + "= u"]
     for j in range(m):
         lines += [f"    s{j}_{k} = {power(j, k - 1)} * {power(j, k - 1)}" for k in range(1, bits[j])]
-    for r, (rate, row) in enumerate(zip(form.rates.tolist(), sources)):
-        factors = [power(j, k) for j, e in row for k in range(e.bit_length()) if e >> k & 1]
-        lines += _statements(f"r{r}", [repr(rate)] + factors, " * ")
+    for r, reaction in enumerate(reactions):
+        terms = reaction.source.terms
+        factors = [power(j, k) for j, e in terms for k in range(e.bit_length()) if e >> k & 1]
+        lines += _statements(f"r{r}", [repr(float(reaction.rate))] + factors, " * ")
     columns: list[list[tuple[int, float]]] = [[] for _ in range(m)]
     for r, j, c in changes:
         columns[j].append((r, c))
@@ -203,28 +192,10 @@ def _compile_field(form: NumericForm, changes: list, m: int) -> Callable[[list[f
     return namespace["field"]
 
 
-def reaction_rates(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
-    """Per-reaction fluxes at state x (monomials in the transformed state)."""
-    u = _transformed(_checked(x, net.num_species, "state", positive=False), kinetics)
-    form = net.numeric
-    # np.multiply.reduce is np.prod without its Python-level dispatch.
-    return form.rates * np.multiply.reduce(u[form.source_species] ** form.source_orders, axis=1)
-
-
-def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
-    """Species time derivative: sum of flux times net stoichiometry.
-
-    This is the compiled field of ``net.numeric`` at ``theta(x)``, the one
-    :func:`simulate` integrates.  Boundary states are allowed; a flux with
-    any required input at zero is zero, and species absent from a source
-    contribute a factor 1.
-    """
-    u = _transformed(_checked(x, net.num_species, "state", positive=False), kinetics)
-    return np.array(net.numeric.field(u.tolist()))
-
-
-def _compile_jacobian(form: NumericForm, changes: list, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``u -> d(fluxes(u) @ N) / du``, exact on the boundary, from ``_compile_field``'s arguments.
+def _compile_jacobian(
+    species: np.ndarray, orders: np.ndarray, rates: np.ndarray, changes: list, m: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``u -> d(fluxes(u) @ N) / du``, exact on the boundary, from the source table.
 
     The derivative of flux r by the species of its slot a is the rate times
     the monomial with factor a replaced by ``e * u**(e - 1)`` (the exponent
@@ -233,7 +204,6 @@ def _compile_jacobian(form: NumericForm, changes: list, m: int) -> Callable[[np.
     weights, so it equals the per-reaction loop bit for bit.  The tables
     below depend only on the network: built once here.
     """
-    species, orders = form.source_species, form.source_orders
     width = orders.shape[1]
     # Row (k, a), for the k-th nonzero stoichiometric entry (r, i) in reaction
     # order and slot a of r, holds the w + 2 factors of one term of entry
@@ -245,7 +215,7 @@ def _compile_jacobian(form: NumericForm, changes: list, m: int) -> Callable[[np.
     padded[..., :width] = orders[reactions, None, :]
     exponents = np.maximum(padded - diagonal, 0.0)
     coefficients = np.where(diagonal, padded, 1.0)
-    coefficients[..., width] = form.rates[reactions, None]
+    coefficients[..., width] = rates[reactions, None]
     coefficients[..., width + 1] = values[:, None]
     bases = np.zeros(exponents.shape, dtype=np.intp)
     bases[..., :width] = species[reactions, None, :]
@@ -258,6 +228,41 @@ def _compile_jacobian(form: NumericForm, changes: list, m: int) -> Callable[[np.
     return jac
 
 
+def _kinetics(
+    net: ReactionNetwork, kinetics: KineticsSpec
+) -> tuple[Callable[[list[float]], list[float]], Callable[[np.ndarray], np.ndarray]]:
+    """The vector field of ``net`` on a list x and its Jacobian at an array x.
+
+    Mass action gives the two kernels of ``net.numeric`` themselves.  A
+    theta kinetics evaluates them at ``u = theta(x)`` and scales column j of
+    the Jacobian by ``d theta_j / d x_j`` (the chain rule); each raises
+    ``ValueError`` unless there is one map per species.
+    """
+    form = net.numeric
+    if kinetics is None:
+        return form.field, form.jacobian
+
+    def field(x: list[float]) -> list[float]:
+        return form.field(_transformed(np.array(x), kinetics).tolist())
+
+    def jac(x: np.ndarray) -> np.ndarray:
+        return form.jacobian(_transformed(x, kinetics)) * _slopes(x, kinetics)
+
+    return field, jac
+
+
+def rhs(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
+    """Species time derivative: sum of flux times net stoichiometry.
+
+    This is the compiled field of ``net.numeric`` at ``theta(x)``, the one
+    :func:`simulate` integrates.  Boundary states are allowed; a flux with
+    any required input at zero is zero, and species absent from a source
+    contribute a factor 1.
+    """
+    arr = _checked(x, net.num_species, "state", positive=False)
+    return np.array(_kinetics(net, kinetics)[0](arr.tolist()))
+
+
 def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -> np.ndarray:
     """Derivative matrix of :func:`rhs` at x.
 
@@ -265,8 +270,7 @@ def jacobian(net: ReactionNetwork, kinetics: KineticsSpec, x: Sequence[float]) -
     boundary, times ``d theta_j / d x_j`` on column j (the chain rule).  No
     temporary holds r * m * m floats, however many species there are.
     """
-    arr = _checked(x, net.num_species, "state", positive=False)
-    return net.numeric.jacobian(_transformed(arr, kinetics)) * _slopes(arr, kinetics)
+    return _kinetics(net, kinetics)[1](_checked(x, net.num_species, "state", positive=False))
 
 
 def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -320,10 +324,10 @@ def lyapunov(
     xa = _checked(x, xb.size, "x", positive=True)
     log_ub = np.log(_transformed(xb, kinetics))
     grad = np.log(_transformed(xa, kinetics)) - log_ub
-    if kinetics.theta is None:
+    if kinetics is None:
         return float(_relative_entropy(xa, xb)), grad
     value = 0.0
-    for th, rb, lo, hi in zip(kinetics.theta, log_ub.tolist(), xb.tolist(), xa.tolist()):
+    for th, rb, lo, hi in zip(kinetics, log_ub.tolist(), xb.tolist(), xa.tolist()):
         value += _adaptive_simpson(lambda s, th=th, rb=rb: math.log(th(s)) - rb, lo, hi, _QUAD_TOL)
     return value, grad
 
@@ -350,11 +354,16 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integrator states with Lyapunov and conservation diagnostics."""
+    """Accepted integrator states with Lyapunov and conservation diagnostics.
+
+    ``lyapunov`` holds V at each state, NaN throughout when the run had no
+    reference state; ``conservation_residual`` the worst drift of a
+    conservation law from the initial state, 0 when there is none.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    lyapunov: Optional[np.ndarray]
+    lyapunov: np.ndarray
     conservation_residual: np.ndarray
     stats: Optional[IntegrationStats] = None
 
@@ -562,42 +571,43 @@ def simulate(
     ``h * rho`` exceeds ``_STIFF_BOUND`` the step is held by stability, not
     accuracy, and the run switches, once, to the L-stable Rosenbrock pair
     RODAS4, which inverts ``W = I / (h gamma) - J`` once per step, and
-    retries the step with it.  Accepted DOP853 steps cost no Jacobian.  J is
-    :func:`jacobian` at x, from the kernel ``net.numeric`` compiled.  The
+    retries the step with it.  Accepted DOP853 steps cost no Jacobian.  The
+    field and J are those of :func:`rhs` and :func:`jacobian`, the kernels
+    ``net.numeric`` compiled, through theta for generalized kinetics.  The
     state, the stages and the error norm are lists of Python floats: each
     DOP853 stage is one list comprehension with a term per nonzero tableau
     coefficient (``_dop853_step``, generated at import); only the RODAS4
     attempt, which needs the inverse of W, makes arrays, filling one stage
-    array allocated at the switch.  Inputs are validated once, here; the
-    vector field is the straight-line float code of ``net.numeric``,
-    evaluated on lists, through theta for generalized kinetics.  Other steps
-    whose stages or proposed state leave the positive orthant are retried at
-    half the step; a non-finite error estimate or a singular W aborts the
-    run, as does a vector field that overflows at x0 or at an accepted
-    state, a step too small to advance t or more than ``MAX_STEPS`` attempts
-    of the two steppers together.  The last step is clipped to end exactly at
+    array allocated at the switch.  Inputs are validated once, here.  Over
+    long horizons ``h * |J|`` passes ``1 / eps``, the identity term of W
+    rounds away along the conservation laws C and W can turn singular; the
+    attempt is then made once more with ``W + C^T C``, which acts as W on
+    the stoichiometric subspace S, where every stage right-hand side lies,
+    and is regular.  Other steps whose stages or proposed state leave the
+    positive orthant are retried at half the step; a non-finite error
+    estimate or a W still singular on that retry aborts the run, as does a
+    vector field that overflows at x0 or at an accepted state, a step too
+    small to advance t or more than ``MAX_STEPS`` attempts of the two
+    steppers together.  The last step is clipped to end exactly at
     ``t_end``.  Every accepted state is recorded; once the loop ends, the
-    Lyapunov value (when ``x_ref`` is given) and the worst conservation-law
-    drift relative to the initial state are computed over the stored states.
-    ``Trajectory.stats`` counts the run's steps, rejections and evaluations.
+    Lyapunov value (NaN at every state when ``x_ref`` is not given) and the
+    worst conservation-law drift relative to the initial state are computed
+    over the stored states.  ``Trajectory.stats`` counts the run's steps,
+    rejections and evaluations.
     """
     x = _checked(x0, net.num_species, "initial state x0", positive=True).tolist()
     _check_run(t_end, rtol, atol)
     size = len(x)
     ref = None if x_ref is None else _checked(x_ref, size, "reference state x_ref", positive=True)
+    cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float).reshape(-1, size)
 
-    field, jac_u = net.numeric.field, net.numeric.jacobian
+    field, jac = _kinetics(net, kinetics)
     evaluations = 0
 
     def f(state: list[float]) -> list[float]:
         nonlocal evaluations
         evaluations += 1
-        if kinetics.theta is None:
-            return field(state)
-        return field(_transformed(np.array(state), kinetics).tolist())
-
-    def jac(state: np.ndarray) -> np.ndarray:
-        return jac_u(_transformed(state, kinetics)) * _slopes(state, kinetics)
+        return field(state)
 
     def finite_f(state: list[float], t: float) -> list[float]:
         fs = f(state)
@@ -638,7 +648,14 @@ def simulate(
                 try:
                     step = _rosenbrock_step(f, fx, jac_x, x_array, h, rosenbrock_stages)
                 except np.linalg.LinAlgError:
-                    raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
+                    # Past h * |J| ~ 1 / eps, W rounds to a singular matrix along
+                    # the conservation laws C.  W + C^T C is regular and equals W
+                    # on S, where every stage right-hand side lies.
+                    try:
+                        shifted = jac_x - cons.T @ cons
+                        step = _rosenbrock_step(f, fx, shifted, x_array, h, rosenbrock_stages)
+                    except np.linalg.LinAlgError:
+                        raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
                 if step is not None:
                     step = step.tolist()
             # A NaN in a stage or in x5 passes the sign tests on purpose, as
@@ -696,22 +713,16 @@ def simulate(
 
     path = np.array(states)
     if ref is None:
-        values = None
-    elif kinetics.theta is None:
+        values = np.full(len(path), math.nan)
+    elif kinetics is None:
         values = _relative_entropy(path, ref)
     else:
         values = np.array([lyapunov(state, ref, kinetics)[0] for state in path])
-    cons = structure_report(net).conservation_basis
-    if cons.vectors:
-        w_mat = np.array(cons.vectors, dtype=float)
-        residuals = np.max(np.abs((path - path[0]) @ w_mat.T), axis=1)
-    else:
-        residuals = np.zeros(len(path))
     return Trajectory(
         times=np.array(times),
         states=path,
         lyapunov=values,
-        conservation_residual=residuals,
+        conservation_residual=np.max(np.abs((path - path[0]) @ cons.T), axis=1, initial=0.0),
         stats=IntegrationStats(
             explicit_steps=accepted[0],
             rosenbrock_steps=accepted[1],
@@ -728,10 +739,9 @@ def write_trajectory_csv(traj: Trajectory, names: Sequence[str], fh) -> None:
     """CSV with header ``t,<species...>,V,conservation_residual``."""
     fh.write("t," + ",".join(names) + ",V,conservation_residual\n")
     for i in range(len(traj)):
-        v = traj.lyapunov[i] if traj.lyapunov is not None else float("nan")
         row = [repr(float(traj.times[i]))]
         row += [repr(float(s)) for s in traj.states[i]]
-        row += [repr(float(v)), repr(float(traj.conservation_residual[i]))]
+        row += [repr(float(traj.lyapunov[i])), repr(float(traj.conservation_residual[i]))]
         fh.write(",".join(row) + "\n")
 
 
@@ -796,9 +806,11 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
 
 
 def complex_balance_residual(net: ReactionNetwork, x: Sequence[float]) -> float:
-    """Relative worst-case gap between inflow and outflow over all complexes."""
+    """Relative worst-case gap between inflow and outflow over all complexes, under mass action."""
+    u = _checked(x, net.num_species, "state", positive=False)
     form = net.numeric
-    rates = reaction_rates(net, MASS_ACTION, x)
+    # np.multiply.reduce is np.prod without its Python-level dispatch.
+    rates = form.rates * np.multiply.reduce(u[form.source_species] ** form.source_orders, axis=1)
     inflow = np.bincount(form.product, weights=rates, minlength=len(net.complexes))
     outflow = np.bincount(form.source, weights=rates, minlength=len(net.complexes))
     scale = max(float(np.max(inflow)), float(np.max(outflow)), 1e-300)

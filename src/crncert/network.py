@@ -124,9 +124,12 @@ class NumericForm(NamedTuple):
     ``prod_a u[source_species[r, a]] ** source_orders[r, a]`` over w slots in
     species order, w being the size of the widest source; a shorter row is
     padded with order 0 (``u**0 == 1``) on its last species.  ``field`` maps
-    a list of m floats u to the list of species derivatives, and
-    ``jacobian`` maps an array u to their derivative matrix in u; both are
-    compiled once, here, so no routine compiles or holds an r x m array.
+    a list of m floats u to the list of species derivatives, compiled from
+    each reaction's integer source terms and rate, and ``jacobian`` maps an
+    array u to their derivative matrix in u, built on the source table
+    above.  Both are compiled once, when the form is built, so no routine
+    compiles or holds an r x m array; ``dynamics`` applies a kinetics to
+    them in one place, ``_kinetics``.
     """
 
     source: np.ndarray
@@ -193,8 +196,7 @@ class ReactionNetwork:
         width = max(1, *map(len, rows))
         table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
         species, orders = table[..., 0].copy(), table[..., 1].astype(float)
-        form = NumericForm(source, product, rates, species, orders, None, None)
-        for a in form[:5]:
+        for a in (source, product, rates, species, orders):
             a.setflags(write=False)
         # The nonzero net stoichiometric changes (reaction, species, change),
         # in reaction order and species order within a reaction.
@@ -204,9 +206,9 @@ class ReactionNetwork:
             delta.update((i, delta.get(i, 0) - k) for i, k in r.source.terms)
             changes += [(row, i, float(d)) for i, d in sorted(delta.items()) if d]
         m = self.num_species
-        return form._replace(
-            field=_compile_field(form, changes, m), jacobian=_compile_jacobian(form, changes, m)
-        )
+        vector_field = _compile_field(self.reactions, changes, m)
+        jacobian = _compile_jacobian(species, orders, rates, changes, m)
+        return NumericForm(source, product, rates, species, orders, vector_field, jacobian)
 
     @cached_property
     def structure(self) -> StructureReport:

@@ -149,6 +149,20 @@ def test_simulate_conservation_column(capsys):
     assert max(residuals) <= 1e-8
 
 
+def test_simulate_runs_to_long_horizons(tmp_path, capsys):
+    pair = tmp_path / "pair.crn"
+    pair.write_text("A <-> B ; kf=1, kr=2\n")
+    for argv in (
+        ("simulate", EX1, "--t-end", "1e300", "--json"),
+        ("simulate", str(pair), "--x0", "1,2", "--t-end", "1e17", "--json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["t_end"] == float(argv[-2])
+        assert doc["max_conservation_residual"] <= 1e-9
+
+
 def test_simulate_rejects_zero_entry(capsys):
     code, _, err = run(capsys, "simulate", EX2, "--x0", "1,0,1")
     assert code == 1
@@ -166,6 +180,7 @@ def test_nonfinite_and_nonpositive_flags_exit_1(capsys):
         (("simulate", EX2, "--t-end", "1", "--atol", "inf"), "--atol"),
         (("simulate", EX2, "--t-end", "1", "--rtol", "nan"), "--rtol"),
         (("simulate", EX2, "--t-end", "1", "--rtol", "0", "--atol", "0"), "--atol"),
+        (("simulate", EX2, "--t-end", "1", "--seed", "-1"), "--seed"),
         (("equilibrium", EX2, "--c", "nan,1,1"), "--c"),
         (("equilibrium", EX2, "--c", "1,0,1"), "--c"),
     ):

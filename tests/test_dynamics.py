@@ -25,7 +25,7 @@ from crncert import (
     structure_report,
 )
 from crncert import dynamics
-from crncert.dynamics import complex_balance_residual, reaction_rates
+from crncert.dynamics import complex_balance_residual
 
 from conftest import is_semi_locking, random_rates
 from randomnet import random_cycle_network
@@ -54,7 +54,7 @@ def test_rhs_locked_at_zero(ex3):
 
 def test_rhs_rejects_negative(ab):
     for bad in ([-0.1, 1.0], [math.nan, 1.0], [1.0, math.inf], [1.0], [1.0, 1.0, 1.0]):
-        for f in (rhs, jacobian, reaction_rates):
+        for f in (rhs, jacobian):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 f(ab, MASS_ACTION, bad)
         with pytest.raises(ValueError, match="nonnegative and finite"):
@@ -66,11 +66,10 @@ def test_rhs_rejects_negative(ab):
     [
         lambda net, kinetics: rhs(net, kinetics, [2.0, 1.0, 5.0]),
         lambda net, kinetics: jacobian(net, kinetics, [2.0, 1.0, 5.0]),
-        lambda net, kinetics: reaction_rates(net, kinetics, [2.0, 1.0, 5.0]),
         lambda net, kinetics: lyapunov([2.0, 1.0, 5.0], [1.0, 1.0, 1.0], kinetics),
         lambda net, kinetics: simulate(net, kinetics, [2.0, 1.0, 5.0], 1.0),
     ],
-    ids=["rhs", "jacobian", "reaction_rates", "lyapunov", "simulate"],
+    ids=["rhs", "jacobian", "lyapunov", "simulate"],
 )
 def test_theta_count_must_match_the_state(ex2, call):
     with pytest.raises(ValueError, match="2 theta maps for a state of 3 species"):
@@ -725,6 +724,38 @@ def test_long_horizon_stores_few_states(ab):
     assert traj.times[-1] == 1e9
     assert len(traj) <= 300
     assert np.max(np.abs(traj.states[-1] - [2.0, 1.0])) < 1e-8
+
+
+@pytest.mark.parametrize("t_end", [1e17, 1e300])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "pair"])
+def test_long_horizons_reach_t_end(request, name, t_end):
+    # Past t ~ 1e16, h * |J| passes 1 / eps and W = I / (h gamma) - J rounds
+    # to a singular matrix; the run retries with W + C^T C instead.
+    if name == "pair":
+        net = parse_network("A <-> B ; kf=1, kr=2")
+    else:
+        net = request.getfixturevalue(name)
+    x0 = np.linspace(0.5, 1.5, net.num_species)
+    traj = simulate(net, MASS_ACTION, x0, t_end)
+    assert traj.times[-1] == t_end
+    assert len(traj) <= 500
+    assert float(np.max(traj.conservation_residual)) <= 1e-9
+    x_bar = find_equilibrium(net, x0).x_bar
+    assert np.max(np.abs(traj.states[-1] - x_bar) / x_bar) < 1e-6
+
+
+def test_lyapunov_is_nan_at_every_state_without_a_reference(ab):
+    traj = simulate(ab, MASS_ACTION, [1.0, 2.0], 1.0)
+    assert isinstance(traj.lyapunov, np.ndarray)
+    assert traj.lyapunov.shape == (len(traj),)
+    assert np.all(np.isnan(traj.lyapunov))
+
+
+def test_a_kinetics_is_none_or_a_tuple_of_maps():
+    assert MASS_ACTION is None
+    assert generalized_kinetics(abs, 3) == (abs, abs, abs)
+    maps = (abs, _saturating)
+    assert generalized_kinetics(maps, 2) == maps
 
 
 def test_stats_count_the_run(ab, ex1):

@@ -33,7 +33,7 @@ from crncert import (
     structure_report,
 )
 from crncert import dynamics, network
-from crncert.dynamics import complex_balance_residual, reaction_rates
+from crncert.dynamics import complex_balance_residual
 
 from conftest import exact_tree_constants, reaction_vector
 from randomnet import random_cycle_network, random_network
@@ -129,7 +129,6 @@ def _assert_rhs_matches_loop(net, x):
 
 def test_kernels_equal_loop_reference_on_random_networks_and_boundary_states():
     for net, x in _networks_and_states(seed=17, count=150):
-        assert np.array_equal(reaction_rates(net, MASS_ACTION, x), loop_reaction_rates(net, x))
         _assert_rhs_matches_loop(net, x)
         assert np.array_equal(jacobian(net, MASS_ACTION, x), loop_jacobian(net, x))
         assert complex_balance_residual(net, x) == loop_complex_balance_residual(net, x)
@@ -219,14 +218,18 @@ def test_flux_memory_is_linear_in_the_source_table():
     net = _hub(1500)
     r, w = net.numeric.source_orders.shape
     x = np.random.default_rng(4).uniform(0.5, 2.0, net.num_species)
-    for kernel in (reaction_rates, rhs):
+    kernels = {
+        "complex_balance_residual": lambda: complex_balance_residual(net, x),
+        "rhs": lambda: rhs(net, MASS_ACTION, x),
+    }
+    for name, kernel in kernels.items():
         tracemalloc.start()
         try:
-            kernel(net, MASS_ACTION, x)
+            kernel()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * r * (w + 1), kernel.__name__
+        assert peak <= 64 * r * (w + 1), name
 
 
 @pytest.mark.parametrize("saturating", [False, True], ids=["mass-action", "saturating"])

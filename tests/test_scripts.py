@@ -19,7 +19,7 @@ TRACING = NETWORKS.parent / "crnbench" / "tracing.py"
 
 @pytest.mark.parametrize(
     "argv",
-    [["run_example_networks.py"], ["cert_digest.py", "20", "0"]],
+    [["run_example_networks.py"], ["cert_digest.py", "20", "0"], ["sim_digest.py", "20", "0"]],
 )
 def test_script_runs(argv):
     # the scripts import crncert's public names, so a pruned name breaks them here
@@ -70,6 +70,23 @@ def test_cert_digest_prints_one_line_per_certificate():
     assert re.fullmatch(rf"{count} certificates sha256 [0-9a-f]{{64}}", lines[-1])
 
 
+def test_sim_digest_prints_one_line_per_network():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "sim_digest.py"), "6", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    count = len(list(NETWORKS.glob("*.crn"))) + 6
+    assert len(lines) == count + 1
+    for index, line in enumerate(lines[:-1]):
+        assert re.fullmatch(rf"{index} [0-9a-f]{{64}}", line)
+    assert re.fullmatch(rf"{count} networks sha256 [0-9a-f]{{64}}", lines[-1])
+    assert len({line.split()[1] for line in lines[:-1]}) == count
+
+
 def _committed_digest_matches(count, seed):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "cert_digest.py"), count, seed],
@@ -112,13 +129,12 @@ def test_benchmark_trace_targets_resolve():
 
 
 # Public names no command, script or benchmark file calls: the result types a
-# caller receives, the types a ReactionNetwork holds, and generalized
-# kinetics (acceptance criterion 7).
+# caller receives, the types a ReactionNetwork holds, and the type of a
+# kinetics.
 UNCALLED_PUBLIC_NAMES = {
     "EquilibriumResult", "FaceStatus", "FaceVerdict", "RationalBasis",
     "ReactionNetwork", "SiphonCatalog", "SiphonEntry", "StructureReport",
     "Trajectory", "Species", "Complex", "Reaction", "KineticsSpec",
-    "generalized_kinetics",
 }
 
 
