@@ -535,11 +535,12 @@ def _rosenbrock_step(
     h: float,
     stages: np.ndarray,
 ) -> Optional[np.ndarray]:
-    """One RODAS4 attempt from x, given f(x) and the Jacobian at x.
+    """One RODAS4 attempt from x, given f(x) and the matrix ``jac_x`` in W.
 
-    Returns the step's increment stacked over its error estimate, or None
-    when a stage state leaves the orthant; raises ``LinAlgError`` when W is
-    singular.
+    W is ``I / (h gamma) - jac_x``; :func:`simulate` passes the Jacobian
+    at x minus ``C^T C``.  Returns the step's increment stacked over its
+    error estimate, or None when a stage state leaves the orthant; raises
+    ``LinAlgError`` when W is singular.
     """
     w_inv = np.linalg.inv(np.eye(x.size) / (h * _ROS_GAMMA) - jac_x)
     c_h = _ROS_C / h
@@ -570,36 +571,39 @@ def simulate(
     the Jacobian J at the current state bounds the spectral radius rho; when
     ``h * rho`` exceeds ``_STIFF_BOUND`` the step is held by stability, not
     accuracy, and the run switches, once, to the L-stable Rosenbrock pair
-    RODAS4, which inverts ``W = I / (h gamma) - J`` once per step, and
-    retries the step with it.  Accepted DOP853 steps cost no Jacobian.  The
+    RODAS4, which inverts ``W = I / (h gamma) - J + C^T C`` once per step,
+    and retries the step with it.  Accepted DOP853 steps cost no Jacobian.
+    C holds the network's conservation laws.  ``C^T C`` vanishes on the
+    stoichiometric subspace S, where every stage right-hand side lies, so
+    in exact arithmetic each stage is that of ``I / (h gamma) - J``.  In
+    floats that matrix alone would multiply the rounding along each law c
+    by ``h gamma``, as ``c^T (I / (h gamma) - J)^{-1} = h gamma c^T``, and
+    would turn singular along C once ``h * |J|`` passes ``1 / eps``; with
+    ``C^T C`` added, the rounding along the laws is not scaled by h.  The
     field and J are those of :func:`rhs` and :func:`jacobian`, the kernels
     ``net.numeric`` compiled, through theta for generalized kinetics.  The
     state, the stages and the error norm are lists of Python floats: each
     DOP853 stage is one list comprehension with a term per nonzero tableau
     coefficient (``_dop853_step``, generated at import); only the RODAS4
     attempt, which needs the inverse of W, makes arrays, filling one stage
-    array allocated at the switch.  Inputs are validated once, here.  Over
-    long horizons ``h * |J|`` passes ``1 / eps``, the identity term of W
-    rounds away along the conservation laws C and W can turn singular; the
-    attempt is then made once more with ``W + C^T C``, which acts as W on
-    the stoichiometric subspace S, where every stage right-hand side lies,
-    and is regular.  Other steps whose stages or proposed state leave the
-    positive orthant are retried at half the step; a non-finite error
-    estimate or a W still singular on that retry aborts the run, as does a
-    vector field that overflows at x0 or at an accepted state, a step too
-    small to advance t or more than ``MAX_STEPS`` attempts of the two
-    steppers together.  The last step is clipped to end exactly at
-    ``t_end``.  Every accepted state is recorded; once the loop ends, the
-    Lyapunov value (NaN at every state when ``x_ref`` is not given) and the
-    worst conservation-law drift relative to the initial state are computed
-    over the stored states.  ``Trajectory.stats`` counts the run's steps,
-    rejections and evaluations.
+    array allocated at the switch.  Inputs are validated once, here.  Steps
+    whose stages or proposed state leave the positive orthant are retried
+    at half the step; a non-finite error estimate or a singular W aborts
+    the run, as does a vector field that overflows at x0 or at an accepted
+    state, a step too small to advance t or more than ``MAX_STEPS``
+    attempts of the two steppers together.  The last step is clipped to
+    end exactly at ``t_end``.  Every accepted state is recorded; once the
+    loop ends, the Lyapunov value (NaN at every state when ``x_ref`` is not
+    given) and the worst conservation-law drift relative to the initial
+    state are computed over the stored states.  ``Trajectory.stats``
+    counts the run's steps, rejections and evaluations.
     """
     x = _checked(x0, net.num_species, "initial state x0", positive=True).tolist()
     _check_run(t_end, rtol, atol)
     size = len(x)
     ref = None if x_ref is None else _checked(x_ref, size, "reference state x_ref", positive=True)
     cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float).reshape(-1, size)
+    shift = cons.T @ cons  # W + C^T C is W on S, where every stage right-hand side lies
 
     field, jac = _kinetics(net, kinetics)
     evaluations = 0
@@ -646,16 +650,9 @@ def simulate(
                     jac_x = jac(x_array)
                     jacobians += 1
                 try:
-                    step = _rosenbrock_step(f, fx, jac_x, x_array, h, rosenbrock_stages)
+                    step = _rosenbrock_step(f, fx, jac_x - shift, x_array, h, rosenbrock_stages)
                 except np.linalg.LinAlgError:
-                    # Past h * |J| ~ 1 / eps, W rounds to a singular matrix along
-                    # the conservation laws C.  W + C^T C is regular and equals W
-                    # on S, where every stage right-hand side lies.
-                    try:
-                        shifted = jac_x - cons.T @ cons
-                        step = _rosenbrock_step(f, fx, shifted, x_array, h, rosenbrock_stages)
-                    except np.linalg.LinAlgError:
-                        raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
+                    raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
                 if step is not None:
                     step = step.tolist()
             # A NaN in a stage or in x5 passes the sign tests on purpose, as

@@ -163,6 +163,18 @@ def test_simulate_runs_to_long_horizons(tmp_path, capsys):
         assert doc["max_conservation_residual"] <= 1e-9
 
 
+def test_simulate_keeps_the_class_beside_a_fast_pair(tmp_path, capsys):
+    # RODAS4's steps grow to h * |J| ~ 1e14 here; the run must still end in
+    # the class of x0, at its equilibrium (the CLI's V reference).
+    path = tmp_path / "fast_slow.crn"
+    path.write_text("A <-> B ; kf=1e-12, kr=1e-12\nB <-> C ; kf=1e3, kr=1e3\n")
+    code, out, err = run(capsys, "simulate", str(path), "--x0", "1,2,3", "--t-end", "1e14", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["max_conservation_residual"] <= 1e-8
+    assert doc["final_V"] <= 1e-12
+
+
 def test_simulate_rejects_zero_entry(capsys):
     code, _, err = run(capsys, "simulate", EX2, "--x0", "1,0,1")
     assert code == 1

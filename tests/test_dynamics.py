@@ -311,7 +311,7 @@ def test_persistence_margin_frozen_trajectory(ab):
     traj = Trajectory(
         times=np.linspace(0, 1, 11),
         states=np.tile(x_bar, (11, 1)),
-        lyapunov=None,
+        lyapunov=np.full(11, np.nan),
         conservation_residual=np.zeros(11),
     )
     assert persistence_margin(traj) == 1.0
@@ -322,7 +322,7 @@ def test_persistence_margin_spans_the_later_half_in_time():
     traj = Trajectory(
         times=np.array([0.0, 0.1, 0.2, 0.3, 0.4, 10.0]),
         states=np.array([[1.0], [0.2], [0.3], [0.4], [0.5], [0.9]]),
-        lyapunov=None,
+        lyapunov=np.full(6, np.nan),
         conservation_residual=np.zeros(6),
     )
     assert persistence_margin(traj) == 0.9
@@ -626,13 +626,28 @@ def test_simulate_rejects_a_non_positive_proposal(monkeypatch, text, x0):
 
 
 def test_rosenbrock_rejects_a_non_positive_proposal(monkeypatch):
-    # The fast pair makes the run switch at once.  C then decays past the
-    # smallest subnormal number: its proposals round to 0 with an error
-    # far below the tolerance, so only the sign test rejects them.
-    outcomes = _step_outcomes(monkeypatch)
-    net = parse_network("A <-> B ; kf=1e4, kr=1e4\nC -> D ; k=1")
-    traj = simulate(net, MASS_ACTION, [2.0, 0.5, 1.0, 1.0], 1000.0, rtol=0.1, atol=0.1)
-    assert "proposal" in outcomes
+    # The first Rosenbrock attempt's increment is replaced so that its
+    # proposal puts A at exactly 0, with every stage and the error estimate
+    # untouched: only the sign test can reject it, and the same step is then
+    # retried at half its size.
+    net = parse_network(STIFF_PAIR)
+    x0 = [1.0, 0.5, 2.0]
+    baseline = simulate(net, MASS_ACTION, x0, 1.0).stats
+    sizes = []
+    step = dynamics._rosenbrock_step
+
+    def zeroing(f, fx, jac_x, x, h, stages):
+        result = step(f, fx, jac_x, x, h, stages)
+        sizes.append(h)
+        if len(sizes) == 1:
+            result[0][0] = -x[0]
+        return result
+
+    monkeypatch.setattr(dynamics, "_rosenbrock_step", zeroing)
+    traj = simulate(net, MASS_ACTION, x0, 1.0)
+    assert baseline.switch_time is not None
+    assert traj.stats.rejected_positivity == baseline.rejected_positivity + 1
+    assert sizes[1] == sizes[0] / 2
     assert np.all(traj.states > 0)
 
 
@@ -729,8 +744,8 @@ def test_long_horizon_stores_few_states(ab):
 @pytest.mark.parametrize("t_end", [1e17, 1e300])
 @pytest.mark.parametrize("name", ["ex1", "ex2", "pair"])
 def test_long_horizons_reach_t_end(request, name, t_end):
-    # Past t ~ 1e16, h * |J| passes 1 / eps and W = I / (h gamma) - J rounds
-    # to a singular matrix; the run retries with W + C^T C instead.
+    # Past t ~ 1e16, h * |J| passes 1 / eps and I / (h gamma) - J would round
+    # to a singular matrix; W + C^T C stays regular and keeps the laws.
     if name == "pair":
         net = parse_network("A <-> B ; kf=1, kr=2")
     else:
@@ -739,9 +754,31 @@ def test_long_horizons_reach_t_end(request, name, t_end):
     traj = simulate(net, MASS_ACTION, x0, t_end)
     assert traj.times[-1] == t_end
     assert len(traj) <= 500
-    assert float(np.max(traj.conservation_residual)) <= 1e-9
+    assert float(np.max(traj.conservation_residual)) <= 1e-12
     x_bar = find_equilibrium(net, x0).x_bar
     assert np.max(np.abs(traj.states[-1] - x_bar) / x_bar) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "text, x0, t_end",
+    [
+        ("A <-> B ; kf=1e-12, kr=1e-12\nB <-> C ; kf=1e3, kr=1e3", [1.0, 2.0, 3.0], 1e14),
+        ("A <-> B ; kf=1e-8, kr=2e-8\nB + C <-> D ; kf=1e4, kr=1e4", [1.0] * 4, 1e12),
+    ],
+    ids=["slow-pair-beside-fast-pair", "slow-pair-beside-binding"],
+)
+def test_long_rosenbrock_runs_stay_in_their_class(text, x0, t_end):
+    # A fast reaction beside a slow one: long before t_end the steps grow
+    # until h * |J| is many orders of magnitude above 1.  Rounding along a
+    # conservation law scaled by h gamma, as W = I / (h gamma) - J alone
+    # scales it, would move the run to another class and its equilibrium.
+    net = parse_network(text)
+    x_bar = find_equilibrium(net, x0).x_bar
+    traj = simulate(net, MASS_ACTION, x0, t_end, x_ref=x_bar)
+    assert traj.times[-1] == t_end
+    assert float(np.max(traj.conservation_residual)) <= 1e-8
+    assert np.max(np.abs(traj.states[-1] - x_bar) / x_bar) <= 1e-8
+    assert traj.lyapunov[-1] <= 1e-12
 
 
 def test_lyapunov_is_nan_at_every_state_without_a_reference(ab):

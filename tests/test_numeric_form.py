@@ -249,8 +249,10 @@ def test_one_kernel_serves_the_stepper_and_jacobian(monkeypatch, saturating):
     stats = simulate(net, kinetics, [1.0, 0.5, 0.2], 1.0).stats
     assert stats.rosenbrock_steps > 0
     assert len(calls) == stats.jacobian_evaluations
+    # The stepper's W is I / (h gamma) - J + C^T C, with C the conservation laws.
+    cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float)
     for x, jac_x in seen:
-        assert np.array_equal(jac_x, jacobian(net, kinetics, x))
+        assert np.array_equal(jac_x, jacobian(net, kinetics, x) - cons.T @ cons)
 
 
 def test_jacobian_exact_at_the_origin():

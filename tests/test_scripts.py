@@ -19,7 +19,10 @@ TRACING = NETWORKS.parent / "crnbench" / "tracing.py"
 
 @pytest.mark.parametrize(
     "argv",
-    [["run_example_networks.py"], ["cert_digest.py", "20", "0"], ["sim_digest.py", "20", "0"]],
+    [
+        ["run_example_networks.py"], ["cert_digest.py", "20", "0"], ["sim_digest.py", "20", "0"],
+        ["code_lines.py"],
+    ],
 )
 def test_script_runs(argv):
     # the scripts import crncert's public names, so a pruned name breaks them here
@@ -85,6 +88,38 @@ def test_sim_digest_prints_one_line_per_network():
         assert re.fullmatch(rf"{index} [0-9a-f]{{64}}", line)
     assert re.fullmatch(rf"{count} networks sha256 [0-9a-f]{{64}}", lines[-1])
     assert len({line.split()[1] for line in lines[:-1]}) == count
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import math  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class Point:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def norm(self):\n"
+        '        """Function docstring,\n'
+        '        over two lines."""\n'
+        "        # a comment inside\n"
+        "        return math.hypot(\n"
+        "            1.0,\n"
+        "            2.0,\n"
+        "        )\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(module)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # import, class, def, and the four lines of the call
+    assert proc.stdout.splitlines() == ["sample 7", "total 7"]
 
 
 def _committed_digest_matches(count, seed):
