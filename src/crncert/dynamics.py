@@ -10,11 +10,13 @@ path, and one exact Jacobian kernel, scaled by ``d theta / dx``, serves all.
 DOP853 until a rejected step shows that stability, not accuracy, holds the
 step size, and then with the L-stable Rosenbrock pair RODAS4 for the rest of
 the run, so the step grows with the slow time scales once the fast ones have
-settled.  ``net.numeric`` compiles each network's vector field once, to
-straight-line code on Python floats, and :func:`rhs` and every run
-evaluate that one field; the DOP853 step, generated once from its tableau,
-runs on those floats too: an explicit step and its acceptance test make no
-numpy call.
+settled.  Each RODAS4 stage is solved in the coordinates of the
+stoichiometric subspace S, where it lies, so the run stays in its
+compatibility class to rounding.  ``net.numeric`` compiles each network's
+vector field once, to straight-line code on Python floats, and :func:`rhs`
+and every run evaluate that one field; the DOP853 step, generated once from
+its tableau, runs on those floats too: an explicit step and its acceptance
+test make no numpy call.
 
 :func:`find_equilibrium` gets a complex-balanced point from tree constants
 that GTH elimination computes to a small relative error, and then the class
@@ -300,8 +302,14 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: floa
 
 
 def _relative_entropy(x: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
-    # Mass-action V over the last axis: one state, or a stack of states.
-    return np.sum(x * (np.log(x) - np.log(x_bar) - 1.0) + x_bar, axis=-1)
+    # Mass-action V over the last axis: one state, or a stack of states, as
+    # the sum of x ln(x / x_bar) - gap with gap = x - x_bar.  Within x_bar / 2
+    # the gap is exact, x_bar + near is x, and the log is log1p(gap / x_bar),
+    # so a term near x_bar keeps its digits where x (ln x - ln x_bar - 1) + x_bar
+    # cancels to eps * x; farther out, log x - log(x_bar + near) adds the rest.
+    gap = x - x_bar
+    near = np.clip(gap, -0.5 * x_bar, 0.5 * x_bar)
+    return np.sum(x * (np.log1p(near / x_bar) + (np.log(x) - np.log(x_bar + near))) - gap, axis=-1)
 
 
 # Error bound of the adaptive quadrature behind generalized-kinetics V.
@@ -440,7 +448,8 @@ _STIFF_BOUND = 5.0
 # accurate Rosenbrock 4(3) pair, in the transformed variables U_s = h * sum_j
 # gamma_sj k_j that need no matrix-vector product with J.  With
 # W = I / (h * _ROS_GAMMA) - J, stage s solves
-# W U_s = f(x + _ROS_A[s, :s] @ U[:s]) + (_ROS_C[s, :s] / h) @ U[:s].
+# W U_s = f(x + _ROS_A[s, :s] @ U[:s]) + (_ROS_C[s, :s] / h) @ U[:s]
+# (``_rosenbrock_step`` solves it in the coordinates of S, where U_s lies).
 # Row 0 of _ROS_B holds the fourth-order weights and row 1 their difference
 # from the third-order weights, so _ROS_B @ U stacks increment over error.
 _ROS_GAMMA = 0.25
@@ -529,20 +538,28 @@ _DOP853_SOURCE, _dop853_step = _generated_dop853_step()
 
 def _rosenbrock_step(
     f: Callable[[list[float]], list[float]],
-    fx: np.ndarray,
-    jac_x: np.ndarray,
+    fx: list[float],
+    v: np.ndarray,
+    lead: np.ndarray,
+    jac_s: np.ndarray,
     x: np.ndarray,
     h: float,
     stages: np.ndarray,
-) -> Optional[np.ndarray]:
-    """One RODAS4 attempt from x, given f(x) and the matrix ``jac_x`` in W.
+) -> Optional[list[list[float]]]:
+    """One RODAS4 attempt from x on S, given f(x) and ``jac_s = J[lead] @ v``.
 
-    W is ``I / (h gamma) - jac_x``; :func:`simulate` passes the Jacobian
-    at x minus ``C^T C``.  Returns the step's increment stacked over its
-    error estimate, or None when a stage state leaves the orthant; raises
-    ``LinAlgError`` when W is singular.
+    The columns of v are the canonical basis of S, each scaled so that
+    ``v[lead]`` is the identity: a vector of S is v times its entries in
+    ``lead``.  Every stage right-hand side lies in S, so stage s is
+    ``v z_s``, where ``(I / (h gamma) - jac_s) z_s`` equals the right-hand
+    side's entries in ``lead``.  ``w_inv`` holds v times the inverse of
+    that s x s matrix in the lead columns and zeros elsewhere, so applied
+    to a right-hand side it gives the stage.  Returns the step's increment
+    and its error estimate, two lists, or None when a stage state leaves
+    the orthant; raises ``LinAlgError`` when the s x s matrix is singular.
     """
-    w_inv = np.linalg.inv(np.eye(x.size) / (h * _ROS_GAMMA) - jac_x)
+    w_inv = np.zeros((x.size, x.size))
+    w_inv[:, lead] = v @ np.linalg.inv(np.eye(lead.size) / (h * _ROS_GAMMA) - jac_s)
     c_h = _ROS_C / h
     stages[0] = w_inv @ fx
     for s in range(1, 6):
@@ -550,7 +567,7 @@ def _rosenbrock_step(
         if _leaves_orthant(xs):
             return None
         stages[s] = w_inv @ (f(xs) + c_h[s, :s] @ stages[:s])
-    return _ROS_B @ stages
+    return (_ROS_B @ stages).tolist()
 
 
 def simulate(
@@ -571,25 +588,32 @@ def simulate(
     the Jacobian J at the current state bounds the spectral radius rho; when
     ``h * rho`` exceeds ``_STIFF_BOUND`` the step is held by stability, not
     accuracy, and the run switches, once, to the L-stable Rosenbrock pair
-    RODAS4, which inverts ``W = I / (h gamma) - J + C^T C`` once per step,
-    and retries the step with it.  Accepted DOP853 steps cost no Jacobian.
-    C holds the network's conservation laws.  ``C^T C`` vanishes on the
-    stoichiometric subspace S, where every stage right-hand side lies, so
-    in exact arithmetic each stage is that of ``I / (h gamma) - J``.  In
-    floats that matrix alone would multiply the rounding along each law c
-    by ``h gamma``, as ``c^T (I / (h gamma) - J)^{-1} = h gamma c^T``, and
-    would turn singular along C once ``h * |J|`` passes ``1 / eps``; with
-    ``C^T C`` added, the rounding along the laws is not scaled by h.  The
-    field and J are those of :func:`rhs` and :func:`jacobian`, the kernels
-    ``net.numeric`` compiled, through theta for generalized kinetics.  The
-    state, the stages and the error norm are lists of Python floats: each
-    DOP853 stage is one list comprehension with a term per nonzero tableau
-    coefficient (``_dop853_step``, generated at import); only the RODAS4
-    attempt, which needs the inverse of W, makes arrays, filling one stage
-    array allocated at the switch.  Inputs are validated once, here.  Steps
-    whose stages or proposed state leave the positive orthant are retried
-    at half the step; a non-finite error estimate or a singular W aborts
-    the run, as does a vector field that overflows at x0 or at an accepted
+    RODAS4 and retries the step with it.  Accepted DOP853 steps cost no
+    Jacobian.  Every RODAS4 stage right-hand side lies in the
+    stoichiometric subspace S, and so does every stage, so each stage is
+    solved in S's own coordinates.  At the switch the run takes the
+    canonical basis of S (``structure_report(net).s_basis``), each row over
+    its lead entry, as the columns of v: a vector of S is v times its
+    entries in the lead columns.  Once per step it forms ``J[lead] @ v``
+    from the Jacobian J at x, and each attempt inverts the s x s matrix
+    ``I / (h gamma) - J[lead] @ v`` (``_rosenbrock_step``).  A stage's
+    component along a conservation law is then rounding in the product
+    with v, never scaled by h, so the run stays on its class c + S however
+    large ``h * |J|`` grows, and the matrix does not turn singular along
+    the laws.  The canonical rows are
+    sparse integers: they keep J's large entries apart from its small ones,
+    where an orthonormal basis of S would mix them and lose the slow rates
+    to rounding.  The field and J are those of :func:`rhs` and
+    :func:`jacobian`, the kernels ``net.numeric`` compiled, through theta
+    for generalized kinetics.  The state, the stages and the error norm
+    are lists of Python floats: each DOP853 stage is one list
+    comprehension with a term per nonzero tableau coefficient
+    (``_dop853_step``, generated at import); only the RODAS4 attempt makes
+    arrays, filling one stage array allocated at the switch.  Inputs are
+    validated once, here.  Steps whose stages or proposed state leave the
+    positive orthant are retried at half the step; a non-finite error
+    estimate or a singular Rosenbrock matrix aborts the run, as does a
+    vector field that overflows at x0 or at an accepted
     state, a step too small to advance t or more than ``MAX_STEPS``
     attempts of the two steppers together.  The last step is clipped to
     end exactly at ``t_end``.  Every accepted state is recorded; once the
@@ -603,7 +627,6 @@ def simulate(
     size = len(x)
     ref = None if x_ref is None else _checked(x_ref, size, "reference state x_ref", positive=True)
     cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float).reshape(-1, size)
-    shift = cons.T @ cons  # W + C^T C is W on S, where every stage right-hand side lies
 
     field, jac = _kinetics(net, kinetics)
     evaluations = 0
@@ -626,7 +649,7 @@ def simulate(
     accepted = [0, 0]  # by stepper: DOP853, Rosenbrock
     stiff = False
     switch_time = None
-    jac_x = None  # the Jacobian at x, while the Rosenbrock stepper needs it
+    jac_s = None  # J[lead] @ v at x, while the Rosenbrock stepper needs it
     # A flux may overflow at a stage state.  The stage then holds an infinity
     # or a NaN, which the sign test rejects or the error test reports, so
     # only f at x0 and at accepted states is checked to be finite.
@@ -646,15 +669,13 @@ def simulate(
                 step = _dop853_step(f, x, h, fx)
             else:
                 x_array = np.array(x)
-                if jac_x is None:
-                    jac_x = jac(x_array)
+                if jac_s is None:
+                    jac_s = jac(x_array)[lead] @ v
                     jacobians += 1
                 try:
-                    step = _rosenbrock_step(f, fx, jac_x - shift, x_array, h, rosenbrock_stages)
+                    step = _rosenbrock_step(f, fx, v, lead, jac_s, x_array, h, rosenbrock_stages)
                 except np.linalg.LinAlgError:
                     raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
-                if step is not None:
-                    step = step.tolist()
             # A NaN in a stage or in x5 passes the sign tests on purpose, as
             # under np.min: it reaches the error estimate, which is then
             # non-finite.  Python's min skips a NaN that is not first.
@@ -691,7 +712,7 @@ def simulate(
                     states.append(x)
                     accepted[stiff] += 1
                     fx = finite_f(x, t)
-                    jac_x = None
+                    jac_s = None
                     h *= factor
                     continue
                 rejected_error += 1
@@ -703,9 +724,14 @@ def simulate(
                 if h * float(np.max(np.sum(np.abs(jac_x), axis=1))) > _STIFF_BOUND:
                     stiff = True
                     switch_time = t
+                    # S's canonical rows, each over its lead entry, as columns.
+                    # S is not {0}: a network has a reaction, which changes its species.
+                    basis = np.array(structure_report(net).s_basis.vectors, dtype=float)
+                    lead = np.argmax(basis != 0, axis=1)
+                    v = basis.T / basis[range(lead.size), lead]
+                    jac_s = jac_x[lead] @ v
                     rosenbrock_stages = np.empty((6, size))
                     continue  # retry the same step with the stable stepper
-                jac_x = None
             h *= factor
 
     path = np.array(states)

@@ -189,6 +189,17 @@ def largest_siphon_by_rescan(allowed, rmasks):
     return w
 
 
+# Rates from 3e-10 to 6e8: from X_SPREAD, its class equilibrium is about
+# (0.0506, 2.50e8, 2.50e8, 1.75e18), with the one conservation law S1 - S2.
+SPREAD = (
+    "S0 + 2S1 + 2S2 -> 2S3 ; k=5.187587939345723e-06\n"
+    "2S3 -> S3 ; k=3.319925670712246e-10\n"
+    "S3 -> S0 + 2S3 ; k=582178373.0854931\n"
+    "S0 + 2S3 -> S0 + 2S1 + 2S2 ; k=6.557536500659369e-09\n"
+)
+X_SPREAD = [1.34492680147361, 0.8678807389115167, 1.4510229811957993, 0.8994252615788064]
+
+
 # k at which the doubling network below exceeds siphons.FIXPOINT_BUDGET:
 # 4096 minimal sets of 24 species each.
 OVER_BUDGET_K = 12

@@ -11,7 +11,7 @@ import pytest
 from crncert import MASS_ACTION, find_equilibrium, parse_network_file, simulate
 from crncert.cli import main
 
-from conftest import NETWORKS, OVER_BUDGET_K, doubling_siphons_text
+from conftest import NETWORKS, OVER_BUDGET_K, SPREAD, X_SPREAD, doubling_siphons_text
 
 EX1 = str(NETWORKS / "ex1.crn")
 EX2 = str(NETWORKS / "ex2.crn")
@@ -173,6 +173,17 @@ def test_simulate_keeps_the_class_beside_a_fast_pair(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["max_conservation_residual"] <= 1e-8
     assert doc["final_V"] <= 1e-12
+
+
+def test_simulate_reaches_an_equilibrium_near_1e18(tmp_path, capsys):
+    # The run's states grow towards 1.75e18; final_V is V at the last state
+    # against the class equilibrium.
+    path = tmp_path / "spread.crn"
+    path.write_text(SPREAD)
+    x0 = ",".join(map(repr, X_SPREAD))
+    code, out, err = run(capsys, "simulate", str(path), "--x0", x0, "--t-end", "1e8", "--json")
+    assert code == 0, err
+    assert json.loads(out)["final_V"] <= 1e-6
 
 
 def test_simulate_rejects_zero_entry(capsys):

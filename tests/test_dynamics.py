@@ -27,7 +27,7 @@ from crncert import (
 from crncert import dynamics
 from crncert.dynamics import complex_balance_residual
 
-from conftest import is_semi_locking, random_rates
+from conftest import SPREAD, X_SPREAD, is_semi_locking, random_rates
 from randomnet import random_cycle_network
 
 
@@ -93,6 +93,24 @@ def test_lyapunov_examples():
     ):
         with pytest.raises(ValueError, match="must be entrywise positive and finite"):
             lyapunov(x, x_bar)
+
+
+def test_lyapunov_keeps_its_digits_where_the_equilibrium_is_large():
+    # x_bar reaches 1.75e18.  Summed as x (ln x - ln x_bar - 1) + x_bar, each
+    # term rounds by about eps * x: at ``near`` that read 6144 where V is
+    # 1.4e-3.  Near x_bar each term's error is a few eps * |x - x_bar|.  At
+    # X_SPREAD, S3 is 5e-19 of its x_bar, so (x - x_bar) / x_bar rounds to -1.
+    import mpmath
+
+    x_bar = find_equilibrium(parse_network(SPREAD), X_SPREAD).x_bar
+    near = x_bar * (1.0 + np.array([3e-11, -2e-11, 5e-11, -4e-11]))
+    for x in (np.array(X_SPREAD), near, 1.3 * x_bar):
+        with mpmath.workdps(50):
+            exact = float(mpmath.fsum(
+                a * mpmath.log(a / b) - a + b for a, b in zip(map(mpmath.mpf, x), map(mpmath.mpf, x_bar))
+            ))
+        bound = 1e-14 * exact + 4 * np.finfo(float).eps * np.sum(np.abs(x - x_bar))
+        assert abs(lyapunov(x, x_bar)[0] - exact) <= bound
 
 
 def test_lyapunov_gradient_matches_finite_differences():
@@ -636,8 +654,9 @@ def test_rosenbrock_rejects_a_non_positive_proposal(monkeypatch):
     sizes = []
     step = dynamics._rosenbrock_step
 
-    def zeroing(f, fx, jac_x, x, h, stages):
-        result = step(f, fx, jac_x, x, h, stages)
+    def zeroing(*args):
+        result = step(*args)
+        x, h = args[-3:-1]
         sizes.append(h)
         if len(sizes) == 1:
             result[0][0] = -x[0]
@@ -745,7 +764,8 @@ def test_long_horizon_stores_few_states(ab):
 @pytest.mark.parametrize("name", ["ex1", "ex2", "pair"])
 def test_long_horizons_reach_t_end(request, name, t_end):
     # Past t ~ 1e16, h * |J| passes 1 / eps and I / (h gamma) - J would round
-    # to a singular matrix; W + C^T C stays regular and keeps the laws.
+    # to a matrix singular along the conservation laws; the stages are solved
+    # on S, where J is regular here, so the matrix stays regular.
     if name == "pair":
         net = parse_network("A <-> B ; kf=1, kr=2")
     else:
@@ -757,6 +777,32 @@ def test_long_horizons_reach_t_end(request, name, t_end):
     assert float(np.max(traj.conservation_residual)) <= 1e-12
     x_bar = find_equilibrium(net, x0).x_bar
     assert np.max(np.abs(traj.states[-1] - x_bar) / x_bar) < 1e-6
+
+
+def test_states_towards_1e18_reach_their_equilibrium():
+    # S3 grows from 0.9 to 1.75e18 while S0 falls to 0.05, and h * |J| passes
+    # 1 / eps long before t_end.  A Rosenbrock matrix on all of R^4 turned
+    # singular here at t = 0.0174.
+    net = parse_network(SPREAD)
+    x_bar = find_equilibrium(net, X_SPREAD).x_bar
+    traj = simulate(net, MASS_ACTION, X_SPREAD, 1e8, x_ref=x_bar)
+    assert traj.times[-1] == 1e8
+    assert np.max(np.abs(traj.states[-1] - x_bar) / x_bar) <= 1e-10
+    assert traj.lyapunov[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["species-A-B-C", "species-B-C-A"])
+def test_slow_pair_beside_a_fast_pair_keeps_its_class_to_rounding(swap):
+    # To t = 1e14, h * |J| passes 1e14: each stage solved on S leaves the
+    # conservation law A + B + C to rounding, in either species order.
+    lines = ["A <-> B ; kf=1e-12, kr=1e-12", "B <-> C ; kf=1e3, kr=1e3"]
+    net = parse_network("\n".join(lines[::-1] if swap else lines))
+    x0 = [{"A": 1.0, "B": 2.0, "C": 3.0}[name] for name in net.species_names]
+    x_bar = find_equilibrium(net, x0).x_bar
+    traj = simulate(net, MASS_ACTION, x0, 1e14)
+    assert traj.times[-1] == 1e14
+    assert float(np.max(traj.conservation_residual)) <= 1e-12
+    assert np.max(np.abs(traj.states[-1] - x_bar) / x_bar) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -930,12 +976,19 @@ def test_rosenbrock_converges_at_its_order():
     def f(x):
         return rhs(net, MASS_ACTION, x)
 
+    # S's coordinates, as simulate builds them: the canonical rows of S, each
+    # over its lead entry, as the columns of v.
+    basis = np.array(structure_report(net).s_basis.vectors, dtype=float)
+    lead = np.argmax(basis != 0, axis=1)
+    v = basis.T / basis[range(lead.size), lead]
+
     def global_error(steps, embedded):
         x = x0
         stages = np.empty((6, x0.size))
         for _ in range(steps):
-            jac_x = jacobian(net, MASS_ACTION, x)
-            increment, error = dynamics._rosenbrock_step(f, f(x), jac_x, x, t_end / steps, stages)
+            jac_s = jacobian(net, MASS_ACTION, x)[lead] @ v
+            h = t_end / steps
+            increment, error = dynamics._rosenbrock_step(f, f(x), v, lead, jac_s, x, h, stages)
             x = x + increment - (error if embedded else 0.0)
         return np.max(np.abs(x - expected))
 

@@ -239,9 +239,9 @@ def test_one_kernel_serves_the_stepper_and_jacobian(monkeypatch, saturating):
     calls, seen = [], []
     jac_u, rosenbrock_step = net.numeric.jacobian, dynamics._rosenbrock_step
 
-    def recorded(f, fx, jac_x, x, h, stages):
-        seen.append((x.copy(), jac_x.copy()))
-        return rosenbrock_step(f, fx, jac_x, x, h, stages)
+    def recorded(f, fx, v, lead, jac_s, x, h, stages):
+        seen.append((x.copy(), v.copy(), lead.copy(), jac_s.copy()))
+        return rosenbrock_step(f, fx, v, lead, jac_s, x, h, stages)
 
     # The form is cached on this fresh network: its kernel now counts its calls.
     net.__dict__["numeric"] = net.numeric._replace(jacobian=lambda u: calls.append(u) or jac_u(u))
@@ -249,10 +249,12 @@ def test_one_kernel_serves_the_stepper_and_jacobian(monkeypatch, saturating):
     stats = simulate(net, kinetics, [1.0, 0.5, 0.2], 1.0).stats
     assert stats.rosenbrock_steps > 0
     assert len(calls) == stats.jacobian_evaluations
-    # The stepper's W is I / (h gamma) - J + C^T C, with C the conservation laws.
-    cons = np.array(structure_report(net).conservation_basis.vectors, dtype=float)
-    for x, jac_x in seen:
-        assert np.array_equal(jac_x, jacobian(net, kinetics, x) - cons.T @ cons)
+    # The stepper's matrix is I / (h gamma) - J[lead] @ v, with the columns of
+    # v the canonical basis of S, (1, 0, -1) and (0, 1, -1), each over its lead entry.
+    for x, v, lead, jac_s in seen:
+        assert np.array_equal(lead, [0, 1])
+        assert np.array_equal(v, [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        assert np.array_equal(jac_s, jacobian(net, kinetics, x)[lead] @ v)
 
 
 def test_jacobian_exact_at_the_origin():
