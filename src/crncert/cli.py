@@ -9,6 +9,12 @@ stdout.  JSON documents carry ``"schema": "crn-cert/2"``.  A ``certify``
 document holds one verdict per minimal semi-locking set, and has no
 ``"siphons"`` key when a hypothesis fails, since siphons are then not
 enumerated.
+
+``analyze`` and ``certify`` are exact and load neither numpy nor
+``dynamics``; ``simulate`` and ``equilibrium`` import them when they run.
+The numeric errors, ``IntegrationError`` and ``ConvergenceError``, derive
+from ``ArithmeticError``, as ``ratlin.ExactBudgetError`` does, so ``main``
+catches them without naming them.
 """
 
 from __future__ import annotations
@@ -17,27 +23,15 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .certify import OverallStatus, certify
-from .dynamics import (
-    MASS_ACTION,
-    HypothesesError,
-    IntegrationError,
-    ConvergenceError,
-    _check_run,
-    _checked,
-    find_equilibrium,
-    lyapunov,
-    persistence_margin,
-    simulate,
-    write_trajectory_csv,
-)
 from .network import ParseError, parse_network_file
 from .siphons import EnumerationCapError, minimal_semi_locking_sets
 from .structure import structure_report
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA = "crn-cert/2"
 
@@ -59,6 +53,8 @@ def _json_text(doc: dict) -> str:
 
 
 def _parse_vector(text: str, m: int, flag: str) -> np.ndarray:
+    from .dynamics import _checked
+
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
@@ -88,6 +84,19 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .dynamics import (
+        MASS_ACTION,
+        ConvergenceError,
+        HypothesesError,
+        _check_run,
+        find_equilibrium,
+        persistence_margin,
+        simulate,
+        write_trajectory_csv,
+    )
+
     net = parse_network_file(args.file)
     m = net.num_species
     _check_run(args.t_end, args.rtol, args.atol, ("--t-end", "--rtol", "--atol"))
@@ -132,6 +141,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
+    from .dynamics import HypothesesError, find_equilibrium, lyapunov
+
     net = parse_network_file(args.file)
     m = net.num_species
     c = _parse_vector(args.c, m, "--c")
@@ -189,14 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (
-        ValueError,
-        EnumerationCapError,
-        IntegrationError,
-        ConvergenceError,
-        OSError,
-        ArithmeticError,
-    ) as exc:
+    except (ValueError, EnumerationCapError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,9 +12,10 @@ step size, and then with the L-stable Rosenbrock pair RODAS4 for the rest of
 the run, so the step grows with the slow time scales once the fast ones have
 settled.  Each RODAS4 stage is solved in the coordinates of the
 stoichiometric subspace S, where it lies, so the run stays in its
-compatibility class to rounding.  ``net.numeric`` compiles each network's
-vector field once, to straight-line code on Python floats, and :func:`rhs`
-and every run evaluate that one field; the DOP853 step, generated once from
+compatibility class to rounding.  This module owns a network's numeric
+form: :func:`numeric_form` compiles its vector field once, to straight-line
+code on Python floats, ``net.numeric`` keeps it, and :func:`rhs` and every
+run evaluate that one field; the DOP853 step, generated once from
 its tableau, runs on those floats too: an explicit step and its acceptance
 test make no numpy call.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import truediv
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,11 +44,11 @@ class HypothesesError(ValueError):
     """Network fails the structural hypotheses an operation requires."""
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ArithmeticError):
     """Adaptive stepper could not continue (step underflow, bad state)."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """Equilibrium iteration did not converge; message carries diagnostics."""
 
 
@@ -230,6 +231,55 @@ def _compile_jacobian(
     return jac
 
 
+class NumericForm(NamedTuple):
+    """A network compiled for numeric work, shared read-only by every routine.
+
+    Reaction r runs from complex ``source[r]`` to ``product[r]`` (positions in
+    ``ReactionNetwork.complexes``) at ``rates[r]``.  Its source monomial is
+    ``prod_a u[source_species[r, a]] ** source_orders[r, a]`` over w slots in
+    species order, w being the size of the widest source; a shorter row is
+    padded with order 0 (``u**0 == 1``) on its last species.  ``field`` maps
+    a list of m floats u to the list of species derivatives, compiled from
+    each reaction's integer source terms and rate, and ``jacobian`` maps an
+    array u to their derivative matrix in u, built on the source table
+    above.  Both are compiled once, when the form is built, so no routine
+    compiles or holds an r x m array; :func:`_kinetics` applies a kinetics
+    to them in one place.
+    """
+
+    source: np.ndarray
+    product: np.ndarray
+    rates: np.ndarray
+    source_species: np.ndarray
+    source_orders: np.ndarray
+    field: Callable[[list[float]], list[float]]
+    jacobian: Callable[[np.ndarray], np.ndarray]
+
+
+def numeric_form(net: ReactionNetwork) -> NumericForm:
+    """The compiled numeric form of ``net``, which ``net.numeric`` builds once and keeps."""
+    source = np.array([net.complex_index[r.source] for r in net.reactions])
+    product = np.array([net.complex_index[r.product] for r in net.reactions])
+    rates = np.array([r.rate for r in net.reactions])
+    rows = [r.source.terms for r in net.reactions]
+    width = max(1, *map(len, rows))
+    table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
+    species, orders = table[..., 0].copy(), table[..., 1].astype(float)
+    for a in (source, product, rates, species, orders):
+        a.setflags(write=False)
+    # The nonzero net stoichiometric changes (reaction, species, change),
+    # in reaction order and species order within a reaction.
+    changes = []
+    for row, r in enumerate(net.reactions):
+        delta = dict(r.product.terms)
+        delta.update((i, delta.get(i, 0) - k) for i, k in r.source.terms)
+        changes += [(row, i, float(d)) for i, d in sorted(delta.items()) if d]
+    m = net.num_species
+    vector_field = _compile_field(net.reactions, changes, m)
+    jacobian = _compile_jacobian(species, orders, rates, changes, m)
+    return NumericForm(source, product, rates, species, orders, vector_field, jacobian)
+
+
 def _kinetics(
     net: ReactionNetwork, kinetics: KineticsSpec
 ) -> tuple[Callable[[list[float]], list[float]], Callable[[np.ndarray], np.ndarray]]:
@@ -298,7 +348,10 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: floa
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 40)
+    # tol bounds the error relative to the integral once it exceeds 1: an
+    # absolute bound below eps * |integral| is never met, and the recursion
+    # would then run to its full depth.
+    return recurse(a, b, fa, fm, fb, whole, tol * max(1.0, abs(whole)), 40)
 
 
 def _relative_entropy(x: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
@@ -312,7 +365,8 @@ def _relative_entropy(x: np.ndarray, x_bar: np.ndarray) -> np.ndarray:
     return np.sum(x * (np.log1p(near / x_bar) + (np.log(x) - np.log(x_bar + near))) - gap, axis=-1)
 
 
-# Error bound of the adaptive quadrature behind generalized-kinetics V.
+# Error bound of the adaptive quadrature behind generalized-kinetics V,
+# absolute up to a term of magnitude 1 and relative above it.
 _QUAD_TOL = 1e-10
 
 

@@ -9,6 +9,10 @@ A complex is a ``+``-separated list of terms ``[<int>]<species>``
 (``2A + C``), or ``0`` for the empty complex.  Species names match
 ``[A-Za-z][A-Za-z0-9_]*`` and are indexed in order of first appearance.
 A reversible arrow expands into two directed reactions.
+
+This module is exact and imports no numpy: a network's compiled numeric
+form belongs to ``dynamics``, which ``ReactionNetwork.numeric`` imports on
+first use, so parsing, analysis and certification never load it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dynamics import _compile_field, _compile_jacobian
 from .structure import StructureReport, _build_report
+
+if TYPE_CHECKING:
+    from .dynamics import NumericForm
 
 MAX_COEFF = 2**31 - 1
 _COEFF_DIGITS = len(str(MAX_COEFF))
@@ -116,31 +120,6 @@ class Reaction:
             raise ValueError(f"rate must be a positive finite number, got {self.rate}")
 
 
-class NumericForm(NamedTuple):
-    """A network compiled for numeric work, shared read-only by every routine.
-
-    Reaction r runs from complex ``source[r]`` to ``product[r]`` (positions in
-    ``ReactionNetwork.complexes``) at ``rates[r]``.  Its source monomial is
-    ``prod_a u[source_species[r, a]] ** source_orders[r, a]`` over w slots in
-    species order, w being the size of the widest source; a shorter row is
-    padded with order 0 (``u**0 == 1``) on its last species.  ``field`` maps
-    a list of m floats u to the list of species derivatives, compiled from
-    each reaction's integer source terms and rate, and ``jacobian`` maps an
-    array u to their derivative matrix in u, built on the source table
-    above.  Both are compiled once, when the form is built, so no routine
-    compiles or holds an r x m array; ``dynamics`` applies a kinetics to
-    them in one place, ``_kinetics``.
-    """
-
-    source: np.ndarray
-    product: np.ndarray
-    rates: np.ndarray
-    source_species: np.ndarray
-    source_orders: np.ndarray
-    field: Callable[[list[float]], list[float]]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True)
 class ReactionNetwork:
     """Species and directed reactions, validated on construction.
@@ -149,8 +128,9 @@ class ReactionNetwork:
     tables, as plain attributes: ``species_names``; ``complexes``, every
     source and product complex once, in first-appearance order; and
     ``complex_index``, each complex's position in ``complexes``.  The
-    compiled numeric form (``numeric``) and the exact structure report
-    (``structure``) are built on first use and kept on the object.
+    compiled numeric form (``numeric``, built by ``dynamics.numeric_form``)
+    and the exact structure report (``structure``) are built on first use
+    and kept on the object.
     """
 
     species: tuple[Species, ...]
@@ -189,26 +169,9 @@ class ReactionNetwork:
     @cached_property
     def numeric(self) -> NumericForm:
         """The network's compiled numeric form, built once per object and freed with it."""
-        source = np.array([self.complex_index[r.source] for r in self.reactions])
-        product = np.array([self.complex_index[r.product] for r in self.reactions])
-        rates = np.array([r.rate for r in self.reactions])
-        rows = [r.source.terms for r in self.reactions]
-        width = max(1, *map(len, rows))
-        table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
-        species, orders = table[..., 0].copy(), table[..., 1].astype(float)
-        for a in (source, product, rates, species, orders):
-            a.setflags(write=False)
-        # The nonzero net stoichiometric changes (reaction, species, change),
-        # in reaction order and species order within a reaction.
-        changes = []
-        for row, r in enumerate(self.reactions):
-            delta = dict(r.product.terms)
-            delta.update((i, delta.get(i, 0) - k) for i, k in r.source.terms)
-            changes += [(row, i, float(d)) for i, d in sorted(delta.items()) if d]
-        m = self.num_species
-        vector_field = _compile_field(self.reactions, changes, m)
-        jacobian = _compile_jacobian(species, orders, rates, changes, m)
-        return NumericForm(source, product, rates, species, orders, vector_field, jacobian)
+        from .dynamics import numeric_form
+
+        return numeric_form(self)
 
     @cached_property
     def structure(self) -> StructureReport:

@@ -456,6 +456,29 @@ print(sorted(name for name in sys.modules if name.split(".")[0] in oracles))
     assert proc.stdout == "[]\n"
 
 
+def test_the_exact_side_loads_no_numpy():
+    # certify and analyze are integer work: they import neither numpy nor
+    # dynamics, whose names the package still serves on first access.
+    script = f"""
+import sys
+import crncert.cli
+for command in ("certify", "analyze"):
+    assert crncert.cli.main([command, {EX1!r}, "--out", {os.devnull!r}]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
+assert "crncert.dynamics" not in sys.modules, "dynamics loaded"
+from crncert import simulate
+import crncert
+assert simulate is crncert.simulate is crncert.dynamics.simulate
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=NETWORKS.parent / "src",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_repeated_species_past_the_coefficient_range_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "sum.crn"
     path.write_text("2147483647A + A -> B ; k=1\n")

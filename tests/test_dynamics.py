@@ -113,6 +113,29 @@ def test_lyapunov_keeps_its_digits_where_the_equilibrium_is_large():
         assert abs(lyapunov(x, x_bar)[0] - exact) <= bound
 
 
+def test_generalized_lyapunov_quadrature_holds_its_cost_at_scale():
+    # theta = abs is mass action, so the quadrature must reproduce the closed
+    # form.  An absolute tolerance below eps * |V| is never met, and the
+    # quadrature then recursed to its full depth: the counting theta makes
+    # such a run fail at once instead of hanging.
+    calls = 0
+
+    def theta(s):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("quadrature made more than 100000 theta calls")
+        return abs(s)
+
+    kinetics = generalized_kinetics(theta, 1)
+    for xb in (1e8, 1e18):
+        for x in (2.0 * xb, 0.5 * xb):
+            calls = 0
+            value = lyapunov([x], [xb], kinetics)[0]
+            assert value == pytest.approx(lyapunov([x], [xb])[0], rel=1e-12)
+            assert calls < 1000
+
+
 def test_lyapunov_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(100):
