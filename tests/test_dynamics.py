@@ -136,6 +136,29 @@ def test_generalized_lyapunov_quadrature_holds_its_cost_at_scale():
             assert calls < 1000
 
 
+def test_generalized_lyapunov_quadrature_stops_at_rounding_near_a_large_reference():
+    # Near x_bar the integrand ln theta(s) - ln theta(x_bar) rounds by about
+    # eps * |ln theta(x_bar)| per unit length, above the relative bound: the
+    # quadrature must stop at that rounding instead of recursing until the
+    # noise happens to cancel.
+    calls = 0
+
+    def theta(s):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("quadrature made more than 100000 theta calls")
+        return abs(s)
+
+    kinetics = generalized_kinetics(theta, 1)
+    for xb in (1e30, 1e60, 1e99):
+        x = (1.0 + 1e-6) * xb
+        calls = 0
+        value = lyapunov([x], [xb], kinetics)[0]
+        assert value == pytest.approx(lyapunov([x], [xb])[0], rel=1e-7)
+        assert calls < 1000
+
+
 def test_lyapunov_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(100):
