@@ -15,7 +15,6 @@ from .structure import (
     structure_report,
 )
 from .siphons import (
-    EnumerationCapError,
     SiphonCatalog,
     SiphonEntry,
     minimal_semi_locking_sets,

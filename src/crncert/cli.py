@@ -12,9 +12,11 @@ enumerated.
 
 ``analyze`` and ``certify`` are exact and load neither numpy nor
 ``dynamics``; ``simulate`` and ``equilibrium`` import them when they run.
-The numeric errors, ``IntegrationError`` and ``ConvergenceError``, derive
-from ``ArithmeticError``, as ``ratlin.ExactBudgetError`` does, so ``main``
-catches them without naming them.
+Every error the package raises is a ``ValueError`` or an
+``ArithmeticError``: the numeric ``IntegrationError`` and
+``ConvergenceError`` derive from the latter, as ``ratlin.ExactBudgetError``
+does, which the siphon search and the exact LP raise at their work
+bounds.  So ``main`` catches them without naming any module's class.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .certify import OverallStatus, certify
 from .network import ParseError, parse_network_file
-from .siphons import EnumerationCapError, minimal_semi_locking_sets
+from .siphons import minimal_semi_locking_sets
 from .structure import structure_report
 
 if TYPE_CHECKING:
@@ -200,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, EnumerationCapError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

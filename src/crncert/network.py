@@ -57,18 +57,6 @@ class Species:
             raise ValueError(f"invalid species name {self.name!r}")
 
 
-def _reject_terms(terms) -> None:
-    """Raise the error for terms that are not sorted, unique and in range."""
-    indices = [i for i, _ in terms]
-    if sorted(set(indices)) != indices:
-        raise ValueError("complex terms must be sorted by species index, without repeats")
-    for i, k in terms:
-        if i < 0:
-            raise ValueError("negative species index")
-        if not 0 < k <= MAX_COEFF:
-            raise ValueError(f"multiplicity {k} out of range")
-
-
 @dataclass(frozen=True)
 class Complex:
     """Multiset of species, stored as sorted (index, multiplicity) pairs.
@@ -77,8 +65,7 @@ class Complex:
     Complexes key the dictionaries and sets that index a network, so the
     hash of ``terms`` is computed once, here, not on every lookup.
     ``indices``, the species indices as a frozenset, is recorded in the one
-    pass that checks the terms; a failing complex is examined again only to
-    name its first fault.
+    pass that checks the terms, which raises at the first faulty term.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -87,8 +74,12 @@ class Complex:
     def __post_init__(self):
         indices = [-1]  # below every valid index, so the first test needs no branch
         for i, k in self.terms:
-            if i <= indices[-1] or not 0 < k <= MAX_COEFF:
-                _reject_terms(self.terms)
+            if i <= indices[-1]:
+                if i < 0:
+                    raise ValueError("negative species index")
+                raise ValueError("complex terms must be sorted by species index, without repeats")
+            if not 0 < k <= MAX_COEFF:
+                raise ValueError(f"multiplicity {k} out of range")
             indices.append(i)
         object.__setattr__(self, "indices", frozenset(indices[1:]))
         object.__setattr__(self, "_hash", hash(self.terms))
@@ -267,7 +258,8 @@ def parse_network(text: str) -> ReactionNetwork:
             raise ParseError("missing reaction arrow '->' or '<->'", line_no, 1)
         rhs_col = len(lhs_text) + len(arrow)
         if arrow in rhs_text:
-            raise ParseError("more than one reaction arrow on a line", line_no, rhs_col + 1)
+            col = rhs_col + rhs_text.index(arrow) + 1
+            raise ParseError("more than one reaction arrow on a line", line_no, col)
         lhs_key, rhs_key = lhs_text.strip(), rhs_text.strip()
         source = parsed.get(lhs_key)
         if source is None:

@@ -173,14 +173,11 @@ def solve_le(
     if len(A) != len(b):
         raise ValueError(f"{len(A)} rows but {len(b)} right-hand sides")
     m = len(A)
-    n = len(A[0]) if m else 0
-    tableau: list[list[int]] = []
-    for i, (a_row, rhs) in enumerate(zip(A, b)):
-        if len(a_row) != n:
-            raise ValueError(f"row of length {len(a_row)} in a system of {n} variables")
-        row = [*map(index, a_row)] + [0] * m + [index(rhs)]
+    tableau = _int_rows(A)
+    n = len(tableau[0]) if m else 0
+    for i, (row, rhs) in enumerate(zip(tableau, b)):
+        row.extend([0] * m + [index(rhs)])
         row[n + i] = 1
-        tableau.append(row)
     # basis[r] is a column index, or r - m for row r's artificial; every row
     # starts with its own slack, column n + r.
     basis = [n + r for r in range(m)]

@@ -12,7 +12,8 @@ species that must be in the set and a set A of species that may be, and A
 is always its own largest semi-locking set: a greatest fixpoint computed in
 time linear in the network's size by Horn propagation (Dowling & Gallier,
 J. Logic Programming 1984).  The search is bounded by
-``FIXPOINT_BUDGET`` fixpoint evaluations, not by the number of species.
+``FIXPOINT_BUDGET`` fixpoint evaluations, not by the number of species,
+and raises ``ratlin.ExactBudgetError`` past it.
 The test suite checks it against a scan of all 2^m subsets of small
 networks, and the fixpoint against one that rescans every reaction.
 """
@@ -23,14 +24,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .network import ReactionNetwork
+from .ratlin import ExactBudgetError
+from .structure import _members
 
 SpeciesSet = frozenset[int]
 
 FIXPOINT_BUDGET = 100_000
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when an enumeration would exceed its bound on work."""
 
 
 def _mask(members: Iterable[int]) -> int:
@@ -38,15 +37,6 @@ def _mask(members: Iterable[int]) -> int:
     for i in members:
         mask |= 1 << i
     return mask
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
 
 
 ReactionMasks = list[tuple[int, int]]
@@ -132,9 +122,10 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
     ends the branching.  Each minimal set is found once; the catalog is
     sorted by size, then by sorted species indices.
 
-    Raises :class:`EnumerationCapError` once the search would evaluate more
-    than ``FIXPOINT_BUDGET`` fixpoints.  Networks with exponentially many
-    minimal sets reach it.
+    Raises :class:`~crncert.ratlin.ExactBudgetError`, the package's one
+    error for an exact routine stopped at its work bound, once the search
+    would evaluate more than ``FIXPOINT_BUDGET`` fixpoints.  Networks with
+    exponentially many minimal sets reach it.
     """
     m = net.num_species
     rmasks, consumers = _reaction_tables(net)
@@ -144,7 +135,7 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
         nonlocal evaluations
         evaluations += 1
         if evaluations > FIXPOINT_BUDGET:
-            raise EnumerationCapError(
+            raise ExactBudgetError(
                 f"minimal siphon search on {m} species exceeded its budget of "
                 f"{FIXPOINT_BUDGET} fixpoint evaluations"
             )

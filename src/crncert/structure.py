@@ -29,6 +29,16 @@ if TYPE_CHECKING:
     from .network import ReactionNetwork
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
 @dataclass(frozen=True)
 class RationalBasis:
     """Canonical integer basis of a subspace of Q^dimension.
@@ -144,10 +154,8 @@ def _complex_graph(
             seen |= new
             frontier |= new
             if tree:
-                while new:
-                    bit = new & -new
-                    new ^= bit
-                    parent[bit.bit_length() - 1] = u
+                for v in _members(new):
+                    parent[v] = u
         return seen
 
     classes = []
@@ -158,12 +166,7 @@ def _complex_graph(
         block = flood(root, links, tree=True)
         unplaced &= ~block
         weakly_reversible = weakly_reversible and flood(root, succ) == block == flood(root, pred)
-        members = []
-        while block:
-            low = block & -block
-            members.append(low.bit_length() - 1)
-            block ^= low
-        classes.append(tuple(members))
+        classes.append(_members(block))
     return tuple(classes), parent, weakly_reversible
 
 

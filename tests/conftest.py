@@ -6,7 +6,6 @@ import pytest
 
 from crncert import (
     Complex,
-    EnumerationCapError,
     Reaction,
     ReactionNetwork,
     Species,
@@ -14,7 +13,7 @@ from crncert import (
     parse_network_file,
     structure_report,
 )
-from crncert.ratlin import rref
+from crncert.ratlin import ExactBudgetError, rref
 
 NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "networks"
 
@@ -156,7 +155,7 @@ def all_semi_locking_sets(net):
     """
     m = net.num_species
     if m > BRUTE_FORCE_LIMIT:
-        raise EnumerationCapError(
+        raise ExactBudgetError(
             f"full catalog limited to {BRUTE_FORCE_LIMIT} species, got {m}"
         )
     rmasks = [

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from crncert import (
     Complex,
-    EnumerationCapError,
     FaceStatus,
     OverallStatus,
     RationalBasis,
@@ -42,7 +41,7 @@ from conftest import (
     vec_by_name,
     verdict_for,
 )
-from randomnet import random_network
+from randomnet import random_cycle_network, random_network
 
 
 def test_check_discrete_golden(ex1, ex2):
@@ -236,7 +235,7 @@ def test_hypotheses_checked_before_enumeration(tmp_path, capsys):
     # not weakly reversible, so the verdict needs no siphon at all
     text = doubling_siphons_text(OVER_BUDGET_K)
     net = parse_network(text)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(ratlin.ExactBudgetError):
         minimal_semi_locking_sets(net)
     cert = certify(net)
     assert cert.overall is OverallStatus.NOT_CERTIFIED
@@ -425,6 +424,37 @@ def test_face_verdicts_transfer_to_supersets(seed):
         else OverallStatus.NOT_CERTIFIED
     )
     assert cert.overall is expected
+
+
+def test_an_empty_minimal_face_is_separated_by_its_one_law_at_the_first_basis(monkeypatch):
+    """Every EMPTY witness of a minimal W is positive on all of W, zero off it.
+
+    The support of a nonnegative conservation law is semi-locking, so by
+    minimality the laws supported in W form one line, spanned by a law
+    positive on W.  The LP's one bounded row then has only negative slack
+    entries and no slack can enter: it decides the face without a pivot.
+    The networks are those of ``scripts/cert_digest.py`` and both
+    ``cycle_union`` pools.
+    """
+    rng = np.random.default_rng(100)
+    empty = 0
+    for draw in range(1000):
+        if draw % 4 == 0:
+            net = random_network(rng, max_species=8, max_reactions=10, allow_empty_complex=True)
+        elif draw % 4 == 1:
+            net = random_cycle_network(rng, max_species=8, max_complexes=7)
+        else:
+            net, _ = cycle_union(rng, draw % 4 == 2, draw % 8 == 3)
+        cert = certify(net)
+        for v in cert.verdicts:
+            if v.status is FaceStatus.EMPTY_ALL_CLASSES:
+                empty += 1
+                y = v.separating_witness
+                assert all((y[i] > 0) == (i in v.species) for i in range(len(y)))
+                with monkeypatch.context() as patch:
+                    patch.setattr(ratlin, "PIVOT_BUDGET", 0)
+                    assert check_empty_all_classes(cert.structure.s_basis, v.species) == (True, y)
+    assert empty > 200
 
 
 # sha256 of each certificate's crn-cert/2 JSON, as `crn-cert certify` writes

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -8,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import crncert
 from crncert import MASS_ACTION, find_equilibrium, parse_network_file, simulate
 from crncert.cli import main
 
@@ -22,6 +25,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_error_class_of_the_package_is_in_the_exit_1_family():
+    # main turns ValueError and ArithmeticError (and OSError) into exit 1
+    # without naming a module's class, so every class the package defines
+    # must derive from one of the two.
+    defined = {}
+    for info in pkgutil.iter_modules(crncert.__path__):
+        module = importlib.import_module(f"crncert.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__:
+                defined[obj.__name__] = obj
+    assert {"ParseError", "ExactBudgetError"} <= set(defined)
+    for name, cls in defined.items():
+        assert issubclass(cls, (ValueError, ArithmeticError)), name
 
 
 def test_analyze_ex1(capsys):

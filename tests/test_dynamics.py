@@ -381,6 +381,17 @@ def test_persistence_margin_frozen_trajectory(ab):
     assert persistence_margin(traj) == 1.0
 
 
+def test_persistence_margin_of_an_empty_trajectory_is_an_error():
+    traj = Trajectory(
+        times=np.empty(0),
+        states=np.empty((0, 2)),
+        lyapunov=np.empty(0),
+        conservation_residual=np.empty(0),
+    )
+    with pytest.raises(ValueError, match="trajectory is empty"):
+        persistence_margin(traj)
+
+
 def test_persistence_margin_spans_the_later_half_in_time():
     # Most states crowd into the transient; only the last lies in [5, 10].
     traj = Trajectory(
@@ -437,6 +448,26 @@ def test_generalized_admissibility_checks():
         generalized_kinetics(lambda x: x + 1.0, 2)
     with pytest.raises(ValueError, match="increasing"):
         generalized_kinetics(lambda x: 0.0 * x, 2)
+
+
+def test_generalized_kinetics_needs_one_theta_per_species():
+    with pytest.raises(ValueError, match="need one theta per species"):
+        generalized_kinetics([abs], 2)
+
+
+def test_generalized_lyapunov_at_the_reference_is_exactly_zero():
+    calls = []
+
+    def theta(x):
+        calls.append(x)
+        return abs(x)
+
+    kinetics = generalized_kinetics(theta, 1)
+    calls.clear()
+    value, grad = lyapunov([2.0], [2.0], kinetics)
+    assert value == 0.0 and grad.tolist() == [0.0]
+    # theta(x) and theta(x_bar) for the gradient; the empty interval costs no call.
+    assert calls == [2.0, 2.0]
 
 
 def _saturating(x):

@@ -116,6 +116,8 @@ def test_reaction_vector_trivial():
         ("A <-> B ; kf=1, kr=1\nB -> A ; k=2", "duplicate"),
         ("0A -> B ; k=1", "zero"),
         ("A -> ; k=1", "missing complex"),
+        ("A -> B ; k=abc", "malformed rate constant 'abc'"),
+        ("A -> B -> C ; k=1", "more than one reaction arrow"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -172,6 +174,45 @@ def test_a_malformed_complex_written_twice_reports_its_first_line(bad, fragment,
     with pytest.raises(ParseError, match=fragment) as exc:
         parse_network(text)
     assert (exc.value.line, exc.value.col) == (2, col)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [("A -> B -> C ; k=1", 8), ("A <-> B <-> C ; kf=1, kr=1", 9)],
+)
+def test_a_second_arrow_is_reported_at_its_own_column(text, col):
+    with pytest.raises(ParseError, match="more than one reaction arrow") as exc:
+        parse_network(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+@pytest.mark.parametrize(
+    "terms, fragment",
+    [
+        (((1, 1), (0, 1)), "sorted by species index, without repeats"),
+        (((0, 1), (0, 2)), "sorted by species index, without repeats"),
+        (((-1, 1),), "negative species index"),
+        (((0, 1), (-2, 1)), "negative species index"),
+        (((0, 0),), "multiplicity 0 out of range"),
+        (((0, 2**31),), "multiplicity 2147483648 out of range"),
+    ],
+)
+def test_complex_rejects_terms_naming_the_fault(terms, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Complex(terms)
+
+
+@pytest.mark.parametrize(
+    "species, fragment",
+    [
+        ((Species("A"), Species("A")), "duplicate species names"),
+        ((Species("A"),), "complex references unknown species index"),
+    ],
+)
+def test_network_rejects_species_naming_the_fault(species, fragment):
+    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
+    with pytest.raises(ValueError, match=fragment):
+        ReactionNetwork(species, (ab,))
 
 
 def test_network_invariants_enforced():

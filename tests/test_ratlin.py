@@ -44,13 +44,19 @@ def test_rref_and_rank():
         lambda: nullspace([(1, 1)], 4),
         lambda: nullspace([(0, 0), (0, 0, 0)], 2),
         lambda: dot((1, 2), (1,)),
+        lambda: solve_le([(1, 2), (1,)], [1, 1]),
     ],
     ids=["rref", "rank", "canonical_basis", "nullspace-wide", "nullspace-narrow",
-         "nullspace-ragged-zero", "dot"],
+         "nullspace-ragged-zero", "dot", "solve_le"],
 )
 def test_ragged_input_is_rejected(call):
     with pytest.raises(ValueError, match="length"):
         call()
+
+
+def test_solve_le_needs_one_right_hand_side_per_row():
+    with pytest.raises(ValueError, match="2 rows but 1 right-hand sides"):
+        solve_le([(1,), (2,)], [1])
 
 
 def test_dot_is_an_exact_int_on_integers():

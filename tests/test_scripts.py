@@ -203,7 +203,7 @@ def test_package_public_names():
         if not name.startswith("_") and not inspect.ismodule(getattr(crncert, name))
     )
     assert public == [
-        "Certificate", "Complex", "ConvergenceError", "EnumerationCapError",
+        "Certificate", "Complex", "ConvergenceError",
         "EquilibriumResult", "FaceStatus", "FaceVerdict", "HypothesesError",
         "IntegrationError", "KineticsSpec", "MASS_ACTION", "OverallStatus",
         "ParseError", "RationalBasis", "Reaction", "ReactionNetwork",

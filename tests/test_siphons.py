@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert import (
-    EnumerationCapError,
     minimal_semi_locking_sets,
     parse_network,
 )
 from crncert import siphons
+from crncert.ratlin import ExactBudgetError
 from crncert.siphons import FIXPOINT_BUDGET, _largest_siphon, _reaction_tables
 
 from conftest import (
@@ -92,9 +92,9 @@ def test_cap_exceeded():
     assert len(catalog.entries) == 16
     assert list(catalog.minimal_sets) == minimal_by_scan(small)
     net = parse_network(doubling_siphons_text(OVER_BUDGET_K))
-    with pytest.raises(EnumerationCapError, match=f"budget of {FIXPOINT_BUDGET} fixpoint"):
+    with pytest.raises(ExactBudgetError, match=f"budget of {FIXPOINT_BUDGET} fixpoint"):
         minimal_semi_locking_sets(net)
-    with pytest.raises(EnumerationCapError, match="limited to 12 species"):
+    with pytest.raises(ExactBudgetError, match="limited to 12 species"):
         all_semi_locking_sets(net)
 
 
