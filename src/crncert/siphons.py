@@ -11,7 +11,10 @@ Martinez, Fages & Soliman, Constraints 2016).  Each node holds a set I of
 species that must be in the set and a set A of species that may be, and A
 is always its own largest semi-locking set: a greatest fixpoint computed in
 time linear in the network's size by Horn propagation (Dowling & Gallier,
-J. Logic Programming 1984).  The search is bounded by
+J. Logic Programming 1984).  A node whose I is its own largest
+semi-locking set records I as a candidate; minimality is then proved by
+subsumption, not by more fixpoints: a candidate is kept unless a kept,
+strictly smaller candidate lies inside it.  The search is bounded by
 ``FIXPOINT_BUDGET`` fixpoint evaluations, not by the number of species,
 and raises ``ratlin.ExactBudgetError`` past it.
 The test suite checks it against a scan of all 2^m subsets of small
@@ -110,17 +113,22 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
     Depth-first branch and bound over pairs (I, A) of species masks, I inside
     A, standing for the sets W with I <= W <= A; every stacked A is already
     the largest semi-locking set inside itself.  Once I contains a
-    semi-locking set, no proper superset of I is minimal, so I is recorded
-    if it is itself minimal and the node ends.  Otherwise every W must
-    contain one of some species c_1..c_k of A: all of A when I is empty,
-    else those of the source of a reaction that produces a member of I from
-    a source disjoint from I.  Child j takes c_j into I and has A_j, the
-    largest semi-locking set inside A minus c_1..c_{j-1}, so the children
-    split the node's sets disjointly.  A_1 is A itself and takes no
+    semi-locking set, no proper superset of I is minimal, so the node ends;
+    I is recorded as a candidate if it is semi-locking itself.  Otherwise
+    every W must contain one of some species c_1..c_k of A: all of A when I
+    is empty, else those of the source of a reaction that produces a member
+    of I from a source disjoint from I.  Child j takes c_j into I and has
+    A_j, the largest semi-locking set inside A minus c_1..c_{j-1}, so the
+    children split the node's sets disjointly.  A_1 is A itself and takes no
     evaluation, a child whose A_j lacks c_j holds no set and is not stacked,
     and the A_j shrink with j, so the first A_j that is empty or misses I
-    ends the branching.  Each minimal set is found once; the catalog is
-    sorted by size, then by sorted species indices.
+    ends the branching.  Each minimal set M is recorded once, at the node
+    whose I is M.  Any other candidate contains a smaller semi-locking set,
+    hence a minimal one, which is also a candidate.  So, with the candidates
+    sorted by size, then by sorted species indices (the catalog's order), a
+    candidate is minimal exactly when no kept candidate of strictly smaller
+    size lies inside it; two sets of one size never contain each other, so
+    only the smaller ones are compared.
 
     Raises :class:`~crncert.ratlin.ExactBudgetError`, the package's one
     error for an exact routine stopped at its work bound, once the search
@@ -149,7 +157,7 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
         if inc:
             core = largest(inc)
             if core:
-                if core == inc and not any(largest(inc & ~(1 << i)) for i in _members(inc)):
+                if core == inc:
                     found.append(inc)
                 continue
             todo &= next(src for src, prod in rmasks if prod & inc and not src & inc)
@@ -161,11 +169,18 @@ def minimal_semi_locking_sets(net: ReactionNetwork) -> SiphonCatalog:
                 allowed = largest(allowed & ~low)
                 todo &= allowed
     found.sort(key=lambda w: (w.bit_count(), _members(w)))
+    kept: list[int] = []
+    smaller = size = 0  # kept[:smaller] are the kept sets of size below ``size``
+    for w in found:
+        if w.bit_count() > size:
+            size, smaller = w.bit_count(), len(kept)
+        if not any(k & w == k for k in kept[:smaller]):
+            kept.append(w)
     entries = tuple(
         SiphonEntry(
             species=frozenset(_members(w)),
             locking=all(src & w for src, _ in rmasks),
         )
-        for w in found
+        for w in kept
     )
     return SiphonCatalog(entries=entries)

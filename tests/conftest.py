@@ -199,9 +199,10 @@ SPREAD = (
 X_SPREAD = [1.34492680147361, 0.8678807389115167, 1.4510229811957993, 0.8994252615788064]
 
 
-# k at which the doubling network below exceeds siphons.FIXPOINT_BUDGET:
-# 4096 minimal sets of 24 species each.
-OVER_BUDGET_K = 12
+# Smallest k at which the doubling network below exceeds
+# siphons.FIXPOINT_BUDGET: its search takes 2^(k+2) - 2 evaluations, here
+# for 32768 minimal sets of 30 species each.
+OVER_BUDGET_K = 15
 
 
 def doubling_siphons_text(k):
@@ -214,6 +215,24 @@ def doubling_siphons_text(k):
     return "\n".join(
         f"Z{i} -> X{i} ; k=1\nZ{i} -> Y{i} ; k=1\nX{i} + Y{i} -> Z{(i + 1) % k} ; k=1"
         for i in range(k)
+    )
+
+
+def ring_text(k):
+    """``A_i + B_i <-> A_{i+1} + B_{i+1}`` for i < k, indices mod k.
+
+    One linkage class of k complexes and deficiency zero; its minimal
+    semi-locking sets take one of A_i, B_i for every i: 2^k sets of k species.
+    """
+    return "\n".join(
+        f"A{i} + B{i} <-> A{(i + 1) % k} + B{(i + 1) % k} ; kf=1, kr=1" for i in range(k)
+    )
+
+
+def two_ring_text(k):
+    """The ring of ``ring_text(k)`` plus ``B_i + C_i <-> B_{i+1} + C_{i+1}``."""
+    return ring_text(k) + "\n" + "\n".join(
+        f"B{i} + C{i} <-> B{(i + 1) % k} + C{(i + 1) % k} ; kf=1, kr=1" for i in range(k)
     )
 
 

@@ -37,7 +37,9 @@ from conftest import (
     doubling_siphons_text,
     face_kernel,
     names_of,
+    ring_text,
     species_set,
+    two_ring_text,
     vec_by_name,
     verdict_for,
 )
@@ -228,6 +230,26 @@ def test_disjoint_siphons_get_one_verdict_each():
     assert len(cert.verdicts) == 14
     assert all(v.status is FaceStatus.INCONCLUSIVE for v in cert.verdicts)
     assert cert.overall is OverallStatus.NOT_CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "text, discrete, empty",
+    [(ring_text(13), 8192, 0), (two_ring_text(9), 9, 504)],
+    ids=["ring-13", "two-ring-9"],
+)
+def test_ring_families_certify_within_the_siphon_budget(text, discrete, empty):
+    # One face per minimal siphon: 2^13 of the ring, 513 of the two-ring.
+    cert = certify(parse_network(text))
+    statuses = [v.status for v in cert.verdicts]
+    assert cert.overall is OverallStatus.GLOBALLY_STABLE
+    assert len(statuses) == discrete + empty
+    assert statuses.count(FaceStatus.DISCRETE) == discrete
+    assert statuses.count(FaceStatus.EMPTY_ALL_CLASSES) == empty
+
+
+def test_ring_over_the_siphon_budget_raises():
+    with pytest.raises(ratlin.ExactBudgetError, match="fixpoint evaluations"):
+        certify(parse_network(ring_text(16)))
 
 
 def test_hypotheses_checked_before_enumeration(tmp_path, capsys):

@@ -12,6 +12,7 @@ from crncert.ratlin import ExactBudgetError
 from crncert.siphons import FIXPOINT_BUDGET, _largest_siphon, _reaction_tables
 
 from conftest import (
+    BRUTE_FORCE_LIMIT,
     OVER_BUDGET_K,
     all_semi_locking_sets,
     cycle_union,
@@ -20,7 +21,9 @@ from conftest import (
     is_semi_locking,
     largest_siphon_by_rescan,
     names_of,
+    ring_text,
     species_set,
+    two_ring_text,
 )
 from randomnet import random_cycle_network, random_network
 
@@ -98,6 +101,13 @@ def test_cap_exceeded():
         all_semi_locking_sets(net)
 
 
+def _assert_catalog_matches_scan(net, label):
+    expected = minimal_by_scan(net)
+    entries = minimal_semi_locking_sets(net).entries
+    assert [e.species for e in entries] == expected, label
+    assert [e.locking for e in entries] == [is_locking(net, w) for w in expected], label
+
+
 def test_minimal_sets_equal_scan_oracle():
     # Species, order and locking flags against the 2^m scan, m <= 12.
     for seed in range(3000):
@@ -108,10 +118,18 @@ def test_minimal_sets_equal_scan_oracle():
             net = random_network(rng)
         else:
             net = random_cycle_network(rng, max_species=12, max_complexes=8)
-        expected = minimal_by_scan(net)
-        entries = minimal_semi_locking_sets(net).entries
-        assert [e.species for e in entries] == expected, seed
-        assert [e.locking for e in entries] == [is_locking(net, w) for w in expected], seed
+        _assert_catalog_matches_scan(net, seed)
+    # Unions of cycles, from one shared pool of species and from disjoint
+    # pools: one shared draw in eight and over a quarter of the disjoint
+    # ones record a semi-locking candidate that contains a smaller one.
+    checked = 0
+    for seed in range(600):
+        for shared in (True, False):
+            net, _ = cycle_union(np.random.default_rng(seed), shared, seed % 3 == 0)
+            if net.num_species <= BRUTE_FORCE_LIMIT:
+                _assert_catalog_matches_scan(net, (seed, shared))
+                checked += 1
+    assert checked > 1150
 
 
 PAIRS_TEXT = "\n".join(f"A{i} <-> B{i} ; kf=1, kr=1" for i in range(30))
@@ -137,13 +155,21 @@ def test_synthetic_families_at_scale():
 
 @pytest.mark.parametrize(
     "text, bound",
-    [(PAIRS_TEXT, 211), (CHAIN_TEXT, 182), (ENZYME_TEXT, 265), (doubling_siphons_text(10), 26_620)],
-    ids=["pairs-30", "chain-60", "enzyme-20", "doubling-10"],
+    [
+        (PAIRS_TEXT, 92),
+        (CHAIN_TEXT, 63),
+        (ENZYME_TEXT, 104),
+        (doubling_siphons_text(10), 4_095),
+        (doubling_siphons_text(12), 16_383),
+        (ring_text(13), 24_576),
+        (two_ring_text(9), 57_526),
+    ],
+    ids=["pairs-30", "chain-60", "enzyme-20", "doubling-10", "doubling-12", "ring-13", "two-ring-9"],
 )
 def test_fixpoint_evaluations_on_the_scale_families(monkeypatch, text, bound):
     # Every stacked A is already a fixpoint, so neither a popped node nor a
-    # first child evaluates it again.  The bounds are the counts of a search
-    # that did; this one takes 151, 122, 184 and 24,574.
+    # first child evaluates it again, and a recorded I costs only largest(I).
+    # Each bound is one above the search's count.
     net = parse_network(text)
     evaluations = 0
 
