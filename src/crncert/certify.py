@@ -33,6 +33,12 @@ from .siphons import SiphonCatalog, SpeciesSet, minimal_semi_locking_sets
 from .structure import RationalBasis, StructureReport, structure_report
 
 
+_STABLE_REASON = (
+    "weakly reversible, deficiency zero, and every semi-locking face is "
+    "empty or discrete in each compatibility class"
+)
+
+
 class FaceStatus(str, Enum):
     EMPTY_ALL_CLASSES = "EMPTY_ALL_CLASSES"
     DISCRETE = "DISCRETE"
@@ -119,18 +125,19 @@ def _face_columns(s_basis: RationalBasis, members: Iterable[int]) -> list[int]:
     return w
 
 
-def _spans_on(s_basis: RationalBasis, w: list[int]) -> bool:
-    """True iff the basis of S restricted to the columns ``w`` has rank dim S.
+def _spans_on(s_basis: RationalBasis, w: SpeciesSet) -> bool:
+    """True iff the basis of S restricted to the columns in ``w`` has rank dim S.
 
-    That takes an elimination of s rows and |W| columns at most.  None runs
+    That takes an elimination of s rows and |W| columns at most, in the
+    set's own column order, on which the rank does not depend.  None runs
     when |W| < s, nor when W holds every leading column of the canonical
-    basis, on which the basis is diagonal with positive entries.
+    basis (``s_basis.leads``), on which the basis is diagonal with positive
+    entries.
     """
     vectors = s_basis.vectors
     if len(w) < len(vectors):
         return False
-    members = set(w)
-    if all(v.index(next(filter(None, v))) in members for v in vectors):
+    if w.issuperset(s_basis.leads):
         return True
     return len(ratlin.rref([[v[j] for j in w] for v in vectors])[1]) == len(vectors)
 
@@ -202,9 +209,10 @@ def _face_verdict(s_basis: RationalBasis, w: SpeciesSet) -> FaceVerdict:
     DISCRETE is decided by the rank of S on the W columns alone.  Otherwise
     the emptiness LP runs, and only a face it leaves INCONCLUSIVE pays for
     :func:`check_discrete`'s full elimination, whose kernel witness only
-    that status prints.
+    that status prints.  ``w`` is a catalog set, valid by construction, so
+    only the public checks that the face reaches validate it.
     """
-    if _spans_on(s_basis, _face_columns(s_basis, w)):
+    if _spans_on(s_basis, w):
         return FaceVerdict(species=w, status=FaceStatus.DISCRETE)
     empty, witness = check_empty_all_classes(s_basis, w)
     if empty:
@@ -230,41 +238,28 @@ def certify(net: ReactionNetwork) -> Certificate:
     Otherwise each minimal semi-locking set receives one face verdict, in
     catalog order.  Both face checks only gain constraints as W grows and
     every semi-locking set contains a minimal one, so the minimal faces
-    decide every semi-locking face.
+    decide every semi-locking face.  The reasons are the hypothesis
+    failures, else one per INCONCLUSIVE face; with any of them the network
+    is NOT_CERTIFIED, and without, GLOBALLY_STABLE with one reason saying so.
     """
     report = structure_report(net)
-    reasons = list(report.hypothesis_failures)
-    if reasons:
-        return Certificate(
-            structure=report,
-            catalog=None,
-            verdicts=(),
-            overall=OverallStatus.NOT_CERTIFIED,
-            reasons=tuple(reasons),
-        )
-
-    catalog = minimal_semi_locking_sets(net)
-    verdicts = tuple(_face_verdict(report.s_basis, w) for w in catalog.minimal_sets)
-    inconclusive = [v for v in verdicts if v.status is FaceStatus.INCONCLUSIVE]
-    if inconclusive:
-        names = report.species_names
-        for v in inconclusive:
-            label = ",".join(names[i] for i in sorted(v.species))
-            reasons.append(
-                f"face {{{label}}} admits a direction inside the reaction span and is "
-                "reachable from a positive anchor: neither empty nor provably discrete"
-            )
-        overall = OverallStatus.NOT_CERTIFIED
-    else:
-        overall = OverallStatus.GLOBALLY_STABLE
-        reasons.append(
-            "weakly reversible, deficiency zero, and every semi-locking face is "
-            "empty or discrete in each compatibility class"
-        )
+    failures = report.hypothesis_failures
+    catalog, verdicts = None, ()
+    if not failures:
+        catalog = minimal_semi_locking_sets(net)
+        verdicts = tuple(_face_verdict(report.s_basis, w) for w in catalog.minimal_sets)
+    names = report.species_names
+    reasons = failures or tuple(
+        f"face {{{','.join(names[i] for i in sorted(v.species))}}} admits a direction inside "
+        "the reaction span and is reachable from a positive anchor: neither empty nor "
+        "provably discrete"
+        for v in verdicts
+        if v.status is FaceStatus.INCONCLUSIVE
+    )
     return Certificate(
         structure=report,
         catalog=catalog,
         verdicts=verdicts,
-        overall=overall,
-        reasons=tuple(reasons),
+        overall=OverallStatus.NOT_CERTIFIED if reasons else OverallStatus.GLOBALLY_STABLE,
+        reasons=reasons or (_STABLE_REASON,),
     )

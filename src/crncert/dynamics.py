@@ -670,14 +670,15 @@ def simulate(
     arrays, filling one stage array allocated at the switch.  Inputs are
     validated once, here.  Steps whose stages or proposed state leave the
     positive orthant are retried at half the step; a non-finite error
-    estimate or a singular Rosenbrock matrix aborts the run, as does a
-    vector field that overflows at x0 or at an accepted
-    state, a step too small to advance t or more than ``MAX_STEPS``
-    attempts of the two steppers together.  The last step is clipped to
-    end exactly at ``t_end``.  Every accepted state is recorded; once the
-    loop ends, the Lyapunov value (NaN at every state when ``x_ref`` is not
-    given) and the worst conservation-law drift relative to the initial
-    state are computed over the stored states.  ``Trajectory.stats``
+    estimate (reported as a non-finite state when the proposal holds an
+    infinity or a NaN, else with the run's rtol and atol) or a singular
+    Rosenbrock matrix aborts the run, as does a vector field that
+    overflows at x0 or at an accepted state, a step too small to advance t
+    or more than ``MAX_STEPS`` attempts of the two steppers together.  The
+    last step is clipped to end exactly at ``t_end``.  Every accepted state
+    is recorded; once the loop ends, the Lyapunov value (NaN at every state
+    when ``x_ref`` is not given) and the worst conservation-law drift
+    relative to the initial state are computed over the stored states.  ``Trajectory.stats``
     counts the run's steps, rejections and evaluations.
     """
     x = _checked(x0, net.num_species, "initial state x0", positive=True).tolist()
@@ -758,6 +759,10 @@ def simulate(
                     n5, n3 = squares
                     err = n5 / math.sqrt((n5 + 0.01 * n3) * size) if n5 else 0.0
                 if not math.isfinite(err):
+                    if all(map(math.isfinite, x5)):
+                        raise IntegrationError(
+                            f"non-finite error estimate at t={t} (rtol={rtol}, atol={atol})"
+                        )
                     raise IntegrationError(f"non-finite state at t={t}")
                 # Minus one over the power of h the error estimate scales with.
                 exponent = -0.25 if stiff else -0.125
@@ -784,8 +789,9 @@ def simulate(
                     switch_time = t
                     # S's canonical rows, each over its lead entry, as columns.
                     # S is not {0}: a network has a reaction, which changes its species.
-                    basis = np.array(structure_report(net).s_basis.vectors, dtype=float)
-                    lead = np.argmax(basis != 0, axis=1)
+                    s_basis = structure_report(net).s_basis
+                    lead = np.array(s_basis.leads)
+                    basis = np.array(s_basis.vectors, dtype=float)
                     v = basis.T / basis[range(lead.size), lead]
                     jac_s = jac_x[lead] @ v
                     rosenbrock_stages = np.empty((6, size))

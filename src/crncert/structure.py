@@ -19,7 +19,7 @@ no elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -47,11 +47,14 @@ class RationalBasis:
     :mod:`crncert.ratlin`): each row has gcd 1 and a positive leading entry,
     the leading entries sit in strictly increasing columns, and every other
     row is zero in those columns.  Construction checks exactly this, which
-    implies independence, in time linear in the entries.
+    implies independence, in time linear in the entries, and keeps the
+    leading columns, row by row, as ``leads`` (derived, so it takes no part
+    in equality or ``repr``).
     """
 
     dimension: int
     vectors: tuple[tuple[int, ...], ...]
+    leads: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         leads: list[int] = []
@@ -70,6 +73,7 @@ class RationalBasis:
             for c in leads[i + 1 :]:
                 if v[c]:
                     raise ValueError(f"basis vector {v} is nonzero in another vector's leading column")
+        object.__setattr__(self, "leads", tuple(leads))
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -195,21 +195,33 @@ def test_face_verdicts_on_several_linkage_classes_match_sympy_rank(seed, shared,
             assert verdict.kernel_witness is None
 
 
-def test_full_elimination_runs_only_for_inconclusive_faces(monkeypatch):
+def test_full_elimination_runs_only_for_inconclusive_faces(monkeypatch, ex1, ex2, ex3):
+    # A catalog face is validated only by the public checks it reaches: the
+    # emptiness LP for an EMPTY face, that and the full elimination for an
+    # INCONCLUSIVE one, and neither for a DISCRETE face.
     module = importlib.import_module("crncert.certify")
+    face_columns = module._face_columns
     calls = []
+    validated = []
 
     def counted(basis, members):
         calls.append(members)
         return check_discrete(basis, members)
 
+    def counted_columns(basis, members):
+        validated.append(members)
+        return face_columns(basis, members)
+
     monkeypatch.setattr(module, "check_discrete", counted)
-    expected = []
+    monkeypatch.setattr(module, "_face_columns", counted_columns)
+    nets = [ex1, ex2, ex3]
     for seed in range(40):
-        net, _ = cycle_union(np.random.default_rng(seed), seed % 2 == 0, seed % 3 == 0)
-        cert = certify(net)
-        expected += [v.species for v in cert.verdicts if v.status is FaceStatus.INCONCLUSIVE]
-    assert expected and calls == expected
+        nets.append(cycle_union(np.random.default_rng(seed), seed % 2 == 0, seed % 3 == 0)[0])
+    per_status = {FaceStatus.DISCRETE: 0, FaceStatus.EMPTY_ALL_CLASSES: 1, FaceStatus.INCONCLUSIVE: 2}
+    verdicts = [v for net in nets for v in certify(net).verdicts]
+    assert {v.status for v in verdicts} == set(FaceStatus)
+    assert calls == [v.species for v in verdicts if v.status is FaceStatus.INCONCLUSIVE]
+    assert validated == [v.species for v in verdicts for _ in range(per_status[v.status])]
 
 
 def test_face_verdict_refuses_a_rank_that_the_full_elimination_contradicts(monkeypatch):

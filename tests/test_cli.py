@@ -413,6 +413,15 @@ def test_overflowing_flux_at_x0_exits_1(tmp_path, capsys):
     assert err.startswith("error: flux overflow at t=0.0"), err
 
 
+def test_an_error_estimate_past_the_float_range_names_the_tolerances(capsys):
+    # The state stays finite; the error over atol = 1e-300 with rtol = 0 does not.
+    code, out, err = run(
+        capsys, "simulate", EX1, "--t-end", "1", "--rtol", "0", "--atol", "1e-300", "--json"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: non-finite error estimate at t=0.0 (rtol=0.0, atol=1e-300)\n", err
+
+
 def test_an_overlong_coefficient_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "long.crn"
     path.write_text(f"A <-> {'7' * 5000}B ; kf=1, kr=1\n")

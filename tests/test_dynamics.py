@@ -663,10 +663,11 @@ def test_proposal_with_a_nan_and_a_negative_entry_reaches_the_error_estimate(mon
 
 def test_error_scale_that_underflows_to_zero_is_an_integration_error():
     # With atol = 0 the error of the decaying A is scaled by rtol * 5e-324,
-    # which rounds to 0: the scaled error is non-finite, a typed error and no
-    # ZeroDivisionError.
+    # which rounds to 0: the scaled error is non-finite, a typed error that
+    # names the tolerances, and no ZeroDivisionError.
     net = parse_network("A -> B ; k=1")
-    with pytest.raises(IntegrationError, match="non-finite state"):
+    message = r"non-finite error estimate at t=0.0 \(rtol=0.001, atol=0.0\)"
+    with pytest.raises(IntegrationError, match=message):
         simulate(net, MASS_ACTION, [5e-324, 1.0], 1.0, rtol=1e-3, atol=0.0)
 
 
@@ -1055,8 +1056,9 @@ def test_rosenbrock_converges_at_its_order():
 
     # S's coordinates, as simulate builds them: the canonical rows of S, each
     # over its lead entry, as the columns of v.
-    basis = np.array(structure_report(net).s_basis.vectors, dtype=float)
-    lead = np.argmax(basis != 0, axis=1)
+    s_basis = structure_report(net).s_basis
+    lead = np.array(s_basis.leads)
+    basis = np.array(s_basis.vectors, dtype=float)
     v = basis.T / basis[range(lead.size), lead]
 
     def global_error(steps, embedded):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crncert import (
+    RationalBasis,
     check_discrete,
     ratlin,
     structure_report,
@@ -351,6 +352,7 @@ def test_kernel_matches_fraction_reference_and_sympy(matrix):
         assert tuple(Fraction(v, row[pc]) for v in row) == ref_row
     assert len(reduced) == len(ref_reduced)
     assert canonical_basis(ints) == tuple(reduced) == reference_canonical(rows)
+    assert RationalBasis(ncols, tuple(reduced)).leads == tuple(pivots)
     assert rank(ints) == len(ref_pivots)
     kernel = nullspace(ints, ncols)
     assert kernel == reference_nullspace(rows, ncols)

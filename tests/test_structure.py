@@ -286,4 +286,10 @@ def test_rational_basis_check_runs_no_elimination(monkeypatch):
 
     monkeypatch.setattr(ratlin, "rref", no_rref)
     assert len(RationalBasis(3, ())) == 0
-    assert len(RationalBasis(4, ((1, 0, -2, 3), (0, 1, 5, -1)))) == 2
+    basis = RationalBasis(4, ((1, 0, -2, 3), (0, 1, 5, -1)))
+    assert len(basis) == 2 and basis.leads == (0, 1)
+    # The leads are derived: equality, hashing and repr ignore them.
+    twin = RationalBasis(4, basis.vectors)
+    object.__setattr__(twin, "leads", ())
+    assert twin == basis and hash(twin) == hash(basis)
+    assert repr(basis) == f"RationalBasis(dimension=4, vectors={basis.vectors!r})"
