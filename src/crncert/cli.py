@@ -10,6 +10,12 @@ document holds one verdict per minimal semi-locking set, and has no
 ``"siphons"`` key when a hypothesis fails, since siphons are then not
 enumerated.
 
+``main`` reads the network and writes every JSON document except
+``simulate``'s, adding the schema key, to ``--out`` or stdout.  Each
+handler takes the parsed network and returns its document and exit code;
+``simulate`` writes its own CSV and JSON, and a refused ``equilibrium``
+only its reason on stderr, so both return ``None`` for the document.
+
 ``analyze`` and ``certify`` are exact and load neither numpy nor
 ``dynamics``; ``simulate`` and ``equilibrium`` import them when they run.
 Every error the package raises is a ``ValueError`` or an
@@ -42,14 +48,6 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -64,28 +62,20 @@ def _parse_vector(text: str, m: int, flag: str) -> np.ndarray:
     return _checked(values, m, flag, positive=True)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    net = parse_network_file(args.file)
+def cmd_analyze(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
     report = structure_report(net)
     catalog = minimal_semi_locking_sets(net)
-    doc = {
-        "schema": SCHEMA,
-        "structure": report.to_json_dict(),
-        "siphons": catalog.to_json_list(net.species_names),
-    }
-    _emit(_json_text(doc), args.out)
-    return EXIT_OK
+    doc = {"structure": report.to_json_dict(), "siphons": catalog.to_json_list(net.species_names)}
+    return doc, EXIT_OK
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    net = parse_network_file(args.file)
+def cmd_certify(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
     cert = certify(net)
-    doc = {"schema": SCHEMA, **cert.to_json_dict()}
-    _emit(_json_text(doc), args.out)
-    return EXIT_OK if cert.overall is OverallStatus.GLOBALLY_STABLE else EXIT_NOT_CERTIFIED
+    code = EXIT_OK if cert.overall is OverallStatus.GLOBALLY_STABLE else EXIT_NOT_CERTIFIED
+    return cert.to_json_dict(), code
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
     import numpy as np
 
     from .dynamics import (
@@ -99,7 +89,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_trajectory_csv,
     )
 
-    net = parse_network_file(args.file)
     m = net.num_species
     _check_run(args.t_end, args.rtol, args.atol, ("--t-end", "--rtol", "--atol"))
     if args.seed < 0:
@@ -135,28 +124,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "max_conservation_residual": float(traj.conservation_residual.max()),
         }
         sys.stdout.write(_json_text(doc))
-        return EXIT_OK
+        return None, EXIT_OK
     if not args.out:
         write_trajectory_csv(traj, net.species_names, sys.stdout)
     print(f"persistence_margin={margin!r} final_V={final_v!r}", file=sys.stderr)
-    return EXIT_OK
+    return None, EXIT_OK
 
 
-def cmd_equilibrium(args: argparse.Namespace) -> int:
+def cmd_equilibrium(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
     from .dynamics import HypothesesError, find_equilibrium, lyapunov
 
-    net = parse_network_file(args.file)
-    m = net.num_species
-    c = _parse_vector(args.c, m, "--c")
+    c = _parse_vector(args.c, net.num_species, "--c")
     try:
         result = find_equilibrium(net, c)
     except HypothesesError as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
+        return None, EXIT_NOT_CERTIFIED
     v_value, _ = lyapunov(result.class_anchor, result.x_bar)
-    doc = {"schema": SCHEMA, **result.to_json_dict(), "lyapunov_at_anchor": v_value}
-    _emit(_json_text(doc), args.out)
-    return EXIT_OK
+    return {**result.to_json_dict(), "lyapunov_at_anchor": v_value}, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +183,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on a usage error, which would read as "not certified".
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.handler(args)
+        doc, code = args.handler(parse_network_file(args.file), args)
+        if doc is not None:
+            text = _json_text({"schema": SCHEMA, **doc})
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR

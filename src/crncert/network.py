@@ -257,8 +257,11 @@ def parse_network(text: str) -> ReactionNetwork:
         if not found:
             raise ParseError("missing reaction arrow '->' or '<->'", line_no, 1)
         rhs_col = len(lhs_text) + len(arrow)
-        if arrow in rhs_text:
-            col = rhs_col + rhs_text.index(arrow) + 1
+        # Each arrow, '->' or '<->', holds one '->', so a line has a second
+        # arrow of either kind exactly when a second '->' follows the first.
+        if "->" in rhs_text or reversible and "->" in lhs_text:
+            second = head.find("->", head.find("->") + 2)
+            col = second if head[second - 1] == "<" else second + 1
             raise ParseError("more than one reaction arrow on a line", line_no, col)
         lhs_key, rhs_key = lhs_text.strip(), rhs_text.strip()
         source = parsed.get(lhs_key)

@@ -441,12 +441,32 @@ def test_equilibrium_refusal(tmp_path, capsys):
     assert "weakly reversible" in err
 
 
-def test_out_flag_writes_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, code, writes",
+    [
+        pytest.param(("analyze", EX1), 0, True, id="analyze-ex1"),
+        pytest.param(("certify", EX1), 0, True, id="certify-ex1"),
+        pytest.param(("certify", "oneway"), 2, True, id="certify-oneway"),
+        pytest.param(("equilibrium", EX2, "--c", "1,1,1"), 0, True, id="equilibrium-ex2"),
+        pytest.param(("equilibrium", "oneway", "--c", "1,1"), 2, False, id="equilibrium-refused"),
+        pytest.param(("analyze", "doubling"), 1, False, id="analyze-over-budget"),
+    ],
+)
+def test_out_flag_writes_file(tmp_path, capsys, argv, code, writes):
+    # --out gets exactly the bytes that stdout gets without it, and stdout
+    # stays empty; a command that prints no document creates no file.
+    networks = {"oneway": "A -> B ; k=1\n", "doubling": doubling_siphons_text(OVER_BUDGET_K) + "\n"}
+    for name, text in networks.items():
+        (tmp_path / f"{name}.crn").write_text(text)
+    argv = [str(tmp_path / f"{a}.crn") if a in networks else a for a in argv]
     target = tmp_path / "report.json"
-    code, out, _ = run(capsys, "analyze", EX1, "--out", str(target))
-    assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["schema"] == "crn-cert/2"
+    plain_code, expected, _ = run(capsys, *argv)
+    out_code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (plain_code, out_code, out) == (code, code, "")
+    if writes:
+        assert expected and target.read_bytes() == expected.encode()
+    else:
+        assert expected == "" and not target.exists()
 
 
 def test_module_entry_point():

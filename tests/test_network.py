@@ -178,7 +178,12 @@ def test_a_malformed_complex_written_twice_reports_its_first_line(bad, fragment,
 
 @pytest.mark.parametrize(
     "text, col",
-    [("A -> B -> C ; k=1", 8), ("A <-> B <-> C ; kf=1, kr=1", 9)],
+    [
+        ("A -> B -> C ; k=1", 8),
+        ("A <-> B <-> C ; kf=1, kr=1", 9),
+        ("A <-> B -> C ; kf=1, kr=1", 9),
+        ("A -> B <-> C ; kf=1, kr=1", 8),
+    ],
 )
 def test_a_second_arrow_is_reported_at_its_own_column(text, col):
     with pytest.raises(ParseError, match="more than one reaction arrow") as exc:
