@@ -15,7 +15,6 @@ Usage: cert_digest.py [count] [seed]
 """
 
 import hashlib
-import json
 import pathlib
 import sys
 
@@ -25,7 +24,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crncert import certify, parse_network_file  # noqa: E402
-from crncert.cli import SCHEMA  # noqa: E402
+from crncert.cli import SCHEMA, _json_text  # noqa: E402
 from randomnet import random_cycle_network, random_network  # noqa: E402
 
 NETWORKS = ROOT / "networks"
@@ -46,7 +45,7 @@ def main() -> int:
     digest = hashlib.sha256()
     for index, net in enumerate(nets):
         cert = certify(net)
-        text = (json.dumps({"schema": SCHEMA, **cert.to_json_dict()}, indent=2) + "\n").encode()
+        text = _json_text({"schema": SCHEMA, **cert.to_json_dict()}).encode()
         digest.update(text)
         print(f"{index} {cert.overall.value} {hashlib.sha256(text).hexdigest()}")
     print(f"{len(nets)} certificates sha256 {digest.hexdigest()}")

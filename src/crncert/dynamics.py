@@ -596,15 +596,14 @@ _DOP853_SOURCE, _dop853_step = _generated_dop853_step()
 
 def _rosenbrock_step(
     f: Callable[[list[float]], list[float]],
-    fx: list[float],
     v: np.ndarray,
     lead: np.ndarray,
     jac_s: np.ndarray,
     x: np.ndarray,
     h: float,
-    stages: np.ndarray,
+    fx: list[float],
 ) -> Optional[list[list[float]]]:
-    """One RODAS4 attempt from x on S, given f(x) and ``jac_s = J[lead] @ v``.
+    """One RODAS4 attempt from x on S, given ``jac_s = J[lead] @ v`` and fx = f(x).
 
     The columns of v are the canonical basis of S, each scaled so that
     ``v[lead]`` is the identity: a vector of S is v times its entries in
@@ -612,13 +611,15 @@ def _rosenbrock_step(
     ``v z_s``, where ``(I / (h gamma) - jac_s) z_s`` equals the right-hand
     side's entries in ``lead``.  ``w_inv`` holds v times the inverse of
     that s x s matrix in the lead columns and zeros elsewhere, so applied
-    to a right-hand side it gives the stage.  Returns the step's increment
-    and its error estimate, two lists, or None when a stage state leaves
-    the orthant; raises ``LinAlgError`` when the s x s matrix is singular.
+    to a right-hand side it gives the stage.  The attempt fills its own
+    6 x m stage array.  Returns the step's increment and its error
+    estimate, two lists, or None when a stage state leaves the orthant;
+    raises ``LinAlgError`` when the s x s matrix is singular.
     """
     w_inv = np.zeros((x.size, x.size))
     w_inv[:, lead] = v @ np.linalg.inv(np.eye(lead.size) / (h * _ROS_GAMMA) - jac_s)
     c_h = _ROS_C / h
+    stages = np.empty((6, x.size))
     stages[0] = w_inv @ fx
     for s in range(1, 6):
         xs = (x + _ROS_A[s, :s] @ stages[:s]).tolist()
@@ -667,8 +668,8 @@ def simulate(
     are lists of Python floats: each DOP853 stage is one list
     comprehension with a term per nonzero tableau coefficient
     (``_dop853_step``, generated at import); only the RODAS4 attempt makes
-    arrays, filling one stage array allocated at the switch.  Inputs are
-    validated once, here.  Steps whose stages or proposed state leave the
+    arrays, among them its own stage array.  Inputs are validated once,
+    here.  Steps whose stages or proposed state leave the
     positive orthant are retried at half the step; a non-finite error
     estimate (reported as a non-finite state when the proposal holds an
     infinity or a NaN, else with the run's rtol and atol) or a singular
@@ -678,8 +679,10 @@ def simulate(
     last step is clipped to end exactly at ``t_end``.  Every accepted state
     is recorded; once the loop ends, the Lyapunov value (NaN at every state
     when ``x_ref`` is not given) and the worst conservation-law drift
-    relative to the initial state are computed over the stored states.  ``Trajectory.stats``
-    counts the run's steps, rejections and evaluations.
+    relative to the initial state are computed over the stored states.
+    ``Trajectory.stats`` counts the run's steps, rejections and
+    evaluations; each attempt is one accepted step or one rejection, so
+    the budget reads those four counters.
     """
     x = _checked(x0, net.num_species, "initial state x0", positive=True).tolist()
     _check_run(t_end, rtol, atol)
@@ -704,7 +707,7 @@ def simulate(
     times = [0.0]
     states = [x]
     t = 0.0
-    steps = rejected_error = rejected_positivity = jacobians = 0
+    rejected_error = rejected_positivity = jacobians = 0
     accepted = [0, 0]  # by stepper: DOP853, Rosenbrock
     stiff = False
     switch_time = None
@@ -716,9 +719,8 @@ def simulate(
         fx = finite_f(x, t)
         h = min(t_end, 0.01 * (1.0 + max(x)) / (1.0 + max(map(abs, fx))))
         while t < t_end:
-            if steps >= MAX_STEPS:
+            if sum(accepted) + rejected_error + rejected_positivity >= MAX_STEPS:
                 raise IntegrationError(f"exceeded {MAX_STEPS} steps at t={t}")
-            steps += 1
             if t + h == t:
                 raise IntegrationError(f"step size underflow at t={t}")
             remaining = t_end - t
@@ -732,7 +734,7 @@ def simulate(
                     jac_s = jac(x_array)[lead] @ v
                     jacobians += 1
                 try:
-                    step = _rosenbrock_step(f, fx, v, lead, jac_s, x_array, h, rosenbrock_stages)
+                    step = _rosenbrock_step(f, v, lead, jac_s, x_array, h, fx)
                 except np.linalg.LinAlgError:
                     raise IntegrationError(f"singular Rosenbrock matrix at t={t}") from None
             # A NaN in a stage or in x5 passes the sign tests on purpose, as
@@ -794,7 +796,6 @@ def simulate(
                     basis = np.array(s_basis.vectors, dtype=float)
                     v = basis.T / basis[range(lead.size), lead]
                     jac_s = jac_x[lead] @ v
-                    rosenbrock_stages = np.empty((6, size))
                     continue  # retry the same step with the stable stepper
             h *= factor
 

@@ -32,7 +32,7 @@ MAX_COEFF = 2**31 - 1
 _COEFF_DIGITS = len(str(MAX_COEFF))
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TERM_RE = re.compile(r"\s*(\d+)?\s*([A-Za-z][A-Za-z0-9_]*)\s*$")
+_TERM_RE = re.compile(rf"\s*(\d+)?\s*({_NAME_RE.pattern})\s*$")
 _RATE_ONEWAY_RE = re.compile(r"\s*k\s*=\s*(\S+)\s*$")
 _RATE_TWOWAY_RE = re.compile(r"\s*kf\s*=\s*(\S+?)\s*,\s*kr\s*=\s*(\S+)\s*$")
 
@@ -63,25 +63,22 @@ class Complex:
 
     Multiplicities are strictly positive; the empty complex is ``Complex(())``.
     Complexes key the dictionaries and sets that index a network, so the
-    hash of ``terms`` is computed once, here, not on every lookup.
-    ``indices``, the species indices as a frozenset, is recorded in the one
-    pass that checks the terms, which raises at the first faulty term.
+    hash of ``terms`` is computed once, here, not on every lookup.  One
+    pass checks the terms and raises at the first faulty one.
     """
 
     terms: tuple[tuple[int, int], ...]
-    indices: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indices = [-1]  # below every valid index, so the first test needs no branch
+        last = -1  # below every valid index, so the first test needs no branch
         for i, k in self.terms:
-            if i <= indices[-1]:
+            if i <= last:
                 if i < 0:
                     raise ValueError("negative species index")
                 raise ValueError("complex terms must be sorted by species index, without repeats")
             if not 0 < k <= MAX_COEFF:
                 raise ValueError(f"multiplicity {k} out of range")
-            indices.append(i)
-        object.__setattr__(self, "indices", frozenset(indices[1:]))
+            last = i
         object.__setattr__(self, "_hash", hash(self.terms))
 
     def __hash__(self) -> int:
@@ -144,7 +141,7 @@ class ReactionNetwork:
             index.setdefault(r.product, len(index))
         if len(pairs) != len(self.reactions):
             raise ValueError("duplicate reaction")
-        used = frozenset().union(*(c.indices for c in index))
+        used = {i for c in index for i, _ in c.terms}
         if used != set(range(len(self.species))):
             if max(used, default=-1) >= len(self.species):
                 raise ValueError("complex references unknown species index")

@@ -24,9 +24,8 @@ networks, and the fixpoint against one that rescans every reaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .network import ReactionNetwork
+from .network import Complex, ReactionNetwork
 from .ratlin import ExactBudgetError
 from .structure import _members
 
@@ -35,9 +34,9 @@ SpeciesSet = frozenset[int]
 FIXPOINT_BUDGET = 100_000
 
 
-def _mask(members: Iterable[int]) -> int:
+def _mask(c: Complex) -> int:
     mask = 0
-    for i in members:
+    for i, _ in c.terms:
         mask |= 1 << i
     return mask
 
@@ -51,9 +50,9 @@ def _reaction_tables(net: ReactionNetwork) -> tuple[ReactionMasks, list[Reaction
     rmasks: ReactionMasks = []
     consumers: list[ReactionMasks] = [[] for _ in range(net.num_species)]
     for r in net.reactions:
-        masks = (_mask(r.source.indices), _mask(r.product.indices))
+        masks = (_mask(r.source), _mask(r.product))
         rmasks.append(masks)
-        for i in r.source.indices:
+        for i, _ in r.source.terms:
             consumers[i].append(masks)
     return rmasks, consumers
 

@@ -131,16 +131,21 @@ def _species_set(net, members):
     return w
 
 
+def _meets(c, w):
+    """True iff the complex c holds a species of W."""
+    return any(i in w for i, _ in c.terms)
+
+
 def is_semi_locking(net, members):
     """True iff every reaction producing a member of W also consumes one."""
     w = _species_set(net, members)
-    return all(r.source.indices & w for r in net.reactions if r.product.indices & w)
+    return all(_meets(r.source, w) for r in net.reactions if _meets(r.product, w))
 
 
 def is_locking(net, members):
     """True iff every reaction's source complex meets W."""
     w = _species_set(net, members)
-    return all(r.source.indices & w for r in net.reactions)
+    return all(_meets(r.source, w) for r in net.reactions)
 
 
 # Species count above which the 2^m scan below refuses to run.
@@ -159,7 +164,7 @@ def all_semi_locking_sets(net):
             f"full catalog limited to {BRUTE_FORCE_LIMIT} species, got {m}"
         )
     rmasks = [
-        (sum(1 << i for i in r.source.indices), sum(1 << i for i in r.product.indices))
+        (sum(1 << i for i, _ in r.source.terms), sum(1 << i for i, _ in r.product.terms))
         for r in net.reactions
     ]
     semi = [

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import crncert
 from crncert import MASS_ACTION, find_equilibrium, parse_network_file, simulate
-from crncert.cli import main
+from crncert.cli import build_parser, main
 
 from conftest import NETWORKS, OVER_BUDGET_K, SPREAD, X_SPREAD, doubling_siphons_text
 
@@ -142,6 +143,31 @@ def test_simulate_json_summary(tmp_path, capsys):
     assert doc["schema"] == "crn-cert/2"
     assert doc["persistence_margin"] > 0
     assert out.read_text().startswith("t,A,B,C,V,conservation_residual")
+
+
+def test_simulate_out_gets_the_bytes_of_stdout(tmp_path, capsys):
+    # The CSV is written at two sites, to --out or to stdout, which must agree.
+    argv = ["simulate", EX2, "--x0", "0.2,1.3,1.5", "--t-end", "20"]
+    code, csv, err = run(capsys, *argv)
+    assert code == 0 and csv.startswith("t,A,B,C,V,conservation_residual\n")
+    out = tmp_path / "traj.csv"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == csv.encode()
+    assert stdout == ""
+    assert stderr == err and stderr.startswith("persistence_margin=")
+    out.unlink()
+    code, stdout, _ = run(capsys, *argv, "--json", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == csv.encode()
+    assert json.loads(stdout)["schema"] == "crn-cert/2"
+
+
+def test_simulate_flag_defaults_are_the_function_defaults():
+    # The parser cannot read them from dynamics: certify must not load numpy.
+    args = build_parser().parse_args(["simulate", "x.crn"])
+    params = inspect.signature(simulate).parameters
+    assert (args.rtol, args.atol) == (params["rtol"].default, params["atol"].default)
 
 
 def test_simulate_csv(capsys):

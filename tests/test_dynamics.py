@@ -542,7 +542,7 @@ def _step_outcomes(monkeypatch, stepper="_rosenbrock_step"):
 
     def recording(*args):
         result = step(*args)
-        x = args[-3]  # both steppers take (..., x, h, stage 0 or stages)
+        x = args[-3]  # both steppers take (..., x, h, f(x))
         if result is None:
             outcomes.append("stage")
         else:
@@ -1063,11 +1063,10 @@ def test_rosenbrock_converges_at_its_order():
 
     def global_error(steps, embedded):
         x = x0
-        stages = np.empty((6, x0.size))
         for _ in range(steps):
             jac_s = jacobian(net, MASS_ACTION, x)[lead] @ v
             h = t_end / steps
-            increment, error = dynamics._rosenbrock_step(f, f(x), v, lead, jac_s, x, h, stages)
+            increment, error = dynamics._rosenbrock_step(f, v, lead, jac_s, x, h, f(x))
             x = x + increment - (error if embedded else 0.0)
         return np.max(np.abs(x - expected))
 

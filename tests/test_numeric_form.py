@@ -239,9 +239,9 @@ def test_one_kernel_serves_the_stepper_and_jacobian(monkeypatch, saturating):
     calls, seen = [], []
     jac_u, rosenbrock_step = net.numeric.jacobian, dynamics._rosenbrock_step
 
-    def recorded(f, fx, v, lead, jac_s, x, h, stages):
+    def recorded(f, v, lead, jac_s, x, h, fx):
         seen.append((x.copy(), v.copy(), lead.copy(), jac_s.copy()))
-        return rosenbrock_step(f, fx, v, lead, jac_s, x, h, stages)
+        return rosenbrock_step(f, v, lead, jac_s, x, h, fx)
 
     # The form is cached on this fresh network: its kernel now counts its calls.
     net.__dict__["numeric"] = net.numeric._replace(jacobian=lambda u: calls.append(u) or jac_u(u))
