@@ -161,7 +161,7 @@ def check_discrete(
     r = sum(p < len(w) for p in pivots)
     if r == len(rows):
         return True, None
-    z = tuple(rows[r][order.index(j)] for j in range(s_basis.dimension))
+    z = tuple(entry for _, entry in sorted(zip(order, rows[r])))
     # The direction must verify exactly: nonzero and zero on every W coordinate.
     return False, _verified("kernel", z, any(z) and not any(z[i] for i in w))
 

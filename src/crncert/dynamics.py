@@ -15,9 +15,10 @@ stoichiometric subspace S, where it lies, so the run stays in its
 compatibility class to rounding.  This module owns a network's numeric
 form: :func:`numeric_form` compiles its vector field once, to straight-line
 code on Python floats, ``net.numeric`` keeps it, and :func:`rhs` and every
-run evaluate that one field; the DOP853 step, generated once from
-its tableau, runs on those floats too: an explicit step and its acceptance
-test make no numpy call.
+run evaluate that one field, at ``theta(x)`` mapped entry by entry; the
+DOP853 step, generated once from its tableau, runs on those floats too:
+under either kinetics an explicit step and its acceptance test make no
+numpy call.
 
 :func:`find_equilibrium` gets a complex-balanced point from tree constants
 that GTH elimination computes to a small relative error, and then the class
@@ -85,13 +86,11 @@ def generalized_kinetics(
     return thetas
 
 
-def _transformed(x: np.ndarray, kinetics: KineticsSpec) -> np.ndarray:
-    """u = theta(x); ``ValueError`` unless kinetics holds one map per entry of x."""
-    if kinetics is None:
-        return x
-    if len(kinetics) != x.size:
-        raise ValueError(f"kinetics has {len(kinetics)} theta maps for a state of {x.size} species")
-    return np.array([th(float(v)) for th, v in zip(kinetics, x)])
+def _transformed(x: Sequence[float], thetas: tuple[Callable[[float], float], ...]) -> list[float]:
+    """u = theta(x) as Python floats; ``ValueError`` unless there is one map per entry of x."""
+    if len(thetas) != len(x):
+        raise ValueError(f"kinetics has {len(thetas)} theta maps for a state of {len(x)} species")
+    return [float(th(float(v))) for th, v in zip(thetas, x)]
 
 
 def _slopes(x: np.ndarray, thetas: tuple[Callable[[float], float], ...]) -> np.ndarray:
@@ -286,19 +285,20 @@ def _kinetics(
     """The vector field of ``net`` on a list x and its Jacobian at an array x.
 
     Mass action gives the two kernels of ``net.numeric`` themselves.  A
-    theta kinetics evaluates them at ``u = theta(x)`` and scales column j of
-    the Jacobian by ``d theta_j / d x_j`` (the chain rule); each raises
-    ``ValueError`` unless there is one map per species.
+    theta kinetics hands the field the list ``u = theta(x)`` as it is, and
+    the Jacobian kernel that list as one array, whose column j it scales by
+    ``d theta_j / d x_j`` (the chain rule); each raises ``ValueError``
+    unless there is one map per species.
     """
     form = net.numeric
     if kinetics is None:
         return form.field, form.jacobian
 
     def field(x: list[float]) -> list[float]:
-        return form.field(_transformed(np.array(x), kinetics).tolist())
+        return form.field(_transformed(x, kinetics))
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return form.jacobian(_transformed(x, kinetics)) * _slopes(x, kinetics)
+        return form.jacobian(np.array(_transformed(x, kinetics))) * _slopes(x, kinetics)
 
     return field, jac
 
@@ -379,17 +379,18 @@ def lyapunov(
 ) -> tuple[float, np.ndarray]:
     """Relative-entropy Lyapunov value and gradient at x for reference x_bar.
 
-    The gradient is ``ln u_i - ln ubar_i`` with ``u = theta(x)``.  The value
-    is ``sum x_i (ln x_i - ln xbar_i - 1) + xbar_i`` for mass action;
-    generalized kinetics integrate ``ln theta_i(s) - ln theta_i(xbar_i)``
-    from ``xbar_i`` to ``x_i`` by adaptive Simpson quadrature.
+    Mass action gives the value ``sum x_i (ln x_i - ln xbar_i - 1) + xbar_i``
+    and the gradient ``ln x_i - ln xbar_i`` at once.  Generalized kinetics
+    give the gradient ``ln u_i - ln ubar_i`` with ``u = theta(x)``, and
+    integrate ``ln theta_i(s) - ln theta_i(xbar_i)`` from ``xbar_i`` to
+    ``x_i`` by adaptive Simpson quadrature for the value.
     """
     xb = _checked(x_bar, np.size(x_bar), "x_bar", positive=True)
     xa = _checked(x, xb.size, "x", positive=True)
+    if kinetics is None:
+        return float(_relative_entropy(xa, xb)), np.log(xa) - np.log(xb)
     log_ub = np.log(_transformed(xb, kinetics))
     grad = np.log(_transformed(xa, kinetics)) - log_ub
-    if kinetics is None:
-        return float(_relative_entropy(xa, xb)), grad
     value = 0.0
     for th, rb, lo, hi in zip(kinetics, log_ub.tolist(), xb.tolist(), xa.tolist()):
         # Near xbar the integrand cancels to the rounding of its two logs,
@@ -867,7 +868,7 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
     form = net.numeric
     n, m = len(net.complexes), net.num_species
     q = np.zeros((n, n))
-    np.add.at(q, (form.source, form.product), form.rates)
+    q[form.source, form.product] = form.rates
     kappa = np.zeros(n)
     # Row i of [Y | -indicator]: complex i's species multiplicities, then -1
     # in the column of its linkage class.

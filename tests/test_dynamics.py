@@ -500,6 +500,32 @@ def test_generalized_saturating_simulation(ex2):
     assert persistence_margin(traj) > 0
 
 
+def test_an_explicit_step_under_theta_kinetics_makes_no_numpy_call(ex2, monkeypatch):
+    kinetics = generalized_kinetics(_saturating, 3)
+    field = dynamics._kinetics(ex2, kinetics)[0]
+    x = [0.4, 1.1, 2.0]
+    fx = field(x)
+    assert type(fx) is list and fx == rhs(ex2, kinetics, x).tolist()
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} called")
+
+    monkeypatch.setattr(dynamics, "np", NoNumpy())
+    assert field(x) == fx
+    assert dynamics._dop853_step(field, x, 1e-3, fx) is not None
+
+
+def test_theta_values_reach_the_field_as_python_floats(ex2):
+    # A map may return an int or a numpy scalar; the field still computes on
+    # Python floats, whose overflow to inf and nan raises no RuntimeWarning.
+    maps = [lambda v: 2.0 * v, lambda v: int(2 * v), lambda v: np.float64(2.0) * v]
+    for x in ([1.0, 2.0, 3.0], [1e200, 1e200, 1e200]):
+        outputs = [dynamics._kinetics(ex2, (th,) * 3)[0](x) for th in maps]
+        assert all(type(v) is float for out in outputs for v in out)
+        assert len({repr(out) for out in outputs}) == 1
+
+
 def test_diagnostics_match_per_state_recomputation(ex1, ex2):
     # V and the drift are computed after the loop, over all stored states at
     # once; each entry must still be the per-state value.
