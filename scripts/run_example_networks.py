@@ -30,7 +30,7 @@ def main() -> int:
     rng = np.random.default_rng(0)
     for path in sorted(NETWORKS.glob("*.crn")):
         net = parse_network_file(path)
-        names = net.species_names
+        names = net.species
         cert = certify(net)
         rep = cert.structure
         print(f"== {path.name}: species {', '.join(names)}")

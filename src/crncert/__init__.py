@@ -5,7 +5,6 @@ from .network import (
     ParseError,
     Reaction,
     ReactionNetwork,
-    Species,
     parse_network,
     parse_network_file,
 )

@@ -65,7 +65,7 @@ def _parse_vector(text: str, m: int, flag: str) -> np.ndarray:
 def cmd_analyze(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
     report = structure_report(net)
     catalog = minimal_semi_locking_sets(net)
-    doc = {"structure": report.to_json_dict(), "siphons": catalog.to_json_list(net.species_names)}
+    doc = {"structure": report.to_json_dict(), "siphons": catalog.to_json_list(net.species)}
     return doc, EXIT_OK
 
 
@@ -111,7 +111,7 @@ def cmd_simulate(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
     margin = persistence_margin(traj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_trajectory_csv(traj, net.species_names, fh)
+            write_trajectory_csv(traj, net.species, fh)
     if args.json:
         # JSON summary on stdout; the full CSV only lands in --out.
         doc = {
@@ -126,7 +126,7 @@ def cmd_simulate(net, args: argparse.Namespace) -> tuple[Optional[dict], int]:
         sys.stdout.write(_json_text(doc))
         return None, EXIT_OK
     if not args.out:
-        write_trajectory_csv(traj, net.species_names, sys.stdout)
+        write_trajectory_csv(traj, net.species, sys.stdout)
     print(f"persistence_margin={margin!r} final_V={final_v!r}", file=sys.stderr)
     return None, EXIT_OK
 

@@ -827,11 +827,9 @@ def simulate(
 def write_trajectory_csv(traj: Trajectory, names: Sequence[str], fh) -> None:
     """CSV with header ``t,<species...>,V,conservation_residual``."""
     fh.write("t," + ",".join(names) + ",V,conservation_residual\n")
-    for i in range(len(traj)):
-        row = [repr(float(traj.times[i]))]
-        row += [repr(float(s)) for s in traj.states[i]]
-        row += [repr(float(traj.lyapunov[i])), repr(float(traj.conservation_residual[i]))]
-        fh.write(",".join(row) + "\n")
+    columns = traj.times, traj.states, traj.lyapunov, traj.conservation_residual
+    for t, state, v, d in zip(*(a.tolist() for a in columns)):
+        fh.write(",".join(map(repr, [t, *state, v, d])) + "\n")
 
 
 def _tree_constants(q: np.ndarray) -> np.ndarray:

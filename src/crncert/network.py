@@ -6,8 +6,9 @@ Grammar (one reaction per line, ``#`` starts a comment)::
     <complex> <-> <complex> ; kf=<rate>, kr=<rate>
 
 A complex is a ``+``-separated list of terms ``[<int>]<species>``
-(``2A + C``), or ``0`` for the empty complex.  Species names match
-``[A-Za-z][A-Za-z0-9_]*`` and are indexed in order of first appearance.
+(``2A + C``), or ``0`` for the empty complex.  A species is its name,
+which matches ``[A-Za-z][A-Za-z0-9_]*``; a network holds the names in
+order of first appearance, and a name's position is the species' index.
 A reversible arrow expands into two directed reactions.
 
 This module is exact and imports no numpy: a network's compiled numeric
@@ -47,17 +48,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Species:
-    """A named species; its index is its position in ``ReactionNetwork.species``."""
-
-    name: str
-
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid species name {self.name!r}")
-
-
-@dataclass(frozen=True)
 class Complex:
     """Multiset of species, stored as sorted (index, multiplicity) pairs.
 
@@ -84,12 +74,8 @@ class Complex:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
     def format(self, names: tuple[str, ...] | list[str]) -> str:
-        if self.is_empty:
+        if not self.terms:
             return "0"
         parts = [f"{k}{names[i]}" if k > 1 else names[i] for i, k in self.terms]
         return " + ".join(parts)
@@ -110,26 +96,29 @@ class Reaction:
 
 @dataclass(frozen=True)
 class ReactionNetwork:
-    """Species and directed reactions, validated on construction.
+    """Species names and directed reactions, validated on construction.
 
-    The walk over the reactions that checks them also builds the index
-    tables, as plain attributes: ``species_names``; ``complexes``, every
-    source and product complex once, in first-appearance order; and
-    ``complex_index``, each complex's position in ``complexes``.  The
-    compiled numeric form (``numeric``, built by ``dynamics.numeric_form``)
-    and the exact structure report (``structure``) are built on first use
-    and kept on the object.
+    A species is its name: ``species`` is the tuple of names, in order of
+    first appearance when parsed, each checked against the name syntax, and
+    a name's position is the species' index.  The walk over the reactions
+    that checks them also builds the index tables, as plain attributes:
+    ``complexes``, every source and product complex once, in
+    first-appearance order; and ``complex_index``, each complex's position
+    in ``complexes``.  The compiled numeric form (``numeric``, built by
+    ``dynamics.numeric_form``) and the exact structure report
+    (``structure``) are built on first use and kept on the object.
     """
 
-    species: tuple[Species, ...]
+    species: tuple[str, ...]
     reactions: tuple[Reaction, ...]
-    species_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     complexes: tuple[Complex, ...] = field(init=False, repr=False, compare=False)
     complex_index: dict[Complex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = tuple(s.name for s in self.species)
-        if len(set(names)) != len(names):
+        for name in self.species:
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                raise ValueError(f"invalid species name {name!r}")
+        if len(set(self.species)) != len(self.species):
             raise ValueError("duplicate species names")
         if not self.reactions:
             raise ValueError("network must contain at least one reaction")
@@ -146,7 +135,6 @@ class ReactionNetwork:
             if max(used, default=-1) >= len(self.species):
                 raise ValueError("complex references unknown species index")
             raise ValueError("every species must appear in at least one complex")
-        object.__setattr__(self, "species_names", names)
         object.__setattr__(self, "complexes", tuple(index))
         object.__setattr__(self, "complex_index", index)
 
@@ -294,8 +282,7 @@ def parse_network(text: str) -> ReactionNetwork:
 
     if not reactions:
         raise ParseError("no reactions found", max(1, text.count("\n") + 1))
-    species = tuple(Species(name) for name in index_of)
-    return ReactionNetwork(species, tuple(reactions))
+    return ReactionNetwork(tuple(index_of), tuple(reactions))
 
 
 def parse_network_file(path) -> ReactionNetwork:

@@ -81,10 +81,6 @@ class RationalBasis:
 
 @dataclass(frozen=True)
 class StructureReport:
-    n: int
-    l: int
-    s: int
-    deficiency: int
     weakly_reversible: bool
     linkage_classes: tuple[tuple[int, ...], ...]
     complex_labels: tuple[str, ...]
@@ -105,6 +101,22 @@ class StructureReport:
             "s_basis": [list(v) for v in self.s_basis.vectors],
             "conservation_basis": [list(v) for v in self.conservation_basis.vectors],
         }
+
+    @property
+    def n(self) -> int:
+        return len(self.complex_labels)
+
+    @property
+    def l(self) -> int:
+        return len(self.linkage_classes)
+
+    @property
+    def s(self) -> int:
+        return len(self.s_basis)
+
+    @property
+    def deficiency(self) -> int:
+        return self.n - self.l - self.s
 
     @property
     def hypothesis_failures(self) -> tuple[str, ...]:
@@ -197,20 +209,11 @@ def _build_report(net: ReactionNetwork) -> StructureReport:
     reduced, pivots = ratlin.rref(spanning)
     s_basis = RationalBasis(m, tuple(reduced))
     cons = RationalBasis(m, ratlin.canonical_basis(ratlin._kernel(reduced, pivots, m)))
-    n = len(net.complexes)
-    l = len(classes)
-    s = len(s_basis)
-    deficiency = n - l - s
-    names = net.species_names
     return StructureReport(
-        n=n,
-        l=l,
-        s=s,
-        deficiency=deficiency,
         weakly_reversible=weakly_reversible,
         linkage_classes=classes,
-        complex_labels=tuple(c.format(names) for c in net.complexes),
-        species_names=names,
+        complex_labels=tuple(c.format(net.species) for c in net.complexes),
+        species_names=net.species,
         s_basis=s_basis,
         conservation_basis=cons,
     )

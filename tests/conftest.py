@@ -8,7 +8,6 @@ from crncert import (
     Complex,
     Reaction,
     ReactionNetwork,
-    Species,
     check_discrete,
     parse_network_file,
     structure_report,
@@ -34,7 +33,7 @@ def ex3():
 
 
 def species_set(net, *names):
-    index = {n: i for i, n in enumerate(net.species_names)}
+    index = {n: i for i, n in enumerate(net.species)}
     return frozenset(index[n] for n in names)
 
 
@@ -71,7 +70,7 @@ def integer_rows(rows):
 
 def vec_by_name(net, mapping):
     """Dense tuple in the network's species order from a name -> value dict."""
-    return tuple(mapping.get(s.name, 0) for s in net.species)
+    return tuple(mapping.get(name, 0) for name in net.species)
 
 
 def face_kernel(basis, members):
@@ -90,7 +89,7 @@ def face_kernel(basis, members):
 
 
 def names_of(net, members):
-    return frozenset(net.species_names[i] for i in members)
+    return frozenset(net.species[i] for i in members)
 
 
 def rank(rows):
@@ -108,7 +107,7 @@ def random_rates(net, rng, low=0.5, high=2.0):
 
 def serialize_network(net):
     """Render the network in the ``.crn`` format, one directed reaction per line."""
-    names = net.species_names
+    names = net.species
     lines = [
         f"{r.source.format(names)} -> {r.product.format(names)} ; k={r.rate!r}"
         for r in net.reactions
@@ -332,5 +331,5 @@ def cycle_union(rng, shared_species, with_empty):
         for cycle in cycles
         for a, b in zip(cycle, cycle[1:] + cycle[:1])
     )
-    species = tuple(Species(f"S{i}") for i in range(len(order)))
+    species = tuple(f"S{i}" for i in range(len(order)))
     return ReactionNetwork(species, reactions), n_cycles

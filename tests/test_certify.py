@@ -16,7 +16,6 @@ from crncert import (
     RationalBasis,
     ReactionNetwork,
     Reaction,
-    Species,
     certify,
     check_discrete,
     check_empty_all_classes,
@@ -171,7 +170,7 @@ def test_inconclusive_face_reports_both_witnesses():
     verdict = verdict_for(cert, species_set(net, "C"))
     assert verdict.status is FaceStatus.INCONCLUSIVE
     assert verdict.kernel_witness == vec_by_name(net, {"A": 1, "B": 1})
-    assert verdict.feasible_witness[net.species_names.index("C")] < 0
+    assert verdict.feasible_witness[net.species.index("C")] < 0
     assert any("face {C}" in r for r in cert.reasons)
     doc = cert.to_json_dict()
     inconclusive = [v for v in doc["verdicts"] if v["status"] == "INCONCLUSIVE"]
@@ -326,8 +325,8 @@ def test_certificate_json(ex1):
 def _permuted(net, perm, rnd):
     """Network with species indices relabeled by perm and reactions shuffled."""
     species = [None] * net.num_species
-    for old, s in enumerate(net.species):
-        species[perm[old]] = Species(s.name)
+    for old, name in enumerate(net.species):
+        species[perm[old]] = name
 
     def remap(c):
         return Complex(tuple(sorted((perm[i], k) for i, k in c.terms)))

@@ -901,7 +901,7 @@ def test_slow_pair_beside_a_fast_pair_keeps_its_class_to_rounding(swap):
     # conservation law A + B + C to rounding, in either species order.
     lines = ["A <-> B ; kf=1e-12, kr=1e-12", "B <-> C ; kf=1e3, kr=1e3"]
     net = parse_network("\n".join(lines[::-1] if swap else lines))
-    x0 = [{"A": 1.0, "B": 2.0, "C": 3.0}[name] for name in net.species_names]
+    x0 = [{"A": 1.0, "B": 2.0, "C": 3.0}[name] for name in net.species]
     x_bar = find_equilibrium(net, x0).x_bar
     traj = simulate(net, MASS_ACTION, x0, 1e14)
     assert traj.times[-1] == 1e14

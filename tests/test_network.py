@@ -7,7 +7,6 @@ from crncert import (
     ParseError,
     Reaction,
     ReactionNetwork,
-    Species,
     parse_network,
     parse_network_file,
 )
@@ -17,7 +16,7 @@ from conftest import reaction_vector, serialize_network
 
 def test_minimal_network():
     net = parse_network("A -> B ; k=1")
-    assert net.species_names == ("A", "B")
+    assert net.species == ("A", "B")
     assert len(net.reactions) == 1
     r = net.reactions[0]
     assert r.source == Complex(((0, 1),))
@@ -51,8 +50,8 @@ def test_empty_complex():
     net = parse_network("0 <-> A ; kf=1, kr=1")
     assert net.num_species == 1
     empty = net.reactions[0].source
-    assert empty.is_empty
-    assert empty.format(net.species_names) == "0"
+    assert not empty.terms
+    assert empty.format(net.species) == "0"
     assert reaction_vector(net.reactions[0], 1) == (1,)
 
 
@@ -82,7 +81,7 @@ def test_reaction_vector_examples():
         "A + D <-> E ; kf=1, kr=1\n"
         "B + C <-> E ; kf=1, kr=1\n"
     )
-    name = {n: i for i, n in enumerate(net.species_names)}
+    name = {n: i for i, n in enumerate(net.species)}
     m = net.num_species
 
     def dense(mapping):
@@ -159,7 +158,7 @@ def test_a_complex_written_twice_is_parsed_once():
     net = parse_network("A+B -> C ; k=1\nC ->  A + B ; k=2\nD -> A+B ; k=3")
     spaced = parse_network("A + B -> C ; k=1\nC -> A + B ; k=2\nD -> A + B ; k=3")
     assert net == spaced
-    assert net.species_names == spaced.species_names == ("A", "B", "C", "D")
+    assert net.species == spaced.species == ("A", "B", "C", "D")
     assert len(net.complexes) == 3
     # The same stripped text gives the same object, whatever the spacing around it.
     assert net.reactions[2].product is net.reactions[0].source
@@ -210,8 +209,8 @@ def test_complex_rejects_terms_naming_the_fault(terms, fragment):
 @pytest.mark.parametrize(
     "species, fragment",
     [
-        ((Species("A"), Species("A")), "duplicate species names"),
-        ((Species("A"),), "complex references unknown species index"),
+        (("A", "A"), "duplicate species names"),
+        (("A",), "complex references unknown species index"),
     ],
 )
 def test_network_rejects_species_naming_the_fault(species, fragment):
@@ -221,7 +220,7 @@ def test_network_rejects_species_naming_the_fault(species, fragment):
 
 
 def test_network_invariants_enforced():
-    a, b = Species("A"), Species("B")
+    a, b = "A", "B"
     ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
     with pytest.raises(ValueError):
         ReactionNetwork((a, b), ())  # no reactions
@@ -231,16 +230,33 @@ def test_network_invariants_enforced():
         Reaction(Complex(((0, 1),)), Complex(((0, 1),)), 1.0)  # source == product
     with pytest.raises(ValueError):
         Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 0.0)  # nonpositive rate
-    c = Species("C")
     with pytest.raises(ValueError):
-        ReactionNetwork((a, b, c), (ab,))  # C never appears
+        ReactionNetwork((a, b, "C"), (ab,))  # C never appears
 
 
-@pytest.mark.parametrize("name", ["A\n", "A ", " A", "", "2A", "A-B", "A\r\n"])
+def test_a_network_is_built_from_names():
+    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
+    net = ReactionNetwork(("A", "B"), (ab,))
+    assert net.species == ("A", "B")
+    parsed = parse_network("A -> B ; k=1").species
+    assert type(parsed) is tuple and all(type(name) is str for name in parsed)
+
+
+@pytest.mark.parametrize("name", ["A\n", "A ", " A", "", "2A", "A-B", "A\r\n", 5, b"A"])
 def test_species_rejects_a_name_the_parser_cannot_read(name):
     # "$" would also match before a final newline; the whole name must match
+    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
     with pytest.raises(ValueError, match="invalid species name"):
-        Species(name)
+        ReactionNetwork((name, "B"), (ab,))
+
+
+def _accepted(name):
+    """Whether ``ReactionNetwork`` takes ``name`` as a species name."""
+    try:
+        ReactionNetwork((name,), (Reaction(Complex(((0, 1),)), Complex(()), 1.0),))
+    except ValueError:
+        return False
+    return True
 
 
 @st.composite
@@ -248,14 +264,8 @@ def constructed_networks(draw):
     """Networks built through the constructors from every name they accept."""
     base = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
     bases = draw(st.lists(base, min_size=1, max_size=4, unique=True))
-    species = []
-    for base in bases:
-        try:
-            species.append(Species(base + draw(st.sampled_from(["", "", "\n", " ", "\t"]))))
-        except ValueError:
-            pass
-    if not species:
-        species = [Species("A")]
+    suffixes = st.sampled_from(["", "", "\n", " ", "\t"])
+    species = [name for name in (b + draw(suffixes) for b in bases) if _accepted(name)] or ["A"]
     m = len(species)
     # A first cycle touches every species; more reactions may follow.
     cycle = [Complex(((i, draw(st.integers(1, 3))),)) for i in range(m)]
@@ -273,7 +283,7 @@ def constructed_networks(draw):
 
 
 def _by_name(net):
-    names = net.species_names
+    names = net.species
 
     def named(c):
         return frozenset((names[i], k) for i, k in c.terms)
@@ -286,7 +296,7 @@ def _by_name(net):
 def test_serialize_roundtrip_of_constructed_networks(net):
     # The parser numbers species by first appearance, so compare by name.
     again = parse_network(serialize_network(net))
-    assert set(again.species_names) == set(net.species_names)
+    assert set(again.species) == set(net.species)
     assert _by_name(again) == _by_name(net)
 
 

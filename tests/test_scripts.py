@@ -169,7 +169,7 @@ def test_benchmark_trace_targets_resolve():
 UNCALLED_PUBLIC_NAMES = {
     "EquilibriumResult", "FaceStatus", "FaceVerdict", "RationalBasis",
     "ReactionNetwork", "SiphonCatalog", "SiphonEntry", "StructureReport",
-    "Trajectory", "Species", "Complex", "Reaction", "KineticsSpec",
+    "Trajectory", "Complex", "Reaction", "KineticsSpec",
 }
 
 
@@ -207,7 +207,7 @@ def test_package_public_names():
         "EquilibriumResult", "FaceStatus", "FaceVerdict", "HypothesesError",
         "IntegrationError", "KineticsSpec", "MASS_ACTION", "OverallStatus",
         "ParseError", "RationalBasis", "Reaction", "ReactionNetwork",
-        "SiphonCatalog", "SiphonEntry", "Species", "StructureReport", "Trajectory",
+        "SiphonCatalog", "SiphonEntry", "StructureReport", "Trajectory",
         "certify", "check_discrete", "check_empty_all_classes",
         "complex_balanced_point", "find_equilibrium", "generalized_kinetics",
         "jacobian", "lyapunov", "minimal_semi_locking_sets", "parse_network",

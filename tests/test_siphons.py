@@ -234,7 +234,7 @@ def test_semi_locking_count(ex2):
 
 
 def test_catalog_json(ex3):
-    doc = minimal_semi_locking_sets(ex3).to_json_list(ex3.species_names)
+    doc = minimal_semi_locking_sets(ex3).to_json_list(ex3.species)
     assert doc == [{"species": ["A", "B"], "locking": True}]
 
 
