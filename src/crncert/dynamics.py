@@ -169,7 +169,7 @@ def _compile_field(reactions: Sequence[Reaction], changes: list, m: int) -> Call
     """
     bits = [1] * m
     for r in reactions:
-        for j, e in r.source.terms:
+        for j, e in r.source:
             bits[j] = max(bits[j], e.bit_length())
 
     def power(j: int, k: int) -> str:
@@ -179,8 +179,7 @@ def _compile_field(reactions: Sequence[Reaction], changes: list, m: int) -> Call
     for j in range(m):
         lines += [f"    s{j}_{k} = {power(j, k - 1)} * {power(j, k - 1)}" for k in range(1, bits[j])]
     for r, reaction in enumerate(reactions):
-        terms = reaction.source.terms
-        factors = [power(j, k) for j, e in terms for k in range(e.bit_length()) if e >> k & 1]
+        factors = [power(j, k) for j, e in reaction.source for k in range(e.bit_length()) if e >> k & 1]
         lines += _statements(f"r{r}", [repr(float(reaction.rate))] + factors, " * ")
     columns: list[list[tuple[int, float]]] = [[] for _ in range(m)]
     for r, j, c in changes:
@@ -260,7 +259,7 @@ def numeric_form(net: ReactionNetwork) -> NumericForm:
     source = np.array([net.complex_index[r.source] for r in net.reactions])
     product = np.array([net.complex_index[r.product] for r in net.reactions])
     rates = np.array([r.rate for r in net.reactions])
-    rows = [r.source.terms for r in net.reactions]
+    rows = [r.source for r in net.reactions]
     width = max(1, *map(len, rows))
     table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
     species, orders = table[..., 0].copy(), table[..., 1].astype(float)
@@ -270,8 +269,8 @@ def numeric_form(net: ReactionNetwork) -> NumericForm:
     # in reaction order and species order within a reaction.
     changes = []
     for row, r in enumerate(net.reactions):
-        delta = dict(r.product.terms)
-        delta.update((i, delta.get(i, 0) - k) for i, k in r.source.terms)
+        delta = dict(r.product)
+        delta.update((i, delta.get(i, 0) - k) for i, k in r.source)
         changes += [(row, i, float(d)) for i, d in sorted(delta.items()) if d]
     m = net.num_species
     vector_field = _compile_field(net.reactions, changes, m)
@@ -872,7 +871,7 @@ def complex_balanced_point(net: ReactionNetwork) -> np.ndarray:
     # in the column of its linkage class.
     system = np.zeros((n, m + len(report.linkage_classes)))
     for row, c in enumerate(net.complexes):
-        for i, k in c.terms:
+        for i, k in c:
             system[row, i] = k
     # Out of the float range the elimination gives inf, 0 or nan and exp
     # gives inf or 0; the check below turns each into a typed error.

@@ -9,7 +9,10 @@ A complex is a ``+``-separated list of terms ``[<int>]<species>``
 (``2A + C``), or ``0`` for the empty complex.  A species is its name,
 which matches ``[A-Za-z][A-Za-z0-9_]*``; a network holds the names in
 order of first appearance, and a name's position is the species' index.
-A reversible arrow expands into two directed reactions.
+A complex is its terms, the tuple of (species index, multiplicity) pairs
+sorted by index, and ``()`` is the empty complex; ``ReactionNetwork``
+checks each distinct complex once.  A reversible arrow expands into two
+directed reactions.
 
 This module is exact and imports no numpy: a network's compiled numeric
 form belongs to ``dynamics``, which ``ReactionNetwork.numeric`` imports on
@@ -47,42 +50,19 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass(frozen=True)
-class Complex:
-    """Multiset of species, stored as sorted (index, multiplicity) pairs.
-
-    Multiplicities are strictly positive; the empty complex is ``Complex(())``.
-    Complexes key the dictionaries and sets that index a network, so the
-    hash of ``terms`` is computed once, here, not on every lookup.  One
-    pass checks the terms and raises at the first faulty one.
-    """
-
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = -1  # below every valid index, so the first test needs no branch
-        for i, k in self.terms:
-            if i <= last:
-                if i < 0:
-                    raise ValueError("negative species index")
-                raise ValueError("complex terms must be sorted by species index, without repeats")
-            if not 0 < k <= MAX_COEFF:
-                raise ValueError(f"multiplicity {k} out of range")
-            last = i
-        object.__setattr__(self, "_hash", hash(self.terms))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def format(self, names: tuple[str, ...] | list[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"{k}{names[i]}" if k > 1 else names[i] for i, k in self.terms]
-        return " + ".join(parts)
+# A complex: its sorted (species index, multiplicity) pairs, each
+# multiplicity positive; ``()`` is the empty complex.
+Complex = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class Reaction:
+    """A directed reaction ``source -> product`` at mass-action rate constant ``rate``.
+
+    The source and product are complexes and must differ; the rate is
+    positive and finite.  ``ReactionNetwork`` checks the complexes' terms.
+    """
+
     source: Complex
     product: Complex
     rate: float
@@ -100,9 +80,12 @@ class ReactionNetwork:
 
     A species is its name: ``species`` is the tuple of names, in order of
     first appearance when parsed, each checked against the name syntax, and
-    a name's position is the species' index.  The walk over the reactions
-    that checks them also builds the index tables, as plain attributes:
-    ``complexes``, every source and product complex once, in
+    a name's position is the species' index.  A complex is a tuple of
+    (species index, multiplicity) pairs, sorted by index without repeats,
+    each multiplicity in 1..``MAX_COEFF``; each distinct complex is checked
+    once, here, before the species it uses are.  The walk over the
+    reactions that checks them also builds the index tables, as plain
+    attributes: ``complexes``, every source and product complex once, in
     first-appearance order; and ``complex_index``, each complex's position
     in ``complexes``.  The compiled numeric form (``numeric``, built by
     ``dynamics.numeric_form``) and the exact structure report
@@ -130,7 +113,18 @@ class ReactionNetwork:
             index.setdefault(r.product, len(index))
         if len(pairs) != len(self.reactions):
             raise ValueError("duplicate reaction")
-        used = {i for c in index for i, _ in c.terms}
+        used: set[int] = set()
+        for c in index:
+            last = -1  # below every valid index, so the first test needs no branch
+            for i, k in c:
+                if i <= last:
+                    if i < 0:
+                        raise ValueError("negative species index")
+                    raise ValueError("complex terms must be sorted by species index, without repeats")
+                if not 0 < k <= MAX_COEFF:
+                    raise ValueError(f"multiplicity {k} out of range")
+                last = i
+                used.add(i)
         if used != set(range(len(self.species))):
             if max(used, default=-1) >= len(self.species):
                 raise ValueError("complex references unknown species index")
@@ -181,7 +175,7 @@ def _parse_complex(text: str, line_no: int, col_base: int, index_of: dict[str, i
     if not stripped:
         raise ParseError("missing complex expression", line_no, col_base + 1)
     if stripped == "0":
-        return Complex(())
+        return ()
     coeffs: dict[int, int] = {}
     offset = 0
     for part in text.split("+"):
@@ -199,7 +193,7 @@ def _parse_complex(text: str, line_no: int, col_base: int, index_of: dict[str, i
             message = f"coefficients of {name} sum to {coeffs[idx]}, which exceeds 32-bit range"
             raise ParseError(message, line_no, col + 1)
         offset += len(part) + 1
-    return Complex(tuple(sorted(coeffs.items())))
+    return tuple(sorted(coeffs.items()))
 
 
 def _parse_rate(text: str, line_no: int, col_base: int) -> float:

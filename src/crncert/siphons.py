@@ -36,7 +36,7 @@ FIXPOINT_BUDGET = 100_000
 
 def _mask(c: Complex) -> int:
     mask = 0
-    for i, _ in c.terms:
+    for i, _ in c:
         mask |= 1 << i
     return mask
 
@@ -52,7 +52,7 @@ def _reaction_tables(net: ReactionNetwork) -> tuple[ReactionMasks, list[Reaction
     for r in net.reactions:
         masks = (_mask(r.source), _mask(r.product))
         rmasks.append(masks)
-        for i, _ in r.source.terms:
+        for i, _ in r.source:
             consumers[i].append(masks)
     return rmasks, consumers
 

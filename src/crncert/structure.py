@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from . import ratlin
 
 if TYPE_CHECKING:
-    from .network import ReactionNetwork
+    from .network import Complex, ReactionNetwork
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -191,6 +191,11 @@ def structure_report(net: ReactionNetwork) -> StructureReport:
     return net.structure
 
 
+def _label(c: Complex, names: tuple[str, ...]) -> str:
+    """The text of complex ``c`` in the ``.crn`` format: ``2A + C``, or ``0`` when empty."""
+    return " + ".join(f"{k}{names[i]}" if k > 1 else names[i] for i, k in c) or "0"
+
+
 def _build_report(net: ReactionNetwork) -> StructureReport:
     """Compute the structure report; ``ReactionNetwork.structure`` keeps the result."""
     classes, parent, weakly_reversible = _complex_graph(net)
@@ -201,9 +206,9 @@ def _build_report(net: ReactionNetwork) -> StructureReport:
     for _, *rest in classes:
         for j in rest:
             row = [0] * m
-            for i, k in net.complexes[j].terms:
+            for i, k in net.complexes[j]:
                 row[i] = k
-            for i, k in net.complexes[parent[j]].terms:
+            for i, k in net.complexes[parent[j]]:
                 row[i] -= k
             spanning.append(row)
     reduced, pivots = ratlin.rref(spanning)
@@ -212,7 +217,7 @@ def _build_report(net: ReactionNetwork) -> StructureReport:
     return StructureReport(
         weakly_reversible=weakly_reversible,
         linkage_classes=classes,
-        complex_labels=tuple(c.format(net.species) for c in net.complexes),
+        complex_labels=tuple(_label(c, net.species) for c in net.complexes),
         species_names=net.species,
         s_basis=s_basis,
         conservation_basis=cons,

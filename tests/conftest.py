@@ -5,7 +5,6 @@ from math import lcm
 import pytest
 
 from crncert import (
-    Complex,
     Reaction,
     ReactionNetwork,
     check_discrete,
@@ -13,6 +12,7 @@ from crncert import (
     structure_report,
 )
 from crncert.ratlin import ExactBudgetError, rref
+from crncert.structure import _label
 
 NETWORKS = pathlib.Path(__file__).resolve().parent.parent / "networks"
 
@@ -40,9 +40,9 @@ def species_set(net, *names):
 def reaction_vector(reaction, num_species):
     """Dense net stoichiometry of one reaction: product minus source."""
     v = [0] * num_species
-    for i, k in reaction.source.terms:
+    for i, k in reaction.source:
         v[i] -= k
-    for i, k in reaction.product.terms:
+    for i, k in reaction.product:
         v[i] += k
     return tuple(v)
 
@@ -109,7 +109,7 @@ def serialize_network(net):
     """Render the network in the ``.crn`` format, one directed reaction per line."""
     names = net.species
     lines = [
-        f"{r.source.format(names)} -> {r.product.format(names)} ; k={r.rate!r}"
+        f"{_label(r.source, names)} -> {_label(r.product, names)} ; k={r.rate!r}"
         for r in net.reactions
     ]
     return "\n".join(lines) + "\n"
@@ -132,7 +132,7 @@ def _species_set(net, members):
 
 def _meets(c, w):
     """True iff the complex c holds a species of W."""
-    return any(i in w for i, _ in c.terms)
+    return any(i in w for i, _ in c)
 
 
 def is_semi_locking(net, members):
@@ -163,7 +163,7 @@ def all_semi_locking_sets(net):
             f"full catalog limited to {BRUTE_FORCE_LIMIT} species, got {m}"
         )
     rmasks = [
-        (sum(1 << i for i, _ in r.source.terms), sum(1 << i for i, _ in r.product.terms))
+        (sum(1 << i for i, _ in r.source), sum(1 << i for i, _ in r.product))
         for r in net.reactions
     ]
     semi = [
@@ -324,7 +324,7 @@ def cycle_union(rng, shared_species, with_empty):
                 order.setdefault(i, len(order))
 
     def complex_(terms):
-        return Complex(tuple(sorted((order[i], k) for i, k in terms)))
+        return tuple(sorted((order[i], k) for i, k in terms))
 
     reactions = tuple(
         Reaction(complex_(a), complex_(b), float(rng.uniform(0.5, 2.0)))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert import (
-    Complex,
     FaceStatus,
     OverallStatus,
     RationalBasis,
@@ -329,7 +328,7 @@ def _permuted(net, perm, rnd):
         species[perm[old]] = name
 
     def remap(c):
-        return Complex(tuple(sorted((perm[i], k) for i, k in c.terms)))
+        return tuple(sorted((perm[i], k) for i, k in c))
 
     reactions = [Reaction(remap(r.source), remap(r.product), r.rate) for r in net.reactions]
     rnd.shuffle(reactions)

@@ -795,11 +795,11 @@ def _loop_rhs(net, theta=lambda v: v):
         dy = np.zeros(len(y))
         for r in net.reactions:
             flux = r.rate
-            for i, k in r.source.terms:
+            for i, k in r.source:
                 flux *= u[i] ** k
-            for i, k in r.source.terms:
+            for i, k in r.source:
                 dy[i] -= k * flux
-            for i, k in r.product.terms:
+            for i, k in r.product:
                 dy[i] += k * flux
         return dy
 

@@ -35,7 +35,7 @@ def oracle_equilibrium(net, c, start):
     kappa = exact_tree_constants(net)
     y = [[0] * m for _ in net.complexes]
     for row, cx in zip(y, net.complexes):
-        for i, k in cx.terms:
+        for i, k in cx:
             row[i] = k
     cons = structure_report(net).conservation_basis.vectors
     with mpmath.workdps(50):

@@ -3,13 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert import (
-    Complex,
     ParseError,
     Reaction,
     ReactionNetwork,
     parse_network,
     parse_network_file,
 )
+from crncert.structure import _label
 
 from conftest import reaction_vector, serialize_network
 
@@ -19,8 +19,8 @@ def test_minimal_network():
     assert net.species == ("A", "B")
     assert len(net.reactions) == 1
     r = net.reactions[0]
-    assert r.source == Complex(((0, 1),))
-    assert r.product == Complex(((1, 1),))
+    assert r.source == ((0, 1),)
+    assert r.product == ((1, 1),)
     assert r.rate == 1.0
 
 
@@ -50,8 +50,8 @@ def test_empty_complex():
     net = parse_network("0 <-> A ; kf=1, kr=1")
     assert net.num_species == 1
     empty = net.reactions[0].source
-    assert not empty.terms
-    assert empty.format(net.species) == "0"
+    assert not empty
+    assert _label(empty, net.species) == "0"
     assert reaction_vector(net.reactions[0], 1) == (1,)
 
 
@@ -71,7 +71,7 @@ def test_a_file_with_a_byte_order_mark_and_crlf_lines_parses(tmp_path):
 
 def test_repeated_species_in_complex_sums():
     net = parse_network("A + A -> B ; k=1")
-    assert net.reactions[0].source == Complex(((0, 2),))
+    assert net.reactions[0].source == ((0, 2),)
 
 
 def test_reaction_vector_examples():
@@ -141,7 +141,7 @@ def test_rate_error_names_finiteness_and_the_parsed_value(text, value):
 
 def test_a_repeated_species_is_summed_up_to_the_coefficient_range():
     net = parse_network("2147483646A + A -> B ; k=1")
-    assert net.reactions[0].source == Complex(((0, 2147483647),))
+    assert net.reactions[0].source == ((0, 2147483647),)
     with pytest.raises(ParseError, match="coefficients of A sum to 2147483648,") as exc:
         parse_network("B -> C ; k=1\nD -> 2147483647A + A ; k=1")
     # The column of the term that pushes the sum past the range.
@@ -199,11 +199,16 @@ def test_a_second_arrow_is_reported_at_its_own_column(text, col):
         (((0, 1), (-2, 1)), "negative species index"),
         (((0, 0),), "multiplicity 0 out of range"),
         (((0, 2**31),), "multiplicity 2147483648 out of range"),
+        (((0, 1), (1, -1)), "multiplicity -1 out of range"),
     ],
 )
 def test_complex_rejects_terms_naming_the_fault(terms, fragment):
+    b = ((1, 1),)
     with pytest.raises(ValueError, match=fragment):
-        Complex(terms)
+        ReactionNetwork(("A", "B"), (Reaction(terms, b, 1.0),))
+    # The faulty complex only as a product: every complex the network holds is checked.
+    with pytest.raises(ValueError, match=fragment):
+        ReactionNetwork(("A", "B"), (Reaction(b, terms, 1.0),))
 
 
 @pytest.mark.parametrize(
@@ -214,28 +219,35 @@ def test_complex_rejects_terms_naming_the_fault(terms, fragment):
     ],
 )
 def test_network_rejects_species_naming_the_fault(species, fragment):
-    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
+    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
     with pytest.raises(ValueError, match=fragment):
         ReactionNetwork(species, (ab,))
 
 
 def test_network_invariants_enforced():
     a, b = "A", "B"
-    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
+    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
     with pytest.raises(ValueError):
         ReactionNetwork((a, b), ())  # no reactions
     with pytest.raises(ValueError):
         ReactionNetwork((a, b), (ab, ab))  # duplicate
     with pytest.raises(ValueError):
-        Reaction(Complex(((0, 1),)), Complex(((0, 1),)), 1.0)  # source == product
+        Reaction(((0, 1),), ((0, 1),), 1.0)  # source == product
     with pytest.raises(ValueError):
-        Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 0.0)  # nonpositive rate
+        Reaction(((0, 1),), ((1, 1),), 0.0)  # nonpositive rate
     with pytest.raises(ValueError):
         ReactionNetwork((a, b, "C"), (ab,))  # C never appears
 
 
+def test_a_network_is_built_from_plain_tuples():
+    net = ReactionNetwork(("A", "B"), (Reaction(((0, 1),), ((1, 1),), 1.0),))
+    assert net == parse_network("A -> B ; k=1")
+    assert type(net.reactions[0].source) is tuple
+    assert net.complexes == (((0, 1),), ((1, 1),))
+
+
 def test_a_network_is_built_from_names():
-    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
+    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
     net = ReactionNetwork(("A", "B"), (ab,))
     assert net.species == ("A", "B")
     parsed = parse_network("A -> B ; k=1").species
@@ -245,7 +257,7 @@ def test_a_network_is_built_from_names():
 @pytest.mark.parametrize("name", ["A\n", "A ", " A", "", "2A", "A-B", "A\r\n", 5, b"A"])
 def test_species_rejects_a_name_the_parser_cannot_read(name):
     # "$" would also match before a final newline; the whole name must match
-    ab = Reaction(Complex(((0, 1),)), Complex(((1, 1),)), 1.0)
+    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
     with pytest.raises(ValueError, match="invalid species name"):
         ReactionNetwork((name, "B"), (ab,))
 
@@ -253,7 +265,7 @@ def test_species_rejects_a_name_the_parser_cannot_read(name):
 def _accepted(name):
     """Whether ``ReactionNetwork`` takes ``name`` as a species name."""
     try:
-        ReactionNetwork((name,), (Reaction(Complex(((0, 1),)), Complex(()), 1.0),))
+        ReactionNetwork((name,), (Reaction(((0, 1),), (), 1.0),))
     except ValueError:
         return False
     return True
@@ -268,13 +280,13 @@ def constructed_networks(draw):
     species = [name for name in (b + draw(suffixes) for b in bases) if _accepted(name)] or ["A"]
     m = len(species)
     # A first cycle touches every species; more reactions may follow.
-    cycle = [Complex(((i, draw(st.integers(1, 3))),)) for i in range(m)]
+    cycle = [((i, draw(st.integers(1, 3))),) for i in range(m)]
     if m == 1:
-        cycle.append(Complex(()))
+        cycle.append(())
     pairs = [(cycle[j], cycle[(j + 1) % len(cycle)]) for j in range(len(cycle))]
     for _ in range(draw(st.integers(0, 3))):
         picked = draw(st.sets(st.integers(0, m - 1), max_size=m))
-        source = Complex(tuple((i, draw(st.integers(1, 3))) for i in sorted(picked)))
+        source = tuple((i, draw(st.integers(1, 3))) for i in sorted(picked))
         product = draw(st.sampled_from(cycle))
         if source != product and (source, product) not in pairs:
             pairs.append((source, product))
@@ -286,7 +298,7 @@ def _by_name(net):
     names = net.species
 
     def named(c):
-        return frozenset((names[i], k) for i, k in c.terms)
+        return frozenset((names[i], k) for i, k in c)
 
     return {(named(r.source), named(r.product), r.rate) for r in net.reactions}
 
@@ -312,7 +324,7 @@ def test_an_overlong_coefficient_is_a_parse_error_at_its_term(digits):
 
 def test_leading_zeros_do_not_count_against_a_coefficient():
     net = parse_network(f"A -> {'0' * 5000}3B ; k=1")
-    assert net.reactions[0].product == Complex(((1, 3),))
+    assert net.reactions[0].product == ((1, 3),)
     with pytest.raises(ParseError, match="zero stoichiometric coefficient"):
         parse_network(f"A -> {'0' * 5000}B ; k=1")
     with pytest.raises(ParseError, match="coefficient 2147483648 exceeds 32-bit range"):

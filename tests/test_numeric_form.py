@@ -45,7 +45,7 @@ def loop_arrays(net):
     netv = np.zeros((len(net.reactions), m))
     rates = np.zeros(len(net.reactions))
     for r_idx, r in enumerate(net.reactions):
-        for i, k in r.source.terms:
+        for i, k in r.source:
             src[r_idx, i] = k
         netv[r_idx] = reaction_vector(r, m)
         rates[r_idx] = r.rate
@@ -80,7 +80,7 @@ def loop_jacobian(net, x):
 def loop_complex_matrix(net):
     y = np.zeros((len(net.complexes), net.num_species))
     for row, c in enumerate(net.complexes):
-        for i, k in c.terms:
+        for i, k in c:
             y[row, i] = k
     return y
 

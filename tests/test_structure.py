@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from crncert import (
     MASS_ACTION,
-    Complex,
     RationalBasis,
     Reaction,
     ReactionNetwork,
@@ -115,9 +114,7 @@ def _disjoint_union(nets, rng):
     offset = 0
     for net in nets:
         for r in net.reactions:
-            source, product = (
-                Complex(tuple((i + offset, k) for i, k in c.terms)) for c in (r.source, r.product)
-            )
+            source, product = (tuple((i + offset, k) for i, k in c) for c in (r.source, r.product))
             reactions.append(Reaction(source, product, r.rate))
         offset += net.num_species
     species = tuple(f"S{i}" for i in range(offset))
