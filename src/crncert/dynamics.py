@@ -165,11 +165,12 @@ def _compile_field(reactions: Sequence[Reaction], changes: list, m: int) -> Call
     without raising, where float ``**`` raises ``OverflowError``.  Each
     derivative sums its nonzero stoichiometric terms.
     The source holds only integer indices and the reprs of the rates, which
-    ``Reaction`` checks to be finite; no name or input text reaches it.
+    ``ReactionNetwork`` checks to be positive and finite; no name or input
+    text reaches it.
     """
     bits = [1] * m
-    for r in reactions:
-        for j, e in r.source:
+    for source, _, _ in reactions:
+        for j, e in source:
             bits[j] = max(bits[j], e.bit_length())
 
     def power(j: int, k: int) -> str:
@@ -178,9 +179,9 @@ def _compile_field(reactions: Sequence[Reaction], changes: list, m: int) -> Call
     lines = ["def field(u):", "    " + "".join(f"u{j}, " for j in range(m)) + "= u"]
     for j in range(m):
         lines += [f"    s{j}_{k} = {power(j, k - 1)} * {power(j, k - 1)}" for k in range(1, bits[j])]
-    for r, reaction in enumerate(reactions):
-        factors = [power(j, k) for j, e in reaction.source for k in range(e.bit_length()) if e >> k & 1]
-        lines += _statements(f"r{r}", [repr(float(reaction.rate))] + factors, " * ")
+    for r, (source, _, rate) in enumerate(reactions):
+        factors = [power(j, k) for j, e in source for k in range(e.bit_length()) if e >> k & 1]
+        lines += _statements(f"r{r}", [repr(float(rate))] + factors, " * ")
     columns: list[list[tuple[int, float]]] = [[] for _ in range(m)]
     for r, j, c in changes:
         columns[j].append((r, c))
@@ -256,21 +257,21 @@ class NumericForm(NamedTuple):
 
 def numeric_form(net: ReactionNetwork) -> NumericForm:
     """The compiled numeric form of ``net``, which ``net.numeric`` builds once and keeps."""
-    source = np.array([net.complex_index[r.source] for r in net.reactions])
-    product = np.array([net.complex_index[r.product] for r in net.reactions])
-    rates = np.array([r.rate for r in net.reactions])
-    rows = [r.source for r in net.reactions]
-    width = max(1, *map(len, rows))
-    table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in rows])
+    sources, products, rates = zip(*net.reactions)
+    source = np.array([net.complex_index[c] for c in sources])
+    product = np.array([net.complex_index[c] for c in products])
+    rates = np.array(rates)
+    width = max(1, *map(len, sources))
+    table = np.array([t + ((t[-1][0] if t else 0, 0),) * (width - len(t)) for t in sources])
     species, orders = table[..., 0].copy(), table[..., 1].astype(float)
     for a in (source, product, rates, species, orders):
         a.setflags(write=False)
     # The nonzero net stoichiometric changes (reaction, species, change),
     # in reaction order and species order within a reaction.
     changes = []
-    for row, r in enumerate(net.reactions):
-        delta = dict(r.product)
-        delta.update((i, delta.get(i, 0) - k) for i, k in r.source)
+    for row, (src, prod, _) in enumerate(net.reactions):
+        delta = dict(prod)
+        delta.update((i, delta.get(i, 0) - k) for i, k in src)
         changes += [(row, i, float(d)) for i, d in sorted(delta.items()) if d]
     m = net.num_species
     vector_field = _compile_field(net.reactions, changes, m)

@@ -11,8 +11,8 @@ which matches ``[A-Za-z][A-Za-z0-9_]*``; a network holds the names in
 order of first appearance, and a name's position is the species' index.
 A complex is its terms, the tuple of (species index, multiplicity) pairs
 sorted by index, and ``()`` is the empty complex; ``ReactionNetwork``
-checks each distinct complex once.  A reversible arrow expands into two
-directed reactions.
+checks each distinct complex once.  A reaction is its (source, product,
+rate) triple, and a reversible arrow expands into two directed reactions.
 
 This module is exact and imports no numpy: a network's compiled numeric
 form belongs to ``dynamics``, which ``ReactionNetwork.numeric`` imports on
@@ -55,23 +55,9 @@ class ParseError(ValueError):
 Complex = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Reaction:
-    """A directed reaction ``source -> product`` at mass-action rate constant ``rate``.
-
-    The source and product are complexes and must differ; the rate is
-    positive and finite.  ``ReactionNetwork`` checks the complexes' terms.
-    """
-
-    source: Complex
-    product: Complex
-    rate: float
-
-    def __post_init__(self):
-        if self.source == self.product:
-            raise ValueError("reaction source and product complexes are identical")
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be a positive finite number, got {self.rate}")
+# A directed reaction: its (source, product, rate) triple, at mass-action
+# rate constant ``rate``.
+Reaction = tuple[Complex, Complex, float]
 
 
 @dataclass(frozen=True)
@@ -83,13 +69,16 @@ class ReactionNetwork:
     a name's position is the species' index.  A complex is a tuple of
     (species index, multiplicity) pairs, sorted by index without repeats,
     each multiplicity in 1..``MAX_COEFF``; each distinct complex is checked
-    once, here, before the species it uses are.  The walk over the
-    reactions that checks them also builds the index tables, as plain
-    attributes: ``complexes``, every source and product complex once, in
-    first-appearance order; and ``complex_index``, each complex's position
-    in ``complexes``.  The compiled numeric form (``numeric``, built by
-    ``dynamics.numeric_form``) and the exact structure report
-    (``structure``) are built on first use and kept on the object.
+    once, here, before the species it uses are.  A reaction is a (source,
+    product, rate) triple: the walk over the reactions checks that each
+    source differs from its product and each rate is positive and finite,
+    then that no (source, product) pair repeats.  The same walk builds the
+    index tables, as plain attributes: ``complexes``, every source and
+    product complex once, in first-appearance order; and ``complex_index``,
+    each complex's position in ``complexes``.  The compiled numeric form
+    (``numeric``, built by ``dynamics.numeric_form``) and the exact
+    structure report (``structure``) are built on first use and kept on the
+    object.
     """
 
     species: tuple[str, ...]
@@ -107,10 +96,14 @@ class ReactionNetwork:
             raise ValueError("network must contain at least one reaction")
         pairs: set[tuple[Complex, Complex]] = set()
         index: dict[Complex, int] = {}
-        for r in self.reactions:
-            pairs.add((r.source, r.product))
-            index.setdefault(r.source, len(index))
-            index.setdefault(r.product, len(index))
+        for source, product, rate in self.reactions:
+            if source == product:
+                raise ValueError("reaction source and product complexes are identical")
+            if not 0 < rate < math.inf:
+                raise ValueError(f"rate must be a positive finite number, got {rate}")
+            pairs.add((source, product))
+            index.setdefault(source, len(index))
+            index.setdefault(product, len(index))
         if len(pairs) != len(self.reactions):
             raise ValueError("duplicate reaction")
         used: set[int] = set()
@@ -252,7 +245,7 @@ def parse_network(text: str) -> ReactionNetwork:
         if source == product:
             raise ParseError("reaction source and product complexes are identical", line_no, 1)
 
-        pairs: list[tuple[Complex, Complex, float]]
+        pairs: list[Reaction]
         if reversible:
             m = _RATE_TWOWAY_RE.match(rates)
             if not m:
@@ -272,7 +265,7 @@ def parse_network(text: str) -> ReactionNetwork:
             first = seen_pairs.setdefault((src, prod), line_no)
             if first != line_no:
                 raise ParseError(f"duplicate reaction (already given on line {first})", line_no, 1)
-            reactions.append(Reaction(src, prod, rate))
+            reactions.append((src, prod, rate))
 
     if not reactions:
         raise ParseError("no reactions found", max(1, text.count("\n") + 1))

@@ -49,10 +49,10 @@ def _reaction_tables(net: ReactionNetwork) -> tuple[ReactionMasks, list[Reaction
     reactions whose source contains it."""
     rmasks: ReactionMasks = []
     consumers: list[ReactionMasks] = [[] for _ in range(net.num_species)]
-    for r in net.reactions:
-        masks = (_mask(r.source), _mask(r.product))
+    for source, product, _ in net.reactions:
+        masks = (_mask(source), _mask(product))
         rmasks.append(masks)
-        for i, _ in r.source:
+        for i, _ in source:
             consumers[i].append(masks)
     return rmasks, consumers
 

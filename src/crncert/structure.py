@@ -152,8 +152,8 @@ def _complex_graph(
     n = len(net.complexes)
     succ = [0] * n
     pred = [0] * n
-    for r in net.reactions:
-        u, v = idx[r.source], idx[r.product]
+    for source, product, _ in net.reactions:
+        u, v = idx[source], idx[product]
         succ[u] |= 1 << v
         pred[v] |= 1 << u
     links = [a | b for a, b in zip(succ, pred)]

@@ -5,7 +5,6 @@ from math import lcm
 import pytest
 
 from crncert import (
-    Reaction,
     ReactionNetwork,
     check_discrete,
     parse_network_file,
@@ -39,10 +38,11 @@ def species_set(net, *names):
 
 def reaction_vector(reaction, num_species):
     """Dense net stoichiometry of one reaction: product minus source."""
+    source, product, _ = reaction
     v = [0] * num_species
-    for i, k in reaction.source:
+    for i, k in source:
         v[i] -= k
-    for i, k in reaction.product:
+    for i, k in product:
         v[i] += k
     return tuple(v)
 
@@ -99,9 +99,7 @@ def rank(rows):
 def random_rates(net, rng, low=0.5, high=2.0):
     """Fresh copy of the network with rates drawn uniformly from [low, high]."""
     rates = rng.uniform(low, high, size=len(net.reactions))
-    reactions = tuple(
-        Reaction(r.source, r.product, float(k)) for r, k in zip(net.reactions, rates)
-    )
+    reactions = tuple((s, p, float(k)) for (s, p, _), k in zip(net.reactions, rates))
     return ReactionNetwork(net.species, reactions)
 
 
@@ -109,8 +107,8 @@ def serialize_network(net):
     """Render the network in the ``.crn`` format, one directed reaction per line."""
     names = net.species
     lines = [
-        f"{_label(r.source, names)} -> {_label(r.product, names)} ; k={r.rate!r}"
-        for r in net.reactions
+        f"{_label(s, names)} -> {_label(p, names)} ; k={k!r}"
+        for s, p, k in net.reactions
     ]
     return "\n".join(lines) + "\n"
 
@@ -138,13 +136,13 @@ def _meets(c, w):
 def is_semi_locking(net, members):
     """True iff every reaction producing a member of W also consumes one."""
     w = _species_set(net, members)
-    return all(_meets(r.source, w) for r in net.reactions if _meets(r.product, w))
+    return all(_meets(s, w) for s, p, _ in net.reactions if _meets(p, w))
 
 
 def is_locking(net, members):
     """True iff every reaction's source complex meets W."""
     w = _species_set(net, members)
-    return all(_meets(r.source, w) for r in net.reactions)
+    return all(_meets(s, w) for s, _, _ in net.reactions)
 
 
 # Species count above which the 2^m scan below refuses to run.
@@ -163,8 +161,8 @@ def all_semi_locking_sets(net):
             f"full catalog limited to {BRUTE_FORCE_LIMIT} species, got {m}"
         )
     rmasks = [
-        (sum(1 << i for i, _ in r.source), sum(1 << i for i, _ in r.product))
-        for r in net.reactions
+        (sum(1 << i for i, _ in s), sum(1 << i for i, _ in p))
+        for s, p, _ in net.reactions
     ]
     semi = [
         tuple(i for i in range(m) if w >> i & 1)
@@ -272,10 +270,10 @@ def exact_tree_constants(net):
     idx = net.complex_index
     n = len(net.complexes)
     q = [[Fraction(0)] * n for _ in range(n)]
-    for r in net.reactions:
-        a, b = idx[r.source], idx[r.product]
-        q[a][b] += Fraction(r.rate)
-        q[a][a] -= Fraction(r.rate)
+    for s, p, k in net.reactions:
+        a, b = idx[s], idx[p]
+        q[a][b] += Fraction(k)
+        q[a][a] -= Fraction(k)
     kappa = [Fraction(0)] * n
     for block in structure_report(net).linkage_classes:
         for j in block:
@@ -327,7 +325,7 @@ def cycle_union(rng, shared_species, with_empty):
         return tuple(sorted((order[i], k) for i, k in terms))
 
     reactions = tuple(
-        Reaction(complex_(a), complex_(b), float(rng.uniform(0.5, 2.0)))
+        (complex_(a), complex_(b), float(rng.uniform(0.5, 2.0)))
         for cycle in cycles
         for a, b in zip(cycle, cycle[1:] + cycle[:1])
     )

@@ -14,7 +14,6 @@ from crncert import (
     OverallStatus,
     RationalBasis,
     ReactionNetwork,
-    Reaction,
     certify,
     check_discrete,
     check_empty_all_classes,
@@ -330,7 +329,7 @@ def _permuted(net, perm, rnd):
     def remap(c):
         return tuple(sorted((perm[i], k) for i, k in c))
 
-    reactions = [Reaction(remap(r.source), remap(r.product), r.rate) for r in net.reactions]
+    reactions = [(remap(s), remap(p), k) for s, p, k in net.reactions]
     rnd.shuffle(reactions)
     return ReactionNetwork(tuple(species), tuple(reactions))
 

@@ -793,13 +793,12 @@ def _loop_rhs(net, theta=lambda v: v):
     def f(t, y):
         u = [theta(v) for v in y]
         dy = np.zeros(len(y))
-        for r in net.reactions:
-            flux = r.rate
-            for i, k in r.source:
+        for source, product, flux in net.reactions:
+            for i, k in source:
                 flux *= u[i] ** k
-            for i, k in r.source:
+            for i, k in source:
                 dy[i] -= k * flux
-            for i, k in r.product:
+            for i, k in product:
                 dy[i] += k * flux
         return dy
 

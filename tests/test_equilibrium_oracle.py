@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from crncert import (
     MASS_ACTION,
-    Reaction,
     ReactionNetwork,
     find_equilibrium,
     parse_network,
@@ -103,9 +102,7 @@ def wide_rate_cycles(draw):
     assume(structure_report(net).deficiency == 0)
     size = len(net.reactions)
     exponents = draw(st.lists(st.floats(-8.0, 8.0), min_size=size, max_size=size))
-    reactions = tuple(
-        Reaction(r.source, r.product, 10.0**e) for r, e in zip(net.reactions, exponents)
-    )
+    reactions = tuple((s, p, 10.0**e) for (s, p, _), e in zip(net.reactions, exponents))
     return ReactionNetwork(net.species, reactions), rng.uniform(0.5, 2.0, size=net.num_species)
 
 

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crncert import (
+    Complex,
     ParseError,
     Reaction,
     ReactionNetwork,
@@ -18,18 +21,18 @@ def test_minimal_network():
     net = parse_network("A -> B ; k=1")
     assert net.species == ("A", "B")
     assert len(net.reactions) == 1
-    r = net.reactions[0]
-    assert r.source == ((0, 1),)
-    assert r.product == ((1, 1),)
-    assert r.rate == 1.0
+    source, product, rate = net.reactions[0]
+    assert source == ((0, 1),)
+    assert product == ((1, 1),)
+    assert rate == 1.0
 
 
 def test_reversible_expands_to_two_reactions():
     net = parse_network("2A + C <-> A + D ; kf=1, kr=1")
     assert len(net.reactions) == 2
-    fwd, rev = net.reactions
-    assert fwd.source == rev.product
-    assert fwd.product == rev.source
+    (fwd_source, fwd_product, _), (rev_source, rev_product, _) = net.reactions
+    assert fwd_source == rev_product
+    assert fwd_product == rev_source
 
 
 def test_three_complex_chain():
@@ -37,7 +40,7 @@ def test_three_complex_chain():
     assert net.num_species == 3
     assert len(net.complexes) == 3
     assert len(net.reactions) == 4
-    assert [r.rate for r in net.reactions] == [1.0, 2.0, 3.0, 4.0]
+    assert [rate for _, _, rate in net.reactions] == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_distinct_complex_counts(ex1, ex3):
@@ -49,7 +52,7 @@ def test_distinct_complex_counts(ex1, ex3):
 def test_empty_complex():
     net = parse_network("0 <-> A ; kf=1, kr=1")
     assert net.num_species == 1
-    empty = net.reactions[0].source
+    empty, _, _ = net.reactions[0]
     assert not empty
     assert _label(empty, net.species) == "0"
     assert reaction_vector(net.reactions[0], 1) == (1,)
@@ -58,7 +61,8 @@ def test_empty_complex():
 def test_comments_and_blank_lines():
     net = parse_network("# header\n\nA -> B ; k=2 # trailing\n")
     assert len(net.reactions) == 1
-    assert net.reactions[0].rate == 2.0
+    _, _, rate = net.reactions[0]
+    assert rate == 2.0
 
 
 def test_a_file_with_a_byte_order_mark_and_crlf_lines_parses(tmp_path):
@@ -71,7 +75,8 @@ def test_a_file_with_a_byte_order_mark_and_crlf_lines_parses(tmp_path):
 
 def test_repeated_species_in_complex_sums():
     net = parse_network("A + A -> B ; k=1")
-    assert net.reactions[0].source == ((0, 2),)
+    source, _, _ = net.reactions[0]
+    assert source == ((0, 2),)
 
 
 def test_reaction_vector_examples():
@@ -141,7 +146,8 @@ def test_rate_error_names_finiteness_and_the_parsed_value(text, value):
 
 def test_a_repeated_species_is_summed_up_to_the_coefficient_range():
     net = parse_network("2147483646A + A -> B ; k=1")
-    assert net.reactions[0].source == ((0, 2147483647),)
+    source, _, _ = net.reactions[0]
+    assert source == ((0, 2147483647),)
     with pytest.raises(ParseError, match="coefficients of A sum to 2147483648,") as exc:
         parse_network("B -> C ; k=1\nD -> 2147483647A + A ; k=1")
     # The column of the term that pushes the sum past the range.
@@ -161,7 +167,8 @@ def test_a_complex_written_twice_is_parsed_once():
     assert net.species == spaced.species == ("A", "B", "C", "D")
     assert len(net.complexes) == 3
     # The same stripped text gives the same object, whatever the spacing around it.
-    assert net.reactions[2].product is net.reactions[0].source
+    (first_source, _, _), _, (_, third_product, _) = net.reactions
+    assert third_product is first_source
 
 
 @pytest.mark.parametrize(
@@ -205,10 +212,10 @@ def test_a_second_arrow_is_reported_at_its_own_column(text, col):
 def test_complex_rejects_terms_naming_the_fault(terms, fragment):
     b = ((1, 1),)
     with pytest.raises(ValueError, match=fragment):
-        ReactionNetwork(("A", "B"), (Reaction(terms, b, 1.0),))
+        ReactionNetwork(("A", "B"), ((terms, b, 1.0),))
     # The faulty complex only as a product: every complex the network holds is checked.
     with pytest.raises(ValueError, match=fragment):
-        ReactionNetwork(("A", "B"), (Reaction(b, terms, 1.0),))
+        ReactionNetwork(("A", "B"), ((b, terms, 1.0),))
 
 
 @pytest.mark.parametrize(
@@ -219,35 +226,60 @@ def test_complex_rejects_terms_naming_the_fault(terms, fragment):
     ],
 )
 def test_network_rejects_species_naming_the_fault(species, fragment):
-    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
+    ab = (((0, 1),), ((1, 1),), 1.0)
     with pytest.raises(ValueError, match=fragment):
         ReactionNetwork(species, (ab,))
 
 
 def test_network_invariants_enforced():
     a, b = "A", "B"
-    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
+    ab = (((0, 1),), ((1, 1),), 1.0)
     with pytest.raises(ValueError):
         ReactionNetwork((a, b), ())  # no reactions
     with pytest.raises(ValueError):
         ReactionNetwork((a, b), (ab, ab))  # duplicate
     with pytest.raises(ValueError):
-        Reaction(((0, 1),), ((0, 1),), 1.0)  # source == product
-    with pytest.raises(ValueError):
-        Reaction(((0, 1),), ((1, 1),), 0.0)  # nonpositive rate
-    with pytest.raises(ValueError):
         ReactionNetwork((a, b, "C"), (ab,))  # C never appears
 
 
+@pytest.mark.parametrize(
+    "reaction, message",
+    [
+        ((((1, 1),), ((1, 1),), 1.0), "reaction source and product complexes are identical"),
+        ((((1, 1),), ((0, 1),), 0.0), "rate must be a positive finite number, got 0.0"),
+        ((((1, 1),), ((0, 1),), -1.0), "rate must be a positive finite number, got -1.0"),
+        ((((1, 1),), ((0, 1),), math.inf), "rate must be a positive finite number, got inf"),
+        ((((1, 1),), ((0, 1),), math.nan), "rate must be a positive finite number, got nan"),
+    ],
+    ids=["identical", "zero", "negative", "inf", "nan"],
+)
+def test_a_faulty_reaction_is_named_by_the_network(reaction, message):
+    ab = (((0, 1),), ((1, 1),), 1.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReactionNetwork(("A", "B"), (ab, reaction))
+    # The species are checked before the reactions.
+    with pytest.raises(ValueError, match="invalid species name"):
+        ReactionNetwork(("A", "2B"), (ab, reaction))
+
+
 def test_a_network_is_built_from_plain_tuples():
-    net = ReactionNetwork(("A", "B"), (Reaction(((0, 1),), ((1, 1),), 1.0),))
+    net = ReactionNetwork(("A", "B"), ((((0, 1),), ((1, 1),), 1.0),))
     assert net == parse_network("A -> B ; k=1")
-    assert type(net.reactions[0].source) is tuple
+    source, _, _ = net.reactions[0]
+    assert type(source) is tuple
     assert net.complexes == (((0, 1),), ((1, 1),))
 
 
+def test_a_network_is_built_from_plain_reaction_triples():
+    net = ReactionNetwork(("A", "B"), ((((0, 1),), ((1, 1),), 1.0),))
+    assert net == parse_network("A -> B ; k=1")
+    assert type(parse_network("A -> B ; k=1").reactions[0]) is tuple
+    assert type(parse_network("2A + C -> B ; k=1").reactions[0]) is tuple
+    assert Reaction == tuple[Complex, Complex, float]
+
+
 def test_a_network_is_built_from_names():
-    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
+    ab = (((0, 1),), ((1, 1),), 1.0)
     net = ReactionNetwork(("A", "B"), (ab,))
     assert net.species == ("A", "B")
     parsed = parse_network("A -> B ; k=1").species
@@ -257,7 +289,7 @@ def test_a_network_is_built_from_names():
 @pytest.mark.parametrize("name", ["A\n", "A ", " A", "", "2A", "A-B", "A\r\n", 5, b"A"])
 def test_species_rejects_a_name_the_parser_cannot_read(name):
     # "$" would also match before a final newline; the whole name must match
-    ab = Reaction(((0, 1),), ((1, 1),), 1.0)
+    ab = (((0, 1),), ((1, 1),), 1.0)
     with pytest.raises(ValueError, match="invalid species name"):
         ReactionNetwork((name, "B"), (ab,))
 
@@ -265,7 +297,7 @@ def test_species_rejects_a_name_the_parser_cannot_read(name):
 def _accepted(name):
     """Whether ``ReactionNetwork`` takes ``name`` as a species name."""
     try:
-        ReactionNetwork((name,), (Reaction(((0, 1),), (), 1.0),))
+        ReactionNetwork((name,), ((((0, 1),), (), 1.0),))
     except ValueError:
         return False
     return True
@@ -291,7 +323,7 @@ def constructed_networks(draw):
         if source != product and (source, product) not in pairs:
             pairs.append((source, product))
     rates = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
-    return ReactionNetwork(tuple(species), tuple(Reaction(s, p, draw(rates)) for s, p in pairs))
+    return ReactionNetwork(tuple(species), tuple((s, p, draw(rates)) for s, p in pairs))
 
 
 def _by_name(net):
@@ -300,7 +332,7 @@ def _by_name(net):
     def named(c):
         return frozenset((names[i], k) for i, k in c)
 
-    return {(named(r.source), named(r.product), r.rate) for r in net.reactions}
+    return {(named(s), named(p), rate) for s, p, rate in net.reactions}
 
 
 @given(constructed_networks())
@@ -324,7 +356,8 @@ def test_an_overlong_coefficient_is_a_parse_error_at_its_term(digits):
 
 def test_leading_zeros_do_not_count_against_a_coefficient():
     net = parse_network(f"A -> {'0' * 5000}3B ; k=1")
-    assert net.reactions[0].product == ((1, 3),)
+    _, product, _ = net.reactions[0]
+    assert product == ((1, 3),)
     with pytest.raises(ParseError, match="zero stoichiometric coefficient"):
         parse_network(f"A -> {'0' * 5000}B ; k=1")
     with pytest.raises(ParseError, match="coefficient 2147483648 exceeds 32-bit range"):

@@ -45,10 +45,11 @@ def loop_arrays(net):
     netv = np.zeros((len(net.reactions), m))
     rates = np.zeros(len(net.reactions))
     for r_idx, r in enumerate(net.reactions):
-        for i, k in r.source:
+        source, _, rate = r
+        for i, k in source:
             src[r_idx, i] = k
         netv[r_idx] = reaction_vector(r, m)
-        rates[r_idx] = r.rate
+        rates[r_idx] = rate
     return src, netv, rates
 
 
@@ -90,9 +91,9 @@ def loop_complex_balance_residual(net, x):
     idx = net.complex_index
     inflow = np.zeros(len(net.complexes))
     outflow = np.zeros(len(net.complexes))
-    for r_idx, r in enumerate(net.reactions):
-        outflow[idx[r.source]] += rates[r_idx]
-        inflow[idx[r.product]] += rates[r_idx]
+    for r_idx, (source, product, _) in enumerate(net.reactions):
+        outflow[idx[source]] += rates[r_idx]
+        inflow[idx[product]] += rates[r_idx]
     scale = max(float(np.max(inflow)), float(np.max(outflow)), 1e-300)
     return float(np.max(np.abs(inflow - outflow))) / scale
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import crncert
@@ -161,6 +162,51 @@ def test_benchmark_trace_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), name
+
+
+def test_benchmark_trace_counts_read_the_results():
+    # The benchmark reads siphons.minimal_found, certify.faces_checked,
+    # dynamics.stored_states and dynamics.newton_iterations off the results
+    # of the traced calls, and a result that no longer has what it reads
+    # leaves the span uncounted, so the metric reads 0 instead of failing.
+    # This runs what the benchmark's certify and simulate jobs run, with
+    # dynamics loaded, as the worker's warm-up job loads it before tracing.
+    importlib.import_module("crncert.dynamics")
+    tracer = _benchmark_tracing().Tracer()
+    tracer.install()
+    try:
+        text = (NETWORKS / "ex2.crn").read_text()
+        crncert.certify(crncert.parse_network(text)).to_json_dict()
+        net = crncert.parse_network(text)
+        x0 = np.array([0.2, 1.3, 1.5])
+        crncert.structure_report(net)
+        x_ref = crncert.find_equilibrium(net, x0).x_bar
+        crncert.simulate(net, crncert.MASS_ACTION, x0, 10.0, x_ref=x_ref)
+    finally:
+        tracer.uninstall()
+    assert not tracer.uncounted
+    counted = {name for name, count in zip(tracer.names, tracer.counts) if count is not None}
+    assert {"siphons.minimal", "certify.certify", "dynamics.simulate", "dynamics.equilibrium"} <= counted
+
+
+def test_readme_python_blocks_run(monkeypatch):
+    # Each ```python block of README.md runs from the repository root, and a
+    # line `print(...)  # value` prints value.
+    readme = (NETWORKS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(NETWORKS.parent)
+    for block in blocks:
+        printed = {}
+
+        def record(*args):
+            printed[sys._getframe(1).f_lineno] = " ".join(map(str, args))
+
+        exec(compile(block, "README.md", "exec"), {"print": record})
+        for line_no, line in enumerate(block.splitlines(), start=1):
+            expected = re.fullmatch(r"print\(.*\)\s*#\s*(.*?)\s*", line)
+            if expected:
+                assert printed[line_no] == expected.group(1), line
 
 
 # Public names no command, script or benchmark file calls: the result types a

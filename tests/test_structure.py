@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crncert import (
     MASS_ACTION,
     RationalBasis,
-    Reaction,
     ReactionNetwork,
     find_equilibrium,
     parse_network,
@@ -113,9 +112,9 @@ def _disjoint_union(nets, rng):
     reactions = []
     offset = 0
     for net in nets:
-        for r in net.reactions:
-            source, product = (tuple((i + offset, k) for i, k in c) for c in (r.source, r.product))
-            reactions.append(Reaction(source, product, r.rate))
+        for s, p, rate in net.reactions:
+            source, product = (tuple((i + offset, k) for i, k in c) for c in (s, p))
+            reactions.append((source, product, rate))
         offset += net.num_species
     species = tuple(f"S{i}" for i in range(offset))
     return ReactionNetwork(species, tuple(reactions[i] for i in rng.permutation(len(reactions))))
@@ -142,8 +141,8 @@ def test_graph_structure_matches_networkx(seed):
         graph = nx.DiGraph()
         graph.add_nodes_from(range(len(net.complexes)))
         idx = net.complex_index
-        for r in net.reactions:
-            graph.add_edge(idx[r.source], idx[r.product])
+        for source, product, _ in net.reactions:
+            graph.add_edge(idx[source], idx[product])
         report = structure_report(net)
 
         # JSON shows the blocks as stored: each sorted, ordered by smallest member
